@@ -6,8 +6,8 @@ RSS.  This script distills the *gated metrics* out of that file and compares
 them against ``benchmarks/baselines/bench-smoke-baseline.json``:
 
 - synthesis throughput (records/sec, engine + streaming serial baselines);
-- the vectorized-kernel, fused-kernel, and marginal-phase speedups (ratios,
-  so they are robust to runner speed differences);
+- the vectorized-kernel and fused-kernel speedups (ratios, so they are
+  robust to runner speed differences);
 - bytes copied per record across the sharded shared backend (the zero-copy
   data plane's per-record movement budget, lower is better);
 - HTTP serving throughput and p50 latency under closed-loop client load;
@@ -59,15 +59,6 @@ GATED_RESULT_METRICS = {
     "engine.kernel.fused.speedup_vs_reference": (
         "test_engine_scaling",
         ("kernel_rows", "fused", "speedup_vs_reference"),
-        "higher",
-    ),
-    # batched-1 isolates the cell-code kernel against the reference scan in
-    # one process — a stable ratio even at smoke scale, unlike process-4,
-    # whose smoke-scale "speedup" is pure pool-startup overhead plus
-    # scheduler noise.
-    "fit.batched-1.marginal_speedup": (
-        "test_fit_scaling",
-        ("rows", "batched-1", "marginal_speedup"),
         "higher",
     ),
     "stream.serial-1.records_per_second": (

@@ -76,8 +76,8 @@ class NetShareSynthesizer(BaselineSynthesizer):
         # converted back to an (epsilon', delta) target for DP-SGD.
         rho_total = eps_delta_to_rho(cfg.epsilon, cfg.delta)
         dpsgd_epsilon = rho_to_eps(0.9 * rho_total, cfg.delta)
-        self.encoder = DatasetEncoder(cfg.encoder).fit(table, rho=0.1 * rho_total, rng=rng)
-        encoded = self.encoder.encode(table)
+        self.encoder = DatasetEncoder(cfg.encoder)
+        encoded = self.encoder.fit_encode(table, rho=0.1 * rho_total, rng=rng)
         self._template = encoded.replace_data(
             np.empty((0, len(encoded.attrs)), dtype=np.int32)
         )

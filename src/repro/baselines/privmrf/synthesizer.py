@@ -75,8 +75,8 @@ class PrivMrfSynthesizer(BaselineSynthesizer):
         stages = split_budget(self.ledger.total, cfg.stage_split)
 
         rho_bin = self.ledger.spend(stages["binning"], "binning")
-        self.encoder = DatasetEncoder(cfg.encoder).fit(table, rho_bin, rng)
-        encoded = self.encoder.encode(table)
+        self.encoder = DatasetEncoder(cfg.encoder)
+        encoded = self.encoder.fit_encode(table, rho_bin, rng)
         self._template = encoded.replace_data(
             np.empty((0, len(encoded.attrs)), dtype=np.int32)
         )

@@ -1,14 +1,15 @@
 """Dataset encoder: orchestrates type- and frequency-dependent binning.
 
-``DatasetEncoder.fit`` implements lines 1–4 of the paper's Algorithm 1:
+``DatasetEncoder.fit_encode`` implements lines 1–4 of the paper's Algorithm 1:
 
 1. build a type-dependent codec per attribute;
 2. add the auxiliary ``tsdiff`` attribute (group-wise inter-arrival deltas);
 3. publish noisy 1-way marginals with the binning budget (0.1·rho);
 4. merge low-noisy-count bins (frequency-dependent binning).
 
-``encode`` then maps a trace to an integer matrix over the merged domain and
-``decode`` samples raw values back out of bins.
+It returns the fitted trace as an integer matrix over the merged domain;
+``encode`` maps any other trace the same way and ``decode`` samples raw
+values back out of bins.
 """
 
 from __future__ import annotations
@@ -97,31 +98,40 @@ class DatasetEncoder:
         rho: float | None,
         rng: np.random.Generator | int | None = None,
     ) -> "DatasetEncoder":
-        """Fit codecs on ``table``; ``rho`` is the binning budget (0.1·total).
+        """Fit codecs on ``table`` (see :meth:`fit_encode`), dropping the matrix."""
+        self.fit_encode(table, rho, rng)
+        return self
 
-        ``rho=None`` runs without noise (exact counts, no privacy) — used by
-        ablations and tests only.
+    def fit_encode(
+        self,
+        table: TraceTable,
+        rho: float | None,
+        rng: np.random.Generator | int | None = None,
+    ) -> EncodedDataset:
+        """Fit codecs on ``table`` and return it encoded, in one pass.
+
+        ``rho`` is the binning budget (0.1·total); ``rho=None`` runs without
+        noise (exact counts, no privacy) — used by ablations and tests only.
+        The table is augmented once; each column is base-coded straight into
+        a column-major int32 matrix, histogrammed for its noisy 1-way (noise
+        drawn in attribute order), merged, then remapped in place onto the
+        merged bins — the same matrix ``fit`` followed by ``encode`` builds.
         """
         rng = ensure_rng(rng)
         cfg = self.config
         work = self._augment(table)
         self.schema = work.schema
-
-        base_codecs: dict[str, AttributeCodec] = {}
-        for spec in work.schema:
-            base_codecs[spec.name] = self._build_codec(spec, work.column(spec.name))
-
-        # Publish noisy 1-way marginals over the base bins, then merge.
-        names = list(base_codecs)
-        rho_per_attr = None if rho is None else rho / len(names)
+        attrs = tuple(work.schema.names)
+        data = np.empty((work.n_records, len(attrs)), dtype=np.int32, order="F")
+        rho_per_attr = None if rho is None else rho / len(attrs)
         self.rho_spent = 0.0 if rho is None else rho
         self.codecs = {}
         self.noisy_one_way = {}
-        for name in names:
-            base = base_codecs[name]
-            exact = np.bincount(
-                base.encode(work.column(name)), minlength=base.domain_size
-            ).astype(np.float64)
+        for j, spec in enumerate(work.schema):
+            values = work.column(spec.name)
+            base = self._build_codec(spec, values)
+            data[:, j] = base.encode(values)
+            exact = np.bincount(data[:, j], minlength=base.domain_size).astype(np.float64)
             if rho_per_attr is None:
                 noisy = exact
                 threshold = 1.0
@@ -129,15 +139,15 @@ class DatasetEncoder:
                 noisy = gaussian_mechanism(exact, 1.0, rho_per_attr, rng)
                 sigma = gaussian_sigma(1.0, rho_per_attr)
                 threshold = cfg.freq_threshold_sigmas * sigma
-            spec = work.schema[name]
             min_bins = base.domain_size if (spec.is_label and cfg.protect_labels) else 1
             if spec.kind is FieldKind.CATEGORICAL and base.domain_size <= 16:
                 # Small categorical domains are not binned (paper type 3).
                 min_bins = base.domain_size
             merged = merge_codec(base, noisy, threshold, min_bins=min_bins)
-            self.codecs[name] = merged
-            self.noisy_one_way[name] = aggregate_counts(merged, noisy)
-        return self
+            data[:, j] = merged.base_to_merged[data[:, j]]
+            self.codecs[spec.name] = merged
+            self.noisy_one_way[spec.name] = aggregate_counts(merged, noisy)
+        return self._encoded(data)
 
     def _augment(self, table: TraceTable) -> TraceTable:
         """Append the tsdiff auxiliary attribute when configured and possible."""
@@ -183,11 +193,14 @@ class DatasetEncoder:
         if self.schema is None:
             raise RuntimeError("encoder not fitted")
         work = self._augment(table) if TSDIFF not in table.schema else table
-        attrs = tuple(self.schema.names)
-        n = work.n_records
-        data = np.empty((n, len(attrs)), dtype=np.int32)
+        attrs = self.schema.names
+        data = np.empty((work.n_records, len(attrs)), dtype=np.int32, order="F")
         for j, name in enumerate(attrs):
             data[:, j] = self.codecs[name].encode(work.column(name))
+        return self._encoded(data)
+
+    def _encoded(self, data: np.ndarray) -> EncodedDataset:
+        attrs = tuple(self.schema.names)
         sizes = {name: self.codecs[name].domain_size for name in attrs}
         return EncodedDataset(data, attrs, Domain(sizes), dict(self.codecs), self.schema)
 

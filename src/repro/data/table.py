@@ -195,21 +195,28 @@ class TraceTable:
 
         Rows sharing the same value tuple over ``names`` get the same id.
         Used to group records by flow identifier for tsdiff computation.
+        Ids number the distinct tuples in lexicographic order (first name
+        most significant) — timestamp reconstruction accumulates over groups
+        in id order, so this numbering is part of the release contract.
         """
         names = list(names)
         if not names:
             raise ValueError("group_ids requires at least one column")
         if self.n_records == 0:
             return np.zeros(0, dtype=np.int64)
-        # Densify each column to integer codes, then fold pairwise so the
-        # combined key never overflows int64 (codes stay < n after each fold).
-        ids = np.zeros(self.n_records, dtype=np.int64)
-        for name in names:
-            _, codes = np.unique(self._columns[name], return_inverse=True)
-            codes = codes.astype(np.int64)
-            _, ids = np.unique(ids * (codes.max() + 1) + codes, return_inverse=True)
-            ids = ids.astype(np.int64)
-        return ids
+        # Fold per-column dense ranks into one mixed-radix key and sort once;
+        # the key is densified early only if the next fold could overflow.
+        ids = _dense_rank(self._columns[names[0]])
+        bound = int(ids.max()) + 1
+        for name in names[1:]:
+            rank = _dense_rank(self._columns[name])
+            size = int(rank.max()) + 1
+            if bound * size >= 2**63:
+                ids = _dense_rank(ids)
+                bound = int(ids.max()) + 1
+            ids = ids * size + rank
+            bound *= size
+        return _dense_rank(ids)
 
     def content_digest(self) -> str:
         """SHA-256 over column names, dtypes, lengths, and values, in schema order.
@@ -285,3 +292,24 @@ class TraceTable:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TraceTable(kind={self.schema.kind!r}, n={self.n_records}, fields={list(self.schema.names)})"
+
+
+def _dense_rank(column: np.ndarray) -> np.ndarray:
+    """Rank of each value among the column's sorted distinct values.
+
+    The same codes as ``np.unique(column, return_inverse=True)``; object
+    columns are factorised with a dict first, so only their distinct keys
+    are sorted with Python comparisons instead of every row.
+    """
+    if column.dtype != object:
+        return np.unique(column, return_inverse=True)[1].astype(np.int64, copy=False)
+    index: dict = {}
+    codes = np.fromiter(
+        (index.setdefault(value, len(index)) for value in column),
+        dtype=np.int64,
+        count=len(column),
+    )
+    keys = list(index)
+    rank_of_code = np.empty(len(keys), dtype=np.int64)
+    rank_of_code[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    return rank_of_code[codes]

@@ -651,7 +651,9 @@ class SharedMemoryBackend(ProcessBackend):
         sweep_orphan_segments()
 
 
-def scatter_map(executor: Backend, fn, items: list, shared=None, n_chunks=None) -> list:
+def scatter_map(
+    executor: Backend | None, fn, items: list, shared=None, n_chunks=None
+) -> list:
     """Chunked map: run ``fn(shared, chunk)`` per chunk, return per-item results.
 
     Items are dealt round-robin into ``n_chunks`` chunks (default: one per
@@ -659,9 +661,12 @@ def scatter_map(executor: Backend, fn, items: list, shared=None, n_chunks=None) 
     worker cap), so heterogeneous per-item costs spread evenly.  ``fn``
     receives a list of items and must return one result per item, in order;
     the per-item results are reassembled into the original item order.
+    ``executor=None`` runs ``fn`` once over all items, in-process.
     """
     if not items:
         return []
+    if executor is None:
+        return fn(shared, list(items))
     if n_chunks is None:
         n_chunks = executor.max_workers or (multiprocessing.cpu_count() or 1)
     k = max(1, min(int(n_chunks), len(items)))

@@ -2,9 +2,9 @@
 
 The fit hot path is the exact-count work — the InDif scan over all
 ``d(d-1)/2`` attribute pairs plus the published contingency tables.  Both
-are deterministic, so ``config.fit_engine`` can fan them out across workers
-(batched cell-code kernel) while every noise draw stays on the single fit
-stream — making parallel fits bit-identical to the serial reference
+are deterministic, so ``config.fit_engine`` can fan the batched cell-code
+kernel out across workers while every noise draw stays on the single fit
+stream — making parallel fits bit-identical to the serial one
 (:data:`FIT_GOLDEN` pins the pre-pipeline output).
 
 This experiment fits one model per executor configuration on the same wide
@@ -34,12 +34,10 @@ from repro.engine import EngineConfig
 from repro.experiments.runner import ExperimentScale
 
 #: (row key, backend, workers) grid; backend ``None`` is the inline serial
-#: reference path (``fit_engine=None``), the baseline every speedup is
-#: measured against.  ``batched-1`` isolates the cell-code kernel's
-#: single-worker gain from the process fan-out on top of it.
+#: path (``fit_engine=None``: the batched cell-code kernel in-process), the
+#: baseline every speedup is measured against.
 DEFAULT_GRID = (
     ("serial", None, None),
-    ("batched-1", "serial", 1),
     ("process-2", "process", 2),
     ("process-4", "process", 4),
 )
@@ -73,7 +71,7 @@ def verify_fit_identity() -> dict:
     """Check the staged pipeline against the pre-refactor fit golden digest.
 
     Runs the exact workload the golden was captured on (ton n=2500 seed=31,
-    eps=2.0, fit rng=7) on the serial reference path.
+    eps=2.0, fit rng=7) on the serial path.
     """
     table = load_dataset("ton", n_records=2500, seed=31)
     config = SynthesisConfig(epsilon=2.0)

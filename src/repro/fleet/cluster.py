@@ -41,6 +41,7 @@ import multiprocessing
 import os
 import pickle
 import shutil
+import socket
 import tempfile
 import threading
 import time
@@ -204,6 +205,12 @@ class LocalCluster:
             return
         self._running = False
         self._wake()
+        # Closing the listener does not wake a thread blocked in accept();
+        # a throw-away connection does, and it then sees ``_running`` unset.
+        try:
+            socket.create_connection(self.address, timeout=1.0).close()
+        except OSError:  # pragma: no cover - listener already gone
+            pass
         try:
             self._listener.close()
         except OSError:  # pragma: no cover - already closed

@@ -49,10 +49,11 @@ def exact_count_payload(encoded: EncodedDataset) -> tuple:
     """The shared payload of the exact-count executor tasks.
 
     ``(data, sizes)`` — the encoded int32 matrix plus per-column domain
-    sizes.  The matrix is converted to Fortran order once (column slices
-    become contiguous, which is what the cell-code kernels stream over),
-    then shipped to workers once (fork inheritance or pool initializer) and
-    reused by both the InDif scan and marginal publication; see
+    sizes.  The kernels stream over column slices, so the matrix must be in
+    Fortran order: the fit's encoded matrix already is and is returned as a
+    view (no copy); anything else is converted once.  It is shipped to
+    workers once (fork inheritance or pool initializer) and reused by both
+    the InDif scan and marginal publication; see
     :meth:`repro.engine.backends.Backend.open`.
     """
     sizes = tuple(int(encoded.domain.size(name)) for name in encoded.attrs)

@@ -7,10 +7,10 @@ record changes InDif by at most 4, so noisy publication uses the Gaussian
 mechanism with sensitivity 4.
 
 Reproducibility contract (shared with :mod:`repro.marginals.publish`): the
-exact pair marginals are deterministic, so they may be computed serially or
-fanned out across an :class:`~repro.engine.backends.Backend` executor — the
-executor path builds each pair marginal from per-attribute cell codes
-(``codes_a * |b| + codes_b`` + bincount), which yields the same integer
+exact pair marginals are deterministic, so they may be computed in-process or
+fanned out across an :class:`~repro.engine.backends.Backend` executor — both
+run one batched kernel that builds each pair marginal from per-attribute cell
+codes (``codes_a * |b| + codes_b`` + bincount), which yields the same integer
 counts as :func:`~repro.marginals.compute.compute_marginal` without a
 per-pair column-projection copy.  All Gaussian noise is then drawn in **one
 vectorized call on the caller's generator in the fixed pair order** — NumPy
@@ -78,14 +78,12 @@ def exact_indif_scores(
 ) -> dict:
     """Exact InDif for every pair; executor choice cannot change the values.
 
-    ``executor=None`` runs the reference per-pair loop in-process; a backend
-    runs the batched cell-code kernel across its workers.  Both return the
-    same floats because exact counts are deterministic integers.  ``shared``
-    is an optional prebuilt :func:`~repro.marginals.compute.exact_count_payload`
-    (pass the same object across calls to reuse an opened worker pool).
+    The batched cell-code kernel runs in-process (``executor=None``) or is
+    fanned out across a backend's workers; exact counts are deterministic
+    integers, so both return the same floats.  ``shared`` is an optional
+    prebuilt :func:`~repro.marginals.compute.exact_count_payload` (pass the
+    same object across calls to reuse an opened worker pool).
     """
-    if executor is None:
-        return {(a, b): independent_difference(encoded, a, b) for a, b in pairs}
     if shared is None:
         shared = exact_count_payload(encoded)
     index = {name: j for j, name in enumerate(encoded.attrs)}

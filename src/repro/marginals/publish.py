@@ -1,8 +1,8 @@
 """Noisy marginal publication with weighted budget allocation (paper §3.3).
 
-The exact contingency tables are deterministic, so they may be computed
-serially or fanned out across an :class:`~repro.engine.backends.Backend`
-executor (same cell-code kernel as :mod:`repro.marginals.indif`); the
+The exact contingency tables are deterministic, so the batched cell-code
+kernel (the one :mod:`repro.marginals.indif` uses) may run in-process or be
+fanned out across an :class:`~repro.engine.backends.Backend` executor; the
 Gaussian noise is then added serially on the caller's generator in the fixed
 ``attr_sets`` order, so published output is bit-identical regardless of how
 the exact counts were produced.
@@ -16,7 +16,7 @@ from repro.binning.encoder import EncodedDataset
 from repro.dp.allocation import uniform_marginal_budgets, weighted_marginal_budgets
 from repro.dp.mechanisms import gaussian_mechanism, gaussian_sigma
 from repro.engine.backends import Backend, scatter_map
-from repro.marginals.compute import compute_marginal, exact_count_payload
+from repro.marginals.compute import exact_count_payload
 from repro.marginals.marginal import Marginal
 from repro.utils.rng import ensure_rng
 
@@ -60,15 +60,13 @@ def exact_marginals(
 ) -> list:
     """Exact :class:`Marginal` per attribute set, in ``attr_sets`` order.
 
-    ``executor=None`` is the reference :func:`compute_marginal` loop; a
-    backend computes the same counts via the batched cell-code kernel.
-    ``shared`` is an optional prebuilt
+    The batched cell-code kernel runs in-process (``executor=None``) or
+    across a backend's workers, with the same counts either way.  ``shared``
+    is an optional prebuilt
     :func:`~repro.marginals.compute.exact_count_payload` (pass the same
     object across calls to reuse an opened worker pool).
     """
     attr_sets = [tuple(s) for s in attr_sets]
-    if executor is None:
-        return [compute_marginal(encoded, attrs) for attrs in attr_sets]
     if shared is None:
         shared = exact_count_payload(encoded)
     index = {name: j for j, name in enumerate(encoded.attrs)}

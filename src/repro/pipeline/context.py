@@ -35,7 +35,7 @@ class FitContext:
     config: "SynthesisConfig"
     rng: np.random.Generator
     ledger: "BudgetLedger"
-    #: Task executor for exact-count fan-out; ``None`` = inline reference path.
+    #: Task executor for exact-count fan-out; ``None`` = the same kernel inline.
     executor: "Backend | None" = None
     #: Per-stage zCDP budgets (:func:`repro.dp.allocation.split_budget`).
     stage_budgets: dict = field(default_factory=dict)
@@ -62,7 +62,7 @@ class FitContext:
         return self.table.schema
 
     def exact_payload(self):
-        """The exact-count worker payload, built once per fit.
+        """The exact-count payload, built once per fit (a view of ``encoded``).
 
         On first use with a live executor this also :meth:`opens
         <repro.engine.backends.Backend.open>` a persistent worker pool bound

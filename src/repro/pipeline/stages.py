@@ -47,8 +47,8 @@ class BinningStage:
         rho = ctx.ledger.spend(
             ctx.stage_budgets["binning"], "frequency-dependent binning"
         )
-        ctx.encoder = DatasetEncoder(ctx.config.encoder).fit(ctx.table, rho, ctx.rng)
-        ctx.encoded = ctx.encoder.encode(ctx.table)
+        ctx.encoder = DatasetEncoder(ctx.config.encoder)
+        ctx.encoded = ctx.encoder.fit_encode(ctx.table, rho, ctx.rng)
         ctx.template = ctx.encoded.replace_data(
             np.empty((0, len(ctx.encoded.attrs)), dtype=np.int32)
         )
@@ -62,10 +62,9 @@ class SelectionStage:
     def run(self, ctx: FitContext) -> None:
         rho = ctx.ledger.spend(ctx.stage_budgets["selection"], "marginal selection")
         ctx.pairs = list(combinations(ctx.encoded.attrs, 2))
-        shared = ctx.exact_payload() if ctx.executor is not None else None
         ctx.indif = noisy_indif_scores(
             ctx.encoded, rho, ctx.rng, pairs=ctx.pairs,
-            executor=ctx.executor, shared=shared,
+            executor=ctx.executor, shared=ctx.exact_payload(),
         )
         cells = {pair: ctx.encoded.domain.cells(pair) for pair in ctx.pairs}
         ctx.selection = select_pairs(
@@ -95,7 +94,6 @@ class PublishStage:
 
     def run(self, ctx: FitContext) -> None:
         rho = ctx.ledger.spend(ctx.stage_budgets["publish"], "marginal publication")
-        shared = ctx.exact_payload() if ctx.executor is not None else None
         ctx.raw_published = publish_marginals(
             ctx.encoded,
             ctx.attr_sets,
@@ -103,7 +101,7 @@ class PublishStage:
             ctx.rng,
             weighted=ctx.config.weighted_allocation,
             executor=ctx.executor,
-            shared=shared,
+            shared=ctx.exact_payload(),
         )
 
 

@@ -1,5 +1,7 @@
 """Unit and property tests for the binning codecs and the encoder."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,14 @@ from repro.data.table import TraceTable
 from repro.datasets import load_dataset
 
 RNG = np.random.default_rng(0)
+
+#: SHA-256 of the C-order bytes of ``fit(t, 0.05, 7)`` + ``encode(t)`` for
+#: 3000 records (seed 5), captured from the two-pass encoder that
+#: ``fit_encode`` replaced: the one-pass fit must reproduce them exactly.
+TWO_PASS_DIGESTS = {
+    "ton": "cce5be4860ac6ece176793dadd8270fde57882b3df374043d251b79bb4db9b49",
+    "caida": "eff9a03a30f0b55259c7bf1b9cbd113f6caaf583356e1af3f88a613e6d882353",
+}
 
 
 class TestCategoricalCodec:
@@ -278,6 +288,34 @@ class TestDatasetEncoder:
         table = load_dataset("ugr16", n_records=100, seed=5)
         with pytest.raises(RuntimeError):
             DatasetEncoder().encode(table)
+
+    @pytest.mark.skipif(
+        np.lib.NumpyVersion(np.__version__) < "2.0.0",
+        reason="digests captured on the NumPy 2.x generator streams",
+    )
+    @pytest.mark.parametrize("dataset", sorted(TWO_PASS_DIGESTS))
+    def test_fit_encode_matches_two_pass_digest(self, dataset):
+        table = load_dataset(dataset, n_records=3000, seed=5)
+        encoded = DatasetEncoder(EncoderConfig()).fit_encode(table, rho=0.05, rng=7)
+        digest = hashlib.sha256(np.ascontiguousarray(encoded.data).tobytes())
+        assert digest.hexdigest() == TWO_PASS_DIGESTS[dataset]
+
+    @pytest.mark.parametrize("dataset", ["ton", "caida"])
+    def test_fit_encode_equals_fit_then_encode(self, dataset):
+        table = load_dataset(dataset, n_records=3000, seed=5)
+        one_pass = DatasetEncoder(EncoderConfig())
+        encoded = one_pass.fit_encode(table, rho=0.05, rng=7)
+        two_pass = DatasetEncoder(EncoderConfig()).fit(table, rho=0.05, rng=7)
+        reference = two_pass.encode(table)
+        assert encoded.attrs == reference.attrs
+        assert encoded.data.dtype == reference.data.dtype == np.int32
+        assert encoded.data.flags.f_contiguous
+        assert encoded.data.tobytes() == reference.data.tobytes()
+        assert encoded.domain.shape(encoded.attrs) == reference.domain.shape(reference.attrs)
+        for attr in encoded.attrs:
+            assert np.array_equal(
+                one_pass.noisy_one_way[attr], two_pass.noisy_one_way[attr]
+            )
 
     def test_domain_sizes_match_codecs(self):
         table = load_dataset("cidds", n_records=600, seed=5)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import Domain, FieldKind, FieldSpec, Schema, TraceTable, read_csv, write_csv
 
@@ -133,6 +135,94 @@ class TestTraceTable:
         assert len(small_table.head(2)) == 2
         shuffled = small_table.shuffle(np.random.default_rng(0))
         assert sorted(shuffled["pkt"]) == sorted(small_table["pkt"])
+
+
+def _fold_group_ids(table, names):
+    """The historical fold-based ``group_ids``: the numbering oracle.
+
+    Densifies each column with ``np.unique`` and folds it into the running
+    ids, re-densifying after every fold — ten sorts for a 5-tuple key.
+    """
+    if table.n_records == 0:
+        return np.zeros(0, dtype=np.int64)
+    ids = np.zeros(table.n_records, dtype=np.int64)
+    for name in names:
+        _, codes = np.unique(table.column(name), return_inverse=True)
+        codes = codes.astype(np.int64)
+        _, ids = np.unique(ids * (codes.max() + 1) + codes, return_inverse=True)
+        ids = ids.astype(np.int64)
+    return ids
+
+
+_KEY_VALUES = {
+    "int": st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1)),
+    "float": st.sampled_from([0.0, -0.0, 1.5, -2.25, 1e300, np.inf, -np.inf, np.nan]),
+    "str": st.sampled_from(["", "a", "b", "TCP", "udp", "\u00e9", "10.0.0.1"]),
+}
+
+
+def _key_table(kinds, rows):
+    """A table with one column per kind in ``kinds`` (``c0``, ``c1``, ...)."""
+    fields, columns = [], {}
+    for j, kind in enumerate(kinds):
+        values = [row[j] for row in rows]
+        name = f"c{j}"
+        if kind == "str":
+            fields.append(FieldSpec(name, FieldKind.CATEGORICAL, categories=tuple(set(values))))
+            columns[name] = np.array(values, dtype=object)
+        else:
+            fields.append(FieldSpec(name, FieldKind.NUMERIC))
+            dtype = np.int64 if kind == "int" else np.float64
+            columns[name] = np.array(values, dtype=dtype)
+    return TraceTable(Schema(fields=tuple(fields), kind="flow"), columns)
+
+
+@st.composite
+def _key_tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_KEY_VALUES)), min_size=1, max_size=4))
+    row = st.tuples(*(_KEY_VALUES[kind] for kind in kinds))
+    rows = draw(st.lists(row, min_size=0, max_size=40))
+    if rows and draw(st.booleans()):
+        rows = [rows[0]] * len(rows)  # all-equal rows
+    return _key_table(kinds, rows)
+
+
+class TestGroupIdsNumbering:
+    """``group_ids`` must number groups exactly like the fold it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=_key_tables())
+    def test_matches_fold_oracle(self, table):
+        names = table.schema.names
+        got = table.group_ids(names)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _fold_group_ids(table, names))
+
+    @pytest.mark.parametrize(
+        "kinds, rows",
+        [
+            (("int", "str"), []),
+            (("int", "float", "str"), [(7, 0.5, "x")]),
+            (("str",), [("b",), ("a",), ("b",), ("c",)]),
+            (("int", "float", "str"), [(1, 2.0, "a")] * 5),
+        ],
+        ids=["n0", "n1", "single-key-column", "all-equal-rows"],
+    )
+    def test_edge_shapes(self, kinds, rows):
+        table = _key_table(kinds, rows)
+        got = table.group_ids(table.schema.names)
+        assert np.array_equal(got, _fold_group_ids(table, table.schema.names))
+
+    def test_wide_key_densifies_before_overflow(self):
+        # 16 columns of ~200 distinct values: the mixed-radix key would need
+        # 200**16 > 2**63, so the fold must re-densify on the way.
+        rng = np.random.default_rng(3)
+        rows = [tuple(int(v) for v in rng.integers(0, 200, size=16)) for _ in range(400)]
+        rows += rows[:50]
+        table = _key_table(("int",) * 16, rows)
+        got = table.group_ids(table.schema.names)
+        assert np.array_equal(got, _fold_group_ids(table, table.schema.names))
+        assert got.max() + 1 == len(set(rows))
 
 
 class TestDomain:

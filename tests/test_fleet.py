@@ -262,6 +262,21 @@ class TestFleetRelease:
         with pytest.raises(FleetError, match="closed"):
             cluster.run_tasks(_echo_task, [(1,)])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_close_with_idle_workers_is_prompt_and_clean(self, workers):
+        cluster = LocalCluster(workers=workers)
+        with cluster:
+            deadline = time.monotonic() + 15.0
+            while len(cluster.registry.alive()) < workers:
+                assert time.monotonic() < deadline, "workers never registered"
+                time.sleep(0.02)
+            started = time.monotonic()
+        elapsed = time.monotonic() - started
+        assert elapsed < 0.5
+        assert not cluster._accept_thread.is_alive()
+        # Every worker left on the shutdown message: none was SIGTERMed.
+        assert [proc.exitcode for proc in cluster._procs] == [0] * workers
+
     def test_generic_tasks_and_shared_payload(self):
         with LocalCluster(workers=2) as cluster:
             out = cluster.run_tasks(_mul_task, [(i,) for i in range(8)], shared=7)

@@ -277,20 +277,51 @@ class TestPipelineStructure:
     def test_custom_stage_runs_and_is_timed(self, ton):
         extra = _RecordingStage()
         pipeline = FitPipeline(list(default_stages()) + [extra])
-        from repro.core.config import SynthesisConfig as Config
-        from repro.dp.accountant import BudgetLedger
-        from repro.dp.allocation import split_budget
-        from repro.pipeline import FitContext
-
-        config = Config(epsilon=2.0)
-        ledger = BudgetLedger.from_eps_delta(config.epsilon, config.delta)
-        ctx = FitContext(
-            table=ton,
-            config=config,
-            rng=np.random.default_rng(0),
-            ledger=ledger,
-            stage_budgets=split_budget(ledger.total, config.stage_split),
-        )
+        ctx = _fit_context(ton)
         pipeline.run(ctx)
         assert extra.ran
         assert set(ctx.timings) == set(STAGE_ORDER) | {"recording"}
+
+
+def _fit_context(table):
+    from repro.dp.accountant import BudgetLedger
+    from repro.dp.allocation import split_budget
+    from repro.pipeline import FitContext
+
+    config = SynthesisConfig(epsilon=2.0)
+    ledger = BudgetLedger.from_eps_delta(config.epsilon, config.delta)
+    return FitContext(
+        table=table,
+        config=config,
+        rng=np.random.default_rng(0),
+        ledger=ledger,
+        stage_budgets=split_budget(ledger.total, config.stage_split),
+    )
+
+
+# ------------------------------------------------------------ one-pass fit
+class TestOnePassFit:
+    def test_tsdiff_computed_once_per_fit(self, ton, monkeypatch):
+        import repro.binning.encoder as encoder_module
+
+        calls = []
+        original = encoder_module.compute_tsdiff
+
+        def counting(table, key):
+            calls.append(key)
+            return original(table, key)
+
+        monkeypatch.setattr(encoder_module, "compute_tsdiff", counting)
+        build(ton)
+        assert len(calls) == 1
+
+    def test_encoded_matrix_is_column_major_and_shared(self, ton):
+        ctx = _fit_context(ton)
+        FitPipeline().run(ctx)
+        data = ctx.encoded.data
+        assert data.flags.f_contiguous
+        # The serial fit's exact-count payload is the encoded matrix itself.
+        payload, sizes = ctx.exact_payload()
+        assert np.shares_memory(payload, data)
+        assert sizes == ctx.encoded.domain.shape(ctx.encoded.attrs)
+        assert np.shares_memory(exact_count_payload(ctx.encoded)[0], data)
