@@ -3,20 +3,19 @@
 The sampling phase is pure post-processing, so sharding it spends no extra
 privacy budget (paper §3.4) — this benchmark records what that buys in
 throughput.  The serial single-shard baseline is the legacy pre-engine
-implementation bit for bit; sharded configurations run the vectorized GUM
-update, so the speedup combines vectorization with parallel shards.
+implementation bit for bit; every configuration runs the ``auto`` (fused) GUM
+kernel, so the grid isolates what parallel shards add.
 
 Acceptance gates (full scale, >= 20k synthesized records):
 
 - process-4 shows >= 1.5x sampling-phase speedup over the serial backend;
-- the ``vectorized`` kernel shows >= 2x single-shard speedup over the
-  ``reference`` kernel (the kernel dimension of the benchmark);
-- the ``fused`` kernel (the ``auto`` head) shows >= 3x single-shard speedup
-  over ``reference``;
+- the ``fused`` kernel (what ``auto`` runs) shows >= 3x single-shard
+  speedup over the ``reference`` kernel (the kernel dimension of the
+  benchmark);
 - single-shard serial output is bit-identical to the pre-refactor
   ``sample()`` for the pinned golden workload;
 - backends are interchangeable: same seed + shard count => same digest;
-- kernels are interchangeable: every kernel row reports the same digest.
+- kernels are interchangeable: both kernel rows report the same digest.
 
 Smoke mode (REPRO_BENCH_SMOKE=1, used by CI) shrinks the workload and skips
 the speedup gates — parallel overhead dominates at toy sizes (the digest
@@ -100,12 +99,7 @@ def run_and_check(scale: ExperimentScale) -> dict:
             )
         else:
             print("[engine] single-CPU machine: parallel speedup gate skipped")
-        # The kernel gates are single-core by construction and always apply.
-        kernel_speedup = kernel_rows["vectorized"]["speedup_vs_reference"]
-        assert kernel_speedup >= 2.0, (
-            f"vectorized kernel speedup {kernel_speedup:.2f}x < 2.0x over the "
-            "reference kernel on the single-shard workload"
-        )
+        # The kernel gate is single-core by construction and always applies.
         fused_speedup = kernel_rows["fused"]["speedup_vs_reference"]
         assert fused_speedup >= 3.0, (
             f"fused kernel speedup {fused_speedup:.2f}x < 3.0x over the "

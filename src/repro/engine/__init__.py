@@ -7,7 +7,7 @@ provides:
 
 - :class:`SynthesisPlan` — a picklable capture of everything ``sample()``
   needs after ``fit()``;
-- serial / thread / process / shared-memory :mod:`backends
+- serial / process / shared-memory :mod:`backends
   <repro.engine.backends>` exposing a generic map-style
   :meth:`~repro.engine.backends.Backend.run_tasks` (used by the fit
   pipeline's exact-count fan-out), the streaming
@@ -27,7 +27,6 @@ from repro.engine.backends import (
     ProcessBackend,
     SerialBackend,
     SharedMemoryBackend,
-    ThreadBackend,
     get_backend,
     scatter_map,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "ShardTaskError",
     "SharedMemoryBackend",
     "SynthesisPlan",
-    "ThreadBackend",
     "execute_plan",
     "execute_plan_decoded",
     "execute_plan_stream",

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import abc
 import multiprocessing
+import os
 import threading
 from collections import deque
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -197,7 +198,9 @@ class Backend(abc.ABC):
         return self.run_tasks(_run_shard_task, tasks, shared=plan)
 
     def _workers(self, n_tasks: int) -> int:
-        limit = self.max_workers if self.max_workers is not None else n_tasks
+        # Default: one worker per task, but no more than one per CPU — extra
+        # processes only time-slice the same cores and slow every shard.
+        limit = self.max_workers or min(n_tasks, os.cpu_count() or 1)
         return max(1, min(limit, n_tasks))
 
     def _window(self, window: int | None) -> int:
@@ -219,38 +222,6 @@ class SerialBackend(Backend):
         # consumer holds at most one task output at a time.
         for task in tasks:
             yield fn(shared, *task)
-
-
-class ThreadBackend(Backend):
-    """Run tasks on a thread pool.
-
-    NumPy releases the GIL inside the heavy kernels (sort, bincount,
-    gather), so threads overlap part of the work without any pickling cost;
-    the process backends are the stronger choice for CPU-bound scaling.
-    """
-
-    name = "thread"
-
-    def run_tasks(self, fn, tasks, shared=None):
-        if not tasks:
-            return []
-        with ThreadPoolExecutor(max_workers=self._workers(len(tasks))) as pool:
-            futures = [pool.submit(fn, shared, *task) for task in tasks]
-            return [f.result() for f in futures]
-
-    def imap_tasks(self, fn, tasks, shared=None, window=None):
-        tasks = list(tasks)
-        if not tasks:
-            return
-        window = self._window(window)
-        with ThreadPoolExecutor(max_workers=self._workers(len(tasks))) as pool:
-            pending: deque = deque()
-            for task in tasks:
-                pending.append(pool.submit(fn, shared, *task))
-                while len(pending) >= window:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
 
 
 class ProcessBackend(Backend):
@@ -685,7 +656,6 @@ def scatter_map(
 
 _BACKEND_CLASSES = {
     SerialBackend.name: SerialBackend,
-    ThreadBackend.name: ThreadBackend,
     ProcessBackend.name: ProcessBackend,
     SharedMemoryBackend.name: SharedMemoryBackend,
 }
@@ -698,8 +668,8 @@ def get_backend(
     task_timeout: float | None = None,
     retry: "RetryPolicy | int | None" = None,
 ) -> Backend:
-    """Instantiate a backend by name (``serial``, ``thread``, ``process``,
-    ``shared``, ``fleet``).
+    """Instantiate a backend by name (``serial``, ``process``, ``shared``,
+    ``fleet``).
 
     ``task_timeout`` bounds the wait on any single task result;
     ``retry`` (a :class:`~repro.reliability.RetryPolicy`, or an int for

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 #: Names of the self-contained in-process execution backends — usable with
 #: no setup beyond ``EngineConfig``; generic parity suites iterate these.
-BACKENDS = ("serial", "thread", "process", "shared")
+BACKENDS = ("serial", "process", "shared")
 
 #: Backends that need external infrastructure before they can run: ``fleet``
 #: dispatches shards to the active :class:`repro.fleet.LocalCluster`
@@ -46,23 +46,19 @@ class EngineConfig:
     workers without touching the DP accounting.
     """
 
-    #: ``"serial"`` (in-process loop), ``"thread"`` (ThreadPoolExecutor),
-    #: ``"process"`` (ProcessPoolExecutor; results pickled per task) or
-    #: ``"shared"`` (process pool returning large arrays through
-    #: ``multiprocessing.shared_memory`` instead of the result pipe).
+    #: ``"serial"`` (in-process loop), ``"process"`` (ProcessPoolExecutor;
+    #: results pickled per task) or ``"shared"`` (process pool returning
+    #: large arrays through ``multiprocessing.shared_memory`` instead of the
+    #: result pipe).
     backend: str = "serial"
     #: Number of independent GUM shards the record budget is split into.
     shards: int = 1
-    #: Worker cap for the thread/process/shared backends (default: one per
-    #: shard).
+    #: Worker cap for the process/shared backends (default: one per shard,
+    #: at most one per CPU).
     max_workers: int | None = None
-    #: GUM update kernel: a registered kernel name (``"reference"``,
-    #: ``"vectorized"``, ``"numba"``, ``"fused"``) or ``"auto"`` (fastest
-    #: available, resolved fused -> numba -> vectorized -> reference at
-    #: execution time).  Every
-    #: kernel is bit-identical, so this only changes speed, never output —
-    #: which is also why a persisted model carrying ``kernel="numba"`` can
-    #: sample on a host without numba (resolution falls back).
+    #: GUM update kernel: ``"fused"``, ``"reference"`` or ``"auto"`` (means
+    #: ``"fused"``).  Both kernels are bit-identical, so this only changes
+    #: speed, never output.
     kernel: str = "auto"
     #: Per-task result timeout (seconds) for the process/shared backends; a
     #: shard that exceeds it is treated as a hung worker and resubmitted.
@@ -79,13 +75,11 @@ class EngineConfig:
             raise ValueError(
                 f"backend must be one of {ALL_BACKENDS}, got {self.backend!r}"
             )
-        # Imported lazily: the kernel registry lives under repro.synthesis,
+        # Imported lazily: the kernel table lives under repro.synthesis,
         # whose package init reaches back into the engine backends.
-        from repro.synthesis.kernels import valid_kernel_names
+        from repro.synthesis.kernels import get_kernel
 
-        valid = valid_kernel_names()
-        if self.kernel not in valid:
-            raise ValueError(f"kernel must be one of {valid}, got {self.kernel!r}")
+        get_kernel(self.kernel)  # raises ValueError on an unknown name
         self.shards = _positive_int("shards", self.shards)
         if self.max_workers is not None:
             self.max_workers = _positive_int("max_workers", self.max_workers)

@@ -24,7 +24,7 @@ from repro.engine.backends import Backend, get_backend
 from repro.engine.config import EngineConfig
 from repro.engine.plan import ShardResult, SynthesisPlan, shard_sizes
 from repro.synthesis.gum import GumResult
-from repro.synthesis.kernels import resolve_kernel_name
+from repro.synthesis.kernels import get_kernel
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Timer
 
@@ -114,17 +114,15 @@ def _strip_payloads(results: list[ShardResult]) -> list[ShardResult]:
 def resolve_run_kernel(plan: SynthesisPlan, config: EngineConfig) -> str:
     """The concrete kernel name one engine run ships to every shard.
 
-    Precedence: an explicit per-call/engine ``config.kernel`` beats the
-    plan's frozen preference (which itself honors a legacy
-    ``gum.update_mode`` pin); ``"auto"`` then resolves to the fastest kernel
-    available on *this* host.  Resolution happens once, in the parent, so
-    every shard of a run executes the same kernel — though any choice would
-    produce the same bytes, since kernels are bit-identical.
+    An explicit per-call/engine ``config.kernel`` beats the plan's frozen
+    preference; ``"auto"`` then names ``fused``.  Resolution happens once,
+    in the parent, so every shard of a run executes the same kernel —
+    though either kernel would produce the same bytes.
     """
-    name = getattr(config, "kernel", "auto")
+    name = config.kernel
     if name == "auto":
-        name = plan.resolved_kernel()
-    return resolve_kernel_name(name)
+        name = plan.kernel
+    return get_kernel(name).name
 
 
 def resolve_record_count(plan: SynthesisPlan, n: int | None) -> int:

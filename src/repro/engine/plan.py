@@ -105,10 +105,9 @@ class SynthesisPlan:
     gum: GumConfig = field(default_factory=GumConfig)
     initialization: str = "gummi"
     n_init_marginals: int = 8
-    #: GUM kernel preference frozen at fit time (``EngineConfig.kernel``).
-    #: ``"auto"`` resolves on the executing host, so a persisted plan samples
-    #: on whatever kernel that host has available — output is identical
-    #: either way (all kernels are bit-exact).
+    #: GUM kernel preference frozen at fit time (``EngineConfig.kernel``):
+    #: ``"auto"``, ``"fused"`` or ``"reference"``.  Both kernels are
+    #: bit-exact, so this is a speed preference, never an output choice.
     kernel: str = "auto"
 
     @property
@@ -116,34 +115,20 @@ class SynthesisPlan:
         """The DP estimate of the record count (noisy consensus total)."""
         return max(int(round(self.published[0].total)), 1)
 
-    def resolved_kernel(self) -> str:
-        """This plan's kernel preference (possibly still ``"auto"``).
-
-        A non-auto legacy ``gum.update_mode`` pin wins over the engine-level
-        :attr:`kernel` field; ``getattr`` guards plans unpickled from files
-        saved before the field existed.
-        """
-        mode = self.gum.update_mode
-        if mode != "auto":
-            return mode
-        return getattr(self, "kernel", "auto")
-
     # ------------------------------------------------------------- synthesis
     def run_shard(
         self,
         n: int,
         rng: np.random.Generator | int | None = None,
         index: int = 0,
-        update_mode: str | None = None,
         kernel: str | None = None,
     ) -> ShardResult:
         """Initialize and GUM-synthesize ``n`` encoded records.
 
         ``kernel`` overrides the update-step kernel for this run (the engine
         ships a concrete, pre-resolved name to every shard); when omitted,
-        the plan's frozen :attr:`kernel` preference applies.  ``update_mode``
-        is the pre-kernel-registry spelling of the same override, kept for
-        backward compatibility.  Kernel choice never changes the output.
+        the plan's frozen :attr:`kernel` preference applies.  Kernel choice
+        never changes the output.
         """
         rng = ensure_rng(rng)
         timer = Timer()
@@ -162,7 +147,7 @@ class SynthesisPlan:
         else:
             data = random_initialization(self.one_way, self.attrs, n, rng)
         if kernel is None:
-            kernel = update_mode if update_mode is not None else self.resolved_kernel()
+            kernel = self.kernel
         result = run_gum(
             data, self.published, self.attrs, self.domain, self.gum, rng, kernel=kernel
         )
@@ -182,7 +167,6 @@ class SynthesisPlan:
         rng: np.random.Generator | int | None = None,
         decode_rng: np.random.Generator | int | None = None,
         index: int = 0,
-        update_mode: str | None = None,
         kernel: str | None = None,
     ) -> DecodedShard:
         """Synthesize ``n`` records and decode them in one worker-side step.
@@ -194,7 +178,7 @@ class SynthesisPlan:
         """
         timer = Timer()
         timer.start()
-        shard = self.run_shard(n, rng, index=index, update_mode=update_mode, kernel=kernel)
+        shard = self.run_shard(n, rng, index=index, kernel=kernel)
         table = self.finalize(shard.data, decode_rng)
         return DecodedShard(
             index=index,

@@ -34,6 +34,10 @@ MODEL_MAGIC = b"NETDPSYN-MODEL\n"
 MODEL_FORMAT = "netdpsyn-model"
 MODEL_VERSION = 1
 
+#: GUM kernel names earlier releases accepted.  Both ran the bit-identical
+#: update ``fused`` runs now, so a model carrying one loads as ``fused``.
+RETIRED_KERNELS = ("vectorized", "numba")
+
 
 def save_model(synth, path) -> Path:
     """Write a fitted :class:`~repro.core.synthesizer.NetDPSyn` to ``path``.
@@ -88,6 +92,7 @@ def load_model(path):
         )
 
     plan = payload["plan"]
+    _upgrade_names(plan, payload["config"])
     synth = NetDPSyn(payload["config"])
     synth._plan = plan
     synth._seed_seq = payload["seed_seq"]
@@ -106,3 +111,24 @@ def load_model(path):
             ledger.spend(rho, purpose)
         synth.ledger = ledger
     return synth
+
+
+def _upgrade_names(plan, config) -> None:
+    """Map engine names retired since the model was saved to current ones.
+
+    Without this ``config.engine.override()`` — run by every ``sample()`` —
+    would reject the stored name.  Every mapping is output-neutral: the
+    retired kernels were bit-identical to ``fused``, the retired ``thread``
+    backend to ``serial``.  A plan saved before it had a ``kernel`` field
+    gets ``"auto"``, and the retired ``GumConfig.update_mode`` pin is
+    dropped.
+    """
+    kernel = getattr(plan, "kernel", "auto")
+    plan.kernel = "fused" if kernel in RETIRED_KERNELS else kernel
+    engine = config.engine
+    if engine.kernel in RETIRED_KERNELS:
+        engine.kernel = "fused"
+    if engine.backend == "thread":
+        engine.backend = "serial"
+    for gum in (plan.gum, config.gum):
+        vars(gum).pop("update_mode", None)

@@ -1,14 +1,7 @@
 """Record synthesis: GUM / GUMMI, bin decoding, timestamp reconstruction."""
 
 from repro.synthesis.gum import GumConfig, GumResult, run_gum
-from repro.synthesis.kernels import (
-    GumKernel,
-    available_kernels,
-    get_kernel,
-    kernel_names,
-    register_kernel,
-    resolve_kernel_name,
-)
+from repro.synthesis.kernels import GumKernel, get_kernel
 from repro.synthesis.initialization import (
     marginal_initialization,
     random_initialization,
@@ -21,15 +14,11 @@ __all__ = [
     "GumConfig",
     "GumKernel",
     "GumResult",
-    "available_kernels",
     "decode_records",
     "get_kernel",
-    "kernel_names",
     "marginal_initialization",
     "random_initialization",
     "reconstruct_timestamps",
-    "register_kernel",
-    "resolve_kernel_name",
     "run_gum",
     "weighted_pearson",
 ]

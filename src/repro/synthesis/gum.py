@@ -14,17 +14,14 @@ approach the published noisy targets.  For each target marginal it:
 The update rate decays geometrically so early iterations make large moves
 and later ones fine-tune.
 
-The per-marginal update step is executed by a pluggable
+The per-marginal update step is executed by a
 :class:`~repro.synthesis.kernels.GumKernel` (see
 :mod:`repro.synthesis.kernels`): ``reference`` (the original per-cell loop,
-the golden oracle), ``vectorized`` (whole-step numpy passes over cached
-codes/counts), ``numba`` (JIT-compiled nogil cache maintenance, available
-only when numba imports), and ``fused`` (single pass over precomputed
+the golden oracle) or ``fused`` (whole-step numpy passes over precomputed
 per-marginal cell codes — radix grouping, broadcast refill draws, one
-matmul-plus-bincount cache patch).  Every kernel consumes the random
-stream identically and produces bit-identical output, so kernel choice is
-purely a speed decision; ``"auto"`` resolves fused → numba → vectorized →
-reference.
+matmul-plus-bincount cache patch).  Both consume the random stream
+identically and produce bit-identical output, so kernel choice is purely a
+speed decision; ``"auto"`` means ``fused``.
 """
 
 from __future__ import annotations
@@ -34,22 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.domain import Domain
-from repro.synthesis.kernels import (
-    GumKernel,
-    _MarginalState,
-    _segment_gather,  # noqa: F401  (re-exported for backward compatibility)
-    get_kernel,
-    valid_kernel_names,
-)
-from repro.synthesis.kernels.reference import _update_marginal  # noqa: F401
+from repro.synthesis.kernels import GumKernel, _MarginalState, get_kernel
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Timer
-
-#: Valid values of :attr:`GumConfig.update_mode` at import time (``"auto"``
-#: + every registered kernel name).  Validation queries the registry live,
-#: so kernels registered later are accepted too; this constant is kept for
-#: documentation and backward compatibility.
-UPDATE_MODES = valid_kernel_names()
 
 
 @dataclass
@@ -64,26 +48,6 @@ class GumConfig:
     #: for ``patience`` consecutive iterations.
     tol: float = 1e-4
     patience: int = 5
-    #: Which update-step kernel to use: a registered kernel name
-    #: (``"vectorized"``, ``"reference"``, ``"numba"``) or ``"auto"`` (the
-    #: fastest available kernel; all kernels are bit-identical, so this
-    #: never changes output).  Engine callers normally select the kernel
-    #: through ``EngineConfig(kernel=...)`` instead; a non-auto value here
-    #: acts as a legacy pin that engine ``auto`` resolution honors.
-    update_mode: str = "auto"
-
-    def __post_init__(self) -> None:
-        valid = valid_kernel_names()
-        if self.update_mode not in valid:
-            raise ValueError(
-                f"update_mode must be one of {valid}, got {self.update_mode!r}"
-            )
-
-    def resolved_mode(self, default: str = "vectorized") -> str:
-        """Resolve ``"auto"`` to the caller's preferred concrete mode."""
-        if default == "auto" or default not in valid_kernel_names():
-            raise ValueError(f"invalid default mode {default!r}")
-        return default if self.update_mode == "auto" else self.update_mode
 
 
 @dataclass
@@ -131,15 +95,15 @@ def run_gum(
     domain: Domain,
     config: GumConfig | None = None,
     rng: np.random.Generator | int | None = None,
-    kernel: str | GumKernel | None = None,
+    kernel: str | GumKernel = "auto",
 ) -> GumResult:
     """Run GUM starting from ``data`` (modified in place and returned).
 
     ``targets`` are post-processed noisy marginals; they are rescaled to the
-    row count of ``data`` internally.  ``kernel`` overrides the update-step
-    implementation for this run (a registered name, ``"auto"``, or a
-    :class:`~repro.synthesis.kernels.GumKernel` instance); when omitted,
-    ``config.update_mode`` decides.  Kernel choice never changes the output.
+    row count of ``data`` internally.  ``kernel`` selects the update-step
+    implementation (a name :func:`~repro.synthesis.kernels.get_kernel`
+    accepts, or a :class:`~repro.synthesis.kernels.GumKernel` instance;
+    default ``"auto"``).  Kernel choice never changes the output.
     """
     config = config or GumConfig()
     rng = ensure_rng(rng)
@@ -147,8 +111,6 @@ def run_gum(
     n = data.shape[0]
     if n == 0 or not targets:
         return GumResult(data=data, errors=[], iterations_run=0)
-    if kernel is None:
-        kernel = config.update_mode
     if not isinstance(kernel, GumKernel):
         kernel = get_kernel(kernel)
 
@@ -162,8 +124,7 @@ def run_gum(
         total = flat_target.sum()
         scale = n / total if total > 0 else 0.0
         states.append(_MarginalState(axes, shape, flat_target * scale))
-    if kernel.uses_cache:
-        kernel.prepare(data, states)
+    kernel.prepare(data, states)
 
     errors: list[float] = []
     stall = 0
@@ -193,20 +154,3 @@ def run_gum(
         kernel=kernel.name,
     )
 
-
-def _update_marginal_vectorized(
-    data: np.ndarray,
-    states: list,
-    k: int,
-    alpha: float,
-    config: GumConfig,
-    rng: np.random.Generator,
-) -> float:
-    """Backward-compatible wrapper: one vectorized-kernel step.
-
-    Kept because pre-kernel callers and tests invoked the step function
-    directly; new code should go through :func:`run_gum` or the registry.
-    """
-    from repro.synthesis.kernels.vectorized import VectorizedKernel
-
-    return VectorizedKernel().step(data, states, k, alpha, config, rng)

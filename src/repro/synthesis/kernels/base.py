@@ -1,12 +1,12 @@
-"""The GUM kernel protocol and the state shared by every implementation.
+"""The GUM kernel protocol and the per-marginal state every kernel steps on.
 
 A *kernel* is the record-update hot path of the GUM loop: one call applies a
 single marginal's free/refill step to the encoded matrix (PrivSyn §6, paper
 §3.4).  Kernels are interchangeable compute strategies, not semantic
-variants — every registered kernel must consume the caller's random stream
-identically to :class:`~repro.synthesis.kernels.reference.ReferenceKernel`
-and write identical bytes, so the engine's reproducibility contract (the
-pinned ``PRE_REFACTOR_GOLDEN`` digests, backend interchangeability, stream /
+variants — a kernel must consume the caller's random stream identically to
+:class:`~repro.synthesis.kernels.reference.ReferenceKernel` and write
+identical bytes, so the engine's reproducibility contract (the pinned
+``PRE_REFACTOR_GOLDEN`` digests, backend interchangeability, stream /
 in-memory equality) holds no matter which kernel executes.  The parity
 tests in ``tests/test_kernels.py`` enforce this bit for bit.
 
@@ -20,9 +20,8 @@ The RNG consumption order every kernel must reproduce per step:
    duplicates (ascending cell order, only when ``n_dup > 0``).
 
 Steps 1-4 are single bulk draws, so kernels are free to restructure the
-surrounding compute; step 5 is inherently per-cell (each draw's word
-consumption depends on its bound), so even the fastest kernels keep that
-small loop and vectorize everything around it.
+surrounding compute; step 5 is per-cell in the reference, and the fused
+kernel reproduces its exact word consumption with one bounds-broadcast draw.
 """
 
 from __future__ import annotations
@@ -32,20 +31,12 @@ import abc
 import numpy as np
 
 
-def cell_codes(data: np.ndarray, shape: tuple) -> np.ndarray:
-    """Flat cell index of every row (``ravel_multi_index`` over a row block).
-
-    Local twin of :func:`repro.marginals.compute.cell_codes` — kernels must
-    stay importable from :mod:`repro.engine.config` without dragging in the
-    marginals package (whose init imports the engine backends back).
-    """
-    if data.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.ravel_multi_index(tuple(data.T), shape)
-
-
 class _MarginalState:
-    """One target marginal plus its incrementally maintained current state."""
+    """One target marginal plus the kernel's per-run cache of it.
+
+    ``codes``/``counts`` are filled by :meth:`GumKernel.prepare` for kernels
+    that maintain them incrementally; the reference kernel leaves them unset.
+    """
 
     __slots__ = ("axes", "shape", "target", "codes", "counts")
 
@@ -56,71 +47,25 @@ class _MarginalState:
         self.codes: np.ndarray | None = None
         self.counts: np.ndarray | None = None
 
-    def init_cache(self, data: np.ndarray) -> None:
-        """Compute cell codes and counts once; steps update them in place."""
-        self.codes = cell_codes(data[:, self.axes], self.shape)
-        self.counts = np.bincount(self.codes, minlength=self.target.size).astype(
-            np.float64
-        )
-
-    def apply_row_updates(self, rows: np.ndarray, new_rows: np.ndarray) -> None:
-        """Re-code ``rows`` (now holding ``new_rows``) and patch the counts.
-
-        One signed-weight bincount instead of two unsigned ones: same exact
-        integer deltas (±1 in float64 is exact), half the cell-sized
-        allocations per marginal per step.
-        """
-        new = cell_codes(new_rows[:, self.axes], self.shape)
-        old = self.codes[rows]
-        k = len(new)
-        weights = np.empty(2 * k, dtype=np.float64)
-        weights[:k] = 1.0
-        weights[k:] = -1.0
-        self.counts += np.bincount(
-            np.concatenate([new, old]), weights=weights, minlength=self.target.size
-        )
-        self.codes[rows] = new
-
-
-def _segment_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenate ``[starts[i], starts[i] + lengths[i])`` ranges, vectorized.
-
-    The bulk equivalent of ``np.concatenate([arange(s, s + l) ...])`` built
-    from ``np.repeat`` + one ``arange`` — the gather primitive behind the
-    vectorized free/refill steps.
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    seg_offsets = np.cumsum(lengths) - lengths
-    base = np.repeat(np.asarray(starts, dtype=np.int64) - seg_offsets, lengths)
-    return base + np.arange(total, dtype=np.int64)
-
 
 class GumKernel(abc.ABC):
     """A compute strategy for the per-marginal GUM update step.
 
-    Instances are stateless between runs (per-run state lives on the
-    :class:`_MarginalState` list), so one registered instance serves every
-    shard and thread.  Subclasses set :attr:`name` and implement
-    :meth:`step`; cache-maintaining kernels set ``uses_cache = True`` so
     :func:`~repro.synthesis.gum.run_gum` calls :meth:`prepare` once before
-    the iteration loop.
+    the iteration loop, then :meth:`step` once per marginal per iteration.
+    :func:`~repro.synthesis.kernels.get_kernel` returns a fresh instance per
+    call, so per-run scratch a kernel keeps on ``self`` never leaks between
+    concurrent shards.
     """
 
-    #: Registry key; also the value accepted by ``EngineConfig(kernel=...)``.
+    #: Table key; also the value accepted by ``EngineConfig(kernel=...)``.
     name: str = "abstract"
-    #: Whether :meth:`prepare` must run before the first :meth:`step`.
+    #: Whether :meth:`prepare` builds per-run caches.  Informational only:
+    #: ``run_gum`` calls :meth:`prepare` unconditionally.
     uses_cache: bool = False
 
-    @classmethod
-    def available(cls) -> bool:
-        """Whether this kernel can run in the current environment."""
-        return True
-
     def prepare(self, data: np.ndarray, states: list) -> None:
-        """Build per-marginal caches before the iteration loop (optional)."""
+        """Build per-run state before the iteration loop (default: none)."""
 
     @abc.abstractmethod
     def step(

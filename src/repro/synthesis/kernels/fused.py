@@ -1,59 +1,180 @@
-"""The fused GUM kernel: one pass over precomputed cell codes per step.
+"""The fused GUM kernel: whole-step numpy passes over fused per-run state.
 
-Extends :class:`~repro.synthesis.kernels.vectorized.VectorizedKernel` — the
-RNG-consuming orchestration is inherited, so the bit-identity contract holds
-by construction — and collapses the three remaining per-step passes (row
-grouping, the per-cell duplication draws, the per-marginal cache patch) into
-fused single-pass forms:
+Restructures the reference per-cell loops into whole-step array operations
+while consuming the random stream *exactly* like
+:mod:`~repro.synthesis.kernels.reference` (see the RNG order contract in
+:mod:`~repro.synthesis.kernels.base`), so its output is bit-identical:
 
+- **cached codes and counts** — every marginal's cell codes live in one
+  ``(M, n)`` matrix and its counts in one flat arena with per-marginal
+  offsets, built once per run and patched only for the rows a step rewrites
+  (integer deltas on float64 counts are exact, so the cached counts equal a
+  fresh ``bincount``);
 - **grouping** — cell codes are cast to ``uint16`` whenever the marginal has
   at most :data:`RADIX_MAX_CELLS` cells (every NetDPSyn marginal does: the
   largest ToN marginal has ~2.7k cells), which flips numpy's stable
-  ``argsort`` onto its O(n) radix path — ~6x faster than the int64
-  comparison sort and bit-identical, since casting in-range codes preserves
-  order exactly.  With numba present the compiled O(n + cells) counting sort
-  from PR 4 is used instead, with its scratch reused across steps;
+  ``argsort`` onto its O(n) radix path — bit-identical, since casting
+  in-range codes preserves order exactly;
+- **free/refill** — one vectorized ``searchsorted`` and one
+  ``repeat``/``arange`` segment gather per pass instead of per-cell slicing,
+  and one fancy-indexed write per pass instead of per-cell writes;
 - **duplication draws** — the reference consumes one
   ``rng.integers(0, match, size=n_dup)`` call per refilled cell; a single
   ``rng.integers(0, bounds)`` call with the per-cell bounds repeated
   per-slot consumes the *identical* stream (PCG64 draws one bounded word per
   element either way — pinned by the parity suite against future numpy
   changes) at ~1/100th of the Python dispatch cost;
-- **cache patch** — instead of re-coding the freed rows once per marginal,
-  all marginal codes live in one ``(M, n)`` matrix and all counts in one
-  flat arena with per-marginal offsets.  The new codes of the freed rows for
-  *every* marginal come from one BLAS matmul against an
-  ``(attrs, M)`` stride matrix (float64 products of in-domain codes are
-  < 2^53, so the round-trip through float is exact), and the counts patch is
-  ONE signed-weight ``bincount`` over offset-shifted codes instead of M of
-  them.  With numba present the per-marginal ``@njit(nogil=True)`` patch
-  loop (PR 4's twin) is used instead.
+- **cache patch** — the new codes of the freed rows for *every* marginal
+  come from one BLAS matmul against an ``(attrs, M)`` stride matrix
+  (float64 products of in-domain codes are < 2^53, so the round-trip through
+  float is exact), and the counts patch is ONE signed-weight ``bincount``
+  over offset-shifted codes.
 
-``fused`` is the new head of the ``auto`` resolution order.  Like every
-kernel it is bit-identical to ``reference``; on the 50k-record ToN workload
-it runs >= 3x faster single-core (the benchmark gate in
-``benchmarks/bench_engine_scaling.py``).
+The free/refill writes commute with the reference's sequential per-cell
+writes: freed rows come from over-full cells and duplication sources from
+under-full cells, the two cell sets are disjoint (``excess > 0`` vs
+``deficit > 0``), so no source row is ever written within a step and the
+freed slots partition exactly.
+
+**Optional numba accelerator.** When numba imports, the grouping becomes a
+compiled O(n + cells) stable counting sort and the cache patch a
+per-marginal ``@njit(nogil=True)`` loop.  The compiled functions' pure-Python
+twins (:func:`_group_rows_py`, :func:`_patch_rows_py`) are the source of
+truth — the njit wrapper is applied to them at first use and cached on disk
+— so the parity tests verify the logic even on hosts without numba.
+
+On the 50k-record ToN workload the kernel runs >= 3x faster than
+``reference`` single-core (the gate in ``benchmarks/bench_engine_scaling.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.synthesis.kernels.base import cell_codes
-from repro.synthesis.kernels.numba_kernel import (
-    _compiled,
-    _group_rows_py,
-    _patch_rows_py,
-    _strides_for,
-    numba_available,
-)
-from repro.synthesis.kernels.vectorized import VectorizedKernel
+from repro.synthesis.kernels.base import GumKernel
 
 #: Largest marginal size (cells) that still groups via uint16 radix sort.
 RADIX_MAX_CELLS = int(np.iinfo(np.uint16).max)
 
+#: Cached result of the one real ``import numba`` probe (None = not probed).
+_NUMBA_OK: bool | None = None
 
-class FusedKernel(VectorizedKernel):
+
+def numba_available() -> bool:
+    """Whether numba actually imports (probed once, result cached).
+
+    A real import, not ``find_spec``: an installed-but-broken numba (e.g. a
+    numba/numpy ABI mismatch) must leave the kernel on its numpy path rather
+    than pass the probe and then crash on the first compiled call mid-run.
+    """
+    global _NUMBA_OK
+    if _NUMBA_OK is None:
+        try:
+            import numba  # noqa: F401
+
+            _NUMBA_OK = True
+        except Exception:
+            _NUMBA_OK = False
+    return _NUMBA_OK
+
+
+def _patch_rows_py(data, rows, axes, strides, codes, counts):
+    """Re-code ``rows`` of ``data`` for one marginal and patch its counts.
+
+    For each rewritten row, the new flat cell code is the stride-weighted sum
+    of the row's values on the marginal's axes (exactly ``ravel_multi_index``
+    for in-domain values), the old code's count decremented, the new one
+    incremented.  Integer deltas on float64 counts are exact, so the cached
+    counts stay equal to a fresh ``bincount``.
+    """
+    for i in range(rows.shape[0]):
+        r = rows[i]
+        new = 0
+        for j in range(axes.shape[0]):
+            new += np.int64(data[r, axes[j]]) * strides[j]
+        old = codes[r]
+        counts[old] -= 1.0
+        counts[new] += 1.0
+        codes[r] = new
+
+
+def _group_rows_py(codes, perm, size):
+    """Stable counting sort of ``perm`` by ``codes[perm]``.
+
+    The loop twin of ``argsort(codes[perm], kind="stable")``: returns the
+    row indices grouped by cell (within-cell order following ``perm``) and
+    the sorted cell codes — bit-identical to the numpy grouping, in
+    ``O(n + size)`` instead of ``O(n log n)``.
+    """
+    n = perm.shape[0]
+    counts = np.zeros(size + 1, dtype=np.int64)
+    for i in range(n):
+        counts[codes[perm[i]] + 1] += 1
+    for c in range(size):
+        counts[c + 1] += counts[c]
+    rows_by_cell = np.empty(n, dtype=perm.dtype)
+    sorted_codes = np.empty(n, dtype=codes.dtype)
+    cursor = counts[:size].copy()
+    for i in range(n):
+        r = perm[i]
+        c = codes[r]
+        dest = cursor[c]
+        rows_by_cell[dest] = r
+        sorted_codes[dest] = c
+        cursor[c] += 1
+    return rows_by_cell, sorted_codes
+
+
+#: Lazily compiled njit twins (filled on first use).
+_JIT = {}
+
+
+def _compiled(name, py_fn):
+    fn = _JIT.get(name)
+    if fn is None:
+        import numba
+
+        fn = _JIT[name] = numba.njit(nogil=True, cache=True)(py_fn)
+    return fn
+
+
+def _strides_for(shape: tuple) -> np.ndarray:
+    """C-order ravel strides of a marginal's cell grid."""
+    strides = np.ones(len(shape), dtype=np.int64)
+    for j in range(len(shape) - 2, -1, -1):
+        strides[j] = strides[j + 1] * shape[j + 1]
+    return strides
+
+
+def _cell_codes(data: np.ndarray, shape: tuple) -> np.ndarray:
+    """Flat cell index of every row (``ravel_multi_index`` over a row block).
+
+    Local twin of :func:`repro.marginals.compute.cell_codes` — kernels must
+    stay importable from :mod:`repro.engine.config` without dragging in the
+    marginals package (whose init imports the engine backends back).
+    """
+    if data.shape[0] == 0:
+        return np.zeros(0, dtype=np.int64)
+    return np.ravel_multi_index(tuple(data.T), shape)
+
+
+def _segment_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenate ``[starts[i], starts[i] + lengths[i])`` ranges, vectorized.
+
+    The bulk equivalent of ``np.concatenate([arange(s, s + l) ...])`` built
+    from ``np.repeat`` + one ``arange`` — the gather primitive behind the
+    free/refill passes.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    total = int(lengths.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64)
+    seg_offsets = np.cumsum(lengths) - lengths
+    base = np.repeat(np.asarray(starts, dtype=np.int64) - seg_offsets, lengths)
+    return base + np.arange(total, dtype=np.int64)
+
+
+class FusedKernel(GumKernel):
     """Single-pass grouping + draws + cache patch over fused per-run state."""
 
     name = "fused"
@@ -62,10 +183,9 @@ class FusedKernel(VectorizedKernel):
     def prepare(self, data, states):
         """Build the fused per-run state: code matrix, counts arena, strides.
 
-        Each marginal's ``codes``/``counts`` are re-bound to views into the
-        fused storage, so the inherited ``step`` orchestration (which reads
-        ``state.codes``/``state.counts``) sees exactly the per-marginal
-        caches it expects while the patch below updates them all at once.
+        Each marginal's ``codes``/``counts`` are bound to views into the
+        fused storage, so :meth:`step` reads the per-marginal caches while
+        :meth:`_apply_updates` patches them all at once.
         """
         n, n_attrs = data.shape
         m = len(states)
@@ -77,7 +197,7 @@ class FusedKernel(VectorizedKernel):
         counts = np.zeros(total, dtype=np.float64)
         strides = np.zeros((n_attrs, m), dtype=np.float64)
         for k, state in enumerate(states):
-            codes[k] = cell_codes(data[:, state.axes], state.shape)
+            codes[k] = _cell_codes(data[:, state.axes], state.shape)
             view = counts[offsets[k] : offsets[k] + sizes[k]]
             view[...] = np.bincount(codes[k], minlength=int(sizes[k]))
             state.codes = codes[k]
@@ -96,7 +216,86 @@ class FusedKernel(VectorizedKernel):
             ]
             self._int_strides = [_strides_for(state.shape) for state in states]
 
+    def step(self, data, states, k, alpha, config, rng):
+        state = states[k]
+        n = data.shape[0]
+        codes = state.codes
+        diff = state.target - state.counts
+        pre_error = float(np.abs(diff).sum()) / (2.0 * n)
+
+        excess = np.clip(-diff, 0.0, None)
+        deficit = np.clip(diff, 0.0, None)
+        excess_total = excess.sum()
+        deficit_total = deficit.sum()
+        moves = int(round(alpha * min(excess_total, deficit_total)))
+        if moves <= 0:
+            return pre_error
+
+        perm = rng.permutation(n)
+        rows_by_cell, sorted_codes = self._group_rows(codes, perm, state.target.size)
+
+        # --- free rows from over-represented cells (one pass) --------------
+        over_cells = np.nonzero(excess > 0)[0]
+        over_quota = rng.multinomial(moves, excess[over_cells] / excess_total)
+        lo = np.searchsorted(sorted_codes, over_cells, side="left")
+        hi = np.searchsorted(sorted_codes, over_cells, side="right")
+        cap = np.where(
+            excess[over_cells] >= 1.0,
+            np.minimum(over_quota, np.floor(excess[over_cells]).astype(np.int64)),
+            over_quota,
+        )
+        take = np.minimum(cap, hi - lo)
+        if int(take.sum()) <= 0:
+            return pre_error
+        freed = rows_by_cell[_segment_gather(lo, take)]
+        rng.shuffle(freed)
+
+        # --- refill freed rows for under-represented cells (one pass) ------
+        under_cells = np.nonzero(deficit > 0)[0]
+        fill_quota = rng.multinomial(len(freed), deficit[under_cells] / deficit_total)
+        nz = fill_quota > 0
+        cells_nz = under_cells[nz]
+        quota_nz = fill_quota[nz].astype(np.int64)
+        lo_u = np.searchsorted(sorted_codes, cells_nz, side="left")
+        hi_u = np.searchsorted(sorted_codes, cells_nz, side="right")
+        match = hi_u - lo_u
+        # round() and np.rint both round half to even, so the per-cell split
+        # equals the reference's int(round(quota * fraction)).
+        n_dup = np.where(
+            match > 0,
+            np.minimum(
+                np.rint(quota_nz * config.duplicate_fraction).astype(np.int64), quota_nz
+            ),
+            0,
+        )
+        seg_start = np.cumsum(quota_nz) - quota_nz
+
+        dup_slots = _segment_gather(seg_start, n_dup)
+        if len(dup_slots):
+            dup_idx = np.nonzero(n_dup > 0)[0]
+            offsets = self._dup_offsets(rng, match, n_dup, dup_idx)
+            lo_per = np.repeat(lo_u, n_dup)
+            sources = rows_by_cell[lo_per + offsets]
+            data[freed[dup_slots]] = data[sources]
+
+        repl_slots = _segment_gather(seg_start + n_dup, quota_nz - n_dup)
+        if len(repl_slots):
+            cell_per = np.repeat(cells_nz, quota_nz - n_dup)
+            coords = np.unravel_index(cell_per, state.shape)
+            rows_repl = freed[repl_slots]
+            for axis, values in zip(state.axes, coords):
+                data[rows_repl, axis] = values
+
+        # --- incremental count/code maintenance for every marginal ----------
+        self._apply_updates(data, states, freed)
+        return pre_error
+
     def _group_rows(self, codes, perm, size):
+        """Rows grouped by cell (stable in ``perm`` order) + their codes.
+
+        Any stable grouping is bit-equivalent to the reference's
+        ``argsort(codes[perm], kind="stable")``.
+        """
         if self._jit:
             group = _compiled("group_rows", _group_rows_py)
             return group(codes, perm, np.int64(size))
@@ -120,6 +319,7 @@ class FusedKernel(VectorizedKernel):
         return rng.integers(0, np.repeat(match[dup_idx], n_dup[dup_idx]))
 
     def _apply_updates(self, data, states, freed):
+        """Patch every marginal's cached codes/counts for the rewritten rows."""
         k = freed.shape[0]
         if k == 0:
             return

@@ -23,6 +23,12 @@ _dump_file = None
 
 if importlib.util.find_spec("pytest_timeout") is None:
 
+    def pytest_addoption(parser):
+        # Claim pytest-timeout's ini keys so pyproject.toml's settings do not
+        # trip "Unknown config option" warnings; the hook below enforces them.
+        parser.addini("timeout", "per-test hang ceiling in seconds")
+        parser.addini("timeout_method", "pytest-timeout's method (unused here)")
+
     def pytest_configure(config):
         # Output capture is suspended while plugins configure, so fd 2 is the
         # terminal's stderr here; tests run with it redirected to a capture

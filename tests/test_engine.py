@@ -1,7 +1,7 @@
 """Tests for the sampling engine: plan, backends, sharding, reproducibility."""
 
+import os
 import pickle
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,6 +84,13 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="max_workers"):
             EngineConfig(max_workers=0)
 
+    def test_default_workers_capped_at_cpu_count(self, monkeypatch):
+        # One process per shard on fewer cores only time-slices the cores.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert get_backend("process")._workers(8) == 2
+        assert get_backend("process")._workers(1) == 1
+        assert get_backend("process", max_workers=8)._workers(8) == 8
+
     def test_override_validates_eagerly(self):
         config = EngineConfig()
         with pytest.raises(ValueError, match="shards must be an integer >= 1"):
@@ -111,8 +118,8 @@ class TestSynthesisPlan:
     def test_pickle_round_trip(self, fitted):
         plan = fitted.plan()
         clone = pickle.loads(pickle.dumps(plan))
-        a = plan.run_shard(400, np.random.default_rng(9), update_mode="vectorized")
-        b = clone.run_shard(400, np.random.default_rng(9), update_mode="vectorized")
+        a = plan.run_shard(400, np.random.default_rng(9), kernel="fused")
+        b = clone.run_shard(400, np.random.default_rng(9), kernel="fused")
         assert np.array_equal(a.data, b.data)
         assert a.errors == b.errors
         ta = plan.finalize(a.data, np.random.default_rng(10))
@@ -167,8 +174,9 @@ class TestBitIdentity:
             plan.published,
             plan.attrs,
             plan.domain,
-            replace(fitted.config.gum, update_mode="reference"),
+            fitted.config.gum,
             rng,
+            kernel="reference",
         )
         encoded = fitted._template.replace_data(gum.data)
         table = decode_records(encoded, fitted.encoder, rng, rules=plan.rules)
@@ -224,9 +232,9 @@ class TestBackendEquality:
 
     def test_execute_plan_direct(self, fitted):
         plan = fitted.plan()
-        out = execute_plan(plan, EngineConfig(backend="thread", shards=2), n=600, rng=3)
+        out = execute_plan(plan, EngineConfig(backend="process", shards=2), n=600, rng=3)
         assert out.gum.data.shape[0] == 600
-        assert out.gum.backend == "thread" and out.gum.shards == 2
+        assert out.gum.backend == "process" and out.gum.shards == 2
         assert len(out.gum.shard_results) == 2
         assert out.decode_rng is not None
 

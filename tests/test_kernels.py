@@ -1,51 +1,50 @@
-"""Tests for the pluggable GUM kernel subsystem.
+"""Tests for the GUM kernels: the ``reference`` oracle and ``fused``.
 
 Three contracts are enforced here:
 
-1. **Parity** — every kernel, on every backend, for every shard count and
-   legacy update_mode pin, produces a trace digest identical to the
-   reference kernel's (the hypothesis sweep).
-2. **Resolution** — the registry's ``auto`` order is fused -> numba ->
-   vectorized -> reference, degrades gracefully when numba is not
-   importable, and rejects unknown names everywhere (registry,
-   ``EngineConfig``, ``run_gum``).
+1. **Parity** — every kernel name, on every backend, for every shard count,
+   produces a trace digest identical to the reference kernel's.
+2. **Selection** — ``auto`` means ``fused`` whether or not numba imports,
+   and any other name (including the retired ``vectorized``/``numba``) is
+   rejected everywhere (``get_kernel``, ``EngineConfig``, ``run_gum``).
 3. **Persistence** — ``EngineConfig.override`` and model ``save``/``load``
-   round-trip the ``kernel`` field, and a model pinned to an unavailable
-   kernel still samples (with a warning), byte-identically.
+   round-trip the ``kernel`` field, and a model saved with a retired kernel
+   name (or none at all) still loads and samples byte-identically.
 """
 
-import warnings
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import NetDPSyn, SynthesisConfig, load_dataset
 from repro.engine import BACKENDS, EngineConfig
+from repro.engine.executor import resolve_run_kernel
+from repro.io.model import MODEL_MAGIC
+from repro.marginals.compute import cell_codes
 from repro.synthesis.gum import GumConfig, run_gum
 from repro.synthesis.kernels import (
-    AUTO_ORDER,
+    KERNELS,
     FusedKernel,
     GumKernel,
-    NumbaKernel,
     ReferenceKernel,
-    VectorizedKernel,
     _MarginalState,
-    available_kernels,
     get_kernel,
-    kernel_names,
-    register_kernel,
-    resolve_kernel_name,
 )
-from repro.synthesis.kernels import numba_kernel as numba_mod
-from repro.synthesis.kernels.numba_kernel import (
+from repro.synthesis.kernels import fused as fused_mod
+from repro.synthesis.kernels.fused import (
     _group_rows_py,
     _patch_rows_py,
     _strides_for,
 )
 
-HAVE_NUMBA = numba_mod.numba_available()
+
+def fresh_cache(data, axes, shape):
+    """A marginal's codes and counts recomputed from scratch."""
+    codes = cell_codes(data[:, axes], shape)
+    return codes, np.bincount(codes, minlength=int(np.prod(shape))).astype(np.float64)
 
 
 @pytest.fixture(scope="module")
@@ -67,99 +66,74 @@ def reference_digests(fitted):
 
 
 class TestKernelParity:
-    @settings(
-        max_examples=20,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(
-        kernel=st.sampled_from(["auto", "fused", "vectorized", "reference"]),
-        backend=st.sampled_from(BACKENDS),
-        shards=st.sampled_from([1, 2, 3]),
-        update_mode=st.sampled_from(["auto", "fused", "vectorized", "reference"]),
-    )
     def test_kernel_backend_shards_mode_digest_equality(
-        self, fitted, reference_digests, kernel, backend, shards, update_mode
+        self, fitted, reference_digests
     ):
-        """Kernel/backend/mode choice may never change a single byte."""
-        gum = fitted.config.gum
-        original = gum.update_mode
-        gum.update_mode = update_mode
-        try:
-            digest = fitted.sample(
-                400, rng=9, shards=shards, backend=backend, kernel=kernel
-            ).content_digest()
-        finally:
-            gum.update_mode = original
-        assert digest == reference_digests[shards]
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_numba_kernel_digest_equality(self, fitted, reference_digests, shards):
-        digest = fitted.sample(400, rng=9, shards=shards, kernel="numba")
-        assert digest.content_digest() == reference_digests[shards]
+        """Kernel/backend/shard choice may never change a single byte."""
+        for kernel in ("auto", "fused", "reference"):
+            for backend in BACKENDS:
+                for shards in (1, 2, 3):
+                    digest = fitted.sample(
+                        400, rng=9, shards=shards, backend=backend, kernel=kernel
+                    ).content_digest()
+                    assert digest == reference_digests[shards], (kernel, backend, shards)
 
     def test_gum_result_records_kernel(self, fitted):
         fitted.sample(200, rng=3, kernel="reference")
         assert fitted.gum_result.kernel == "reference"
-        fitted.sample(200, rng=3, kernel="vectorized")
-        assert fitted.gum_result.kernel == "vectorized"
+        fitted.sample(200, rng=3, kernel="fused")
+        assert fitted.gum_result.kernel == "fused"
         fitted.sample(200, rng=3)  # auto resolves to a concrete name
-        assert fitted.gum_result.kernel in AUTO_ORDER
+        assert fitted.gum_result.kernel == "fused"
 
     def test_streaming_paths_record_kernel(self, fitted):
         parts = list(fitted.sample_stream(300, chunk=100, rng=4, shards=3))
         assert sum(p.n_records for p in parts) == 300
-        assert fitted.gum_result.kernel in AUTO_ORDER
+        assert fitted.gum_result.kernel == "fused"
 
 
 class TestRegistry:
-    def test_always_available_kernels(self):
-        names = available_kernels()
-        assert "reference" in names and "vectorized" in names
-        assert set(names) <= set(kernel_names())
+    def test_always_available_kernels(self, monkeypatch):
+        monkeypatch.setattr(fused_mod, "numba_available", lambda: False)
+        for name in ("fused", "reference"):
+            assert get_kernel(name).name == name
 
-    def test_auto_resolves_to_fused(self):
-        """``fused`` heads the auto order and is available everywhere."""
-        assert AUTO_ORDER[0] == "fused"
-        assert resolve_kernel_name("auto") == "fused"
-
-    def test_auto_order_numba_precedes_vectorized(self):
-        assert AUTO_ORDER.index("numba") < AUTO_ORDER.index("vectorized")
+    def test_auto_resolves_to_fused(self, fitted):
+        assert isinstance(get_kernel(), FusedKernel)
+        assert get_kernel("auto").name == "fused"
+        assert resolve_run_kernel(fitted.plan(), EngineConfig()) == "fused"
+        pinned = EngineConfig(kernel="reference")
+        assert resolve_run_kernel(fitted.plan(), pinned) == "reference"
 
     def test_numba_unavailability_does_not_change_auto(self, monkeypatch):
-        monkeypatch.setattr(numba_mod, "numba_available", lambda: False)
-        assert resolve_kernel_name("auto") == "fused"
-        assert "numba" not in available_kernels()
-        # The name stays *valid* even while unavailable.
-        assert "numba" in kernel_names()
-
-    def test_unavailable_kernel_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setattr(numba_mod, "numba_available", lambda: False)
-        with pytest.warns(RuntimeWarning, match="not available"):
-            assert resolve_kernel_name("numba") == "fused"
+        """Without numba, ``fused`` runs its numpy path — same kernel name."""
+        monkeypatch.setattr(fused_mod, "numba_available", lambda: False)
+        kernel = get_kernel("auto")
+        assert kernel.name == "fused"
+        data = np.zeros((4, 1), dtype=np.int32)
+        kernel.prepare(data, [_MarginalState(np.array([0]), (2,), np.zeros(2))])
+        assert kernel._jit is False
 
     def test_unknown_kernel_rejected_everywhere(self):
-        with pytest.raises(ValueError, match="kernel"):
-            resolve_kernel_name("magic")
-        with pytest.raises(ValueError, match="kernel"):
-            EngineConfig(kernel="magic")
-        with pytest.raises(ValueError, match="update_mode"):
-            GumConfig(update_mode="magic")
+        for name in ("vectorized", "numba", "magic"):
+            with pytest.raises(ValueError, match="kernel"):
+                get_kernel(name)
+            with pytest.raises(ValueError, match="kernel"):
+                EngineConfig(kernel=name)
+            with pytest.raises(ValueError, match="kernel"):
+                EngineConfig().override(kernel=name)
 
     def test_get_kernel_returns_fresh_instances(self):
-        a, b = get_kernel("vectorized"), get_kernel("vectorized")
-        assert isinstance(a, VectorizedKernel) and a is not b
-
-    def test_register_rejects_bad_kernels(self):
-        with pytest.raises(TypeError):
-            register_kernel(object)
-        with pytest.raises(ValueError):
-            register_kernel(type("Bad", (ReferenceKernel,), {"name": "auto"}))
+        a, b = get_kernel("fused"), get_kernel("fused")
+        assert isinstance(a, FusedKernel) and a is not b
 
     def test_registered_classes(self):
+        assert KERNELS == {
+            "auto": FusedKernel,
+            "fused": FusedKernel,
+            "reference": ReferenceKernel,
+        }
         assert isinstance(get_kernel("reference"), ReferenceKernel)
-        assert NumbaKernel.name in kernel_names()
 
 
 class TestRunGumKernelSelection:
@@ -181,20 +155,20 @@ class TestRunGumKernelSelection:
         data, targets, attrs, domain = self._workload()
         config = GumConfig(iterations=10)
         out = {}
-        for kernel in ("reference", "vectorized"):
+        for kernel in ("reference", "fused"):
             out[kernel] = run_gum(
                 data.copy(), targets, attrs, domain, config, rng=7, kernel=kernel
             )
-        assert np.array_equal(out["reference"].data, out["vectorized"].data)
-        assert out["reference"].errors == out["vectorized"].errors
+        assert np.array_equal(out["reference"].data, out["fused"].data)
+        assert out["reference"].errors == out["fused"].errors
         assert out["reference"].kernel == "reference"
-        assert out["vectorized"].kernel == "vectorized"
+        assert out["fused"].kernel == "fused"
 
     def test_kernel_instance_accepted(self):
         data, targets, attrs, domain = self._workload()
         config = GumConfig(iterations=5)
         a = run_gum(
-            data.copy(), targets, attrs, domain, config, rng=3, kernel=VectorizedKernel()
+            data.copy(), targets, attrs, domain, config, rng=3, kernel=FusedKernel()
         )
         b = run_gum(data.copy(), targets, attrs, domain, config, rng=3, kernel="auto")
         assert np.array_equal(a.data, b.data)
@@ -231,11 +205,7 @@ class TestNumbaTwins:
         axes = np.array([0, 2], dtype=np.int64)
         data = rng.integers(0, 3, size=(n, k)).astype(np.int32)
         data[:, 0] = rng.integers(0, 5, size=n)
-        state = _MarginalState(axes, shape, np.zeros(15))
-        state.target = np.zeros(15)
-        state.init_cache(data)
-        twin_codes = state.codes.copy()
-        twin_counts = state.counts.copy()
+        codes, counts = fresh_cache(data, axes, shape)
 
         rows = rng.choice(n, size=40, replace=False).astype(np.int64)
         new_vals = np.column_stack(
@@ -244,12 +214,10 @@ class TestNumbaTwins:
         ).astype(np.int32)
         data[rows] = new_vals
 
-        state.apply_row_updates(rows, data[rows])
-        _patch_rows_py(
-            data, rows, axes, _strides_for(shape), twin_codes, twin_counts
-        )
-        assert np.array_equal(twin_codes, state.codes)
-        assert np.array_equal(twin_counts, state.counts)
+        _patch_rows_py(data, rows, axes, _strides_for(shape), codes, counts)
+        want_codes, want_counts = fresh_cache(data, axes, shape)
+        assert np.array_equal(codes, want_codes)
+        assert np.array_equal(counts, want_counts)
 
     def test_strides_match_ravel(self):
         shape = (7, 3, 5)
@@ -270,8 +238,8 @@ class TestFusedKernel:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     def test_broadcast_dup_draw_matches_sequential(self, seed):
-        """One bounds-broadcast ``integers`` call == per-cell calls: same
-        values AND same post-call generator state."""
+        """One bounds-broadcast ``integers`` call == the reference's per-cell
+        calls: same values AND same post-call generator state."""
         rng = np.random.default_rng(seed)
         n_cells = int(rng.integers(1, 24))
         match = rng.integers(1, 2**40, size=n_cells)
@@ -280,7 +248,9 @@ class TestFusedKernel:
         dup_idx = np.nonzero(n_dup > 0)[0]
         rng_a = np.random.default_rng(seed ^ 0x5EED)
         rng_b = np.random.default_rng(seed ^ 0x5EED)
-        seq = VectorizedKernel()._dup_offsets(rng_a, match, n_dup, dup_idx)
+        seq = np.concatenate(
+            [rng_a.integers(0, match[i], size=n_dup[i]) for i in dup_idx]
+        )
         fused = FusedKernel()._dup_offsets(rng_b, match, n_dup, dup_idx)
         assert np.array_equal(seq, fused)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
@@ -329,9 +299,9 @@ class TestFusedKernel:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     def test_fused_apply_updates_matches_marginal_state(self, seed):
-        """One matmul + one bincount == per-marginal ``apply_row_updates``."""
+        """One matmul + one bincount == codes and counts from scratch."""
         rng = np.random.default_rng(seed)
-        n, k = 300, 4
+        n = 300
         data = np.column_stack(
             [
                 rng.integers(0, 5, n),
@@ -341,16 +311,14 @@ class TestFusedKernel:
             ]
         ).astype(np.int32)
         states = self._states(data)
-        twins = self._states(data)
-        for twin in twins:
-            twin.init_cache(data)
 
         kernel = FusedKernel()
         kernel.prepare(data, states)
         kernel._jit = False  # pin the numpy fusion even on numba hosts
-        for state, twin in zip(states, twins):
-            assert np.array_equal(state.codes, twin.codes)
-            assert np.array_equal(state.counts, twin.counts)
+        for state in states:
+            codes, counts = fresh_cache(data, state.axes, state.shape)
+            assert np.array_equal(state.codes, codes)
+            assert np.array_equal(state.counts, counts)
 
         rows = rng.choice(n, size=40, replace=False).astype(np.int64)
         data[rows, 0] = rng.integers(0, 5, 40)
@@ -359,11 +327,10 @@ class TestFusedKernel:
         data[rows, 3] = rng.integers(0, 3, 40)
 
         kernel._apply_updates(data, states, rows)
-        for twin in twins:
-            twin.apply_row_updates(rows, data[rows])
-        for state, twin in zip(states, twins):
-            assert np.array_equal(state.codes, twin.codes)
-            assert np.array_equal(state.counts, twin.counts)
+        for state in states:
+            codes, counts = fresh_cache(data, state.axes, state.shape)
+            assert np.array_equal(state.codes, codes)
+            assert np.array_equal(state.counts, counts)
 
     def test_fused_digest_equality(self, fitted, reference_digests):
         for shards in (1, 2, 3):
@@ -371,79 +338,77 @@ class TestFusedKernel:
             assert digest.content_digest() == reference_digests[shards]
 
 
+def rewrite_model(path, edit) -> None:
+    """Apply ``edit(payload)`` to a saved model file in place."""
+    blob = path.read_bytes()
+    payload = pickle.loads(blob[len(MODEL_MAGIC):])
+    edit(payload)
+    path.write_bytes(MODEL_MAGIC + pickle.dumps(payload))
+
+
 class TestKernelConfigPersistence:
     def test_override_round_trips_kernel(self):
-        config = EngineConfig(kernel="vectorized", shards=2)
-        assert config.override().kernel == "vectorized"
-        assert config.override(kernel="reference").kernel == "reference"
-        assert config.override(shards=4).kernel == "vectorized"
-        assert config.kernel == "vectorized"  # original untouched
+        config = EngineConfig(kernel="reference", shards=2)
+        assert config.override().kernel == "reference"
+        assert config.override(kernel="fused").kernel == "fused"
+        assert config.override(shards=4).kernel == "reference"
+        assert config.kernel == "reference"  # original untouched
 
     def test_save_load_round_trips_kernel(self, fitted, tmp_path):
-        fitted.config.engine = fitted.config.engine.override(kernel="vectorized")
+        original = fitted.config.engine
+        fitted.config.engine = original.override(kernel="reference")
         fitted._plan = None  # rebuild the plan with the pinned kernel
-        path = tmp_path / "model.ndpsyn"
-        fitted.save(path)
-        loaded = NetDPSyn.load(path)
-        assert loaded.plan().kernel == "vectorized"
-        assert loaded.config.engine.kernel == "vectorized"
-        assert (
-            loaded.sample(300, rng=11).content_digest()
-            == fitted.sample(300, rng=11).content_digest()
-        )
-
-    def test_model_pinned_to_unavailable_kernel_still_samples(
-        self, fitted, tmp_path, monkeypatch
-    ):
-        """A numba-host model must sample identically on a numpy-only host."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            expected = fitted.sample(250, rng=13).content_digest()
-            fitted.config.engine = fitted.config.engine.override(kernel="numba")
-            fitted._plan = None
-            path = tmp_path / "numba-model.ndpsyn"
+        try:
+            path = tmp_path / "model.ndpsyn"
             fitted.save(path)
-        loaded = NetDPSyn.load(path)
-        assert loaded.plan().kernel == "numba"
-        monkeypatch.setattr(numba_mod, "numba_available", lambda: False)
-        with pytest.warns(RuntimeWarning, match="not available"):
-            digest = loaded.sample(250, rng=13).content_digest()
-        assert digest == expected
-
-    def test_plan_without_kernel_field_defaults_to_auto(self, fitted):
-        """Plans unpickled from pre-kernel model files keep working."""
-        plan = fitted.plan()
-        delattr(plan, "kernel")
-        try:
-            assert plan.resolved_kernel() == "auto"
-            shard = plan.run_shard(50, rng=1)
-            assert shard.n_records == 50
-        finally:
-            plan.kernel = "auto"
-            fitted._plan = None
-
-    def test_custom_kernel_registers_and_runs(self, fitted):
-        calls = []
-
-        class ProbeKernel(VectorizedKernel):
-            name = "probe"
-
-            def step(self, data, states, k, alpha, config, rng):
-                calls.append(k)
-                return super().step(data, states, k, alpha, config, rng)
-
-        register_kernel(ProbeKernel)
-        try:
-            out = fitted.sample(150, rng=21, kernel="probe")
-            assert calls, "custom kernel was never stepped"
+            loaded = NetDPSyn.load(path)
+            assert loaded.plan().kernel == "reference"
+            assert loaded.config.engine.kernel == "reference"
             assert (
-                out.content_digest()
-                == fitted.sample(150, rng=21, kernel="reference").content_digest()
+                loaded.sample(300, rng=11).content_digest()
+                == fitted.sample(300, rng=11).content_digest()
             )
         finally:
-            from repro.synthesis.kernels.registry import _REGISTRY
+            fitted.config.engine = original
+            fitted._plan = None
 
-            _REGISTRY.pop("probe", None)
+    def test_model_pinned_to_unavailable_kernel_still_samples(self, fitted, tmp_path):
+        """A model saved under a retired kernel name loads as ``fused``."""
+        expected = fitted.sample(250, rng=13).content_digest()
+        path = tmp_path / "model.ndpsyn"
+        fitted.save(path)
+        for retired in ("vectorized", "numba"):
+
+            def pin(payload, retired=retired):
+                payload["plan"].kernel = retired
+                payload["config"].engine.kernel = retired
+                payload["plan"].gum.update_mode = retired  # stale GumConfig field
+
+            rewrite_model(path, pin)
+            loaded = NetDPSyn.load(path)
+            assert loaded.plan().kernel == "fused"
+            assert loaded.config.engine.kernel == "fused"
+            assert not hasattr(loaded.plan().gum, "update_mode")
+            assert loaded.config.engine.override().kernel == "fused"
+            assert loaded.sample(250, rng=13).content_digest() == expected
+
+    def test_plan_without_kernel_field_defaults_to_auto(self, fitted, tmp_path):
+        """Plans from model files saved before the field existed load as auto."""
+        expected = fitted.sample(250, rng=13).content_digest()
+        path = tmp_path / "model.ndpsyn"
+        fitted.save(path)
+
+        def strip(payload):
+            del vars(payload["plan"])["kernel"]
+            payload["config"].gum.update_mode = "reference"  # stale GumConfig field
+            payload["config"].engine.backend = "thread"  # retired backend
+
+        rewrite_model(path, strip)
+        loaded = NetDPSyn.load(path)
+        assert vars(loaded.plan())["kernel"] == "auto"
+        engine = loaded.config.engine.override()
+        assert (engine.kernel, engine.backend) == ("auto", "serial")
+        assert loaded.sample(250, rng=13).content_digest() == expected
 
 
 def test_kernel_protocol_is_abstract():

@@ -148,8 +148,8 @@ class TestFitReport:
         assert report.backend is None and report.workers is None
 
     def test_executor_fit_records_backend(self, ton):
-        synth = build(ton, fit_engine=EngineConfig(backend="thread", max_workers=2))
-        assert synth.fit_report.backend == "thread"
+        synth = build(ton, fit_engine=EngineConfig(backend="process", max_workers=2))
+        assert synth.fit_report.backend == "process"
         assert synth.fit_report.workers == 2
 
     def test_report_renders_lines_and_dict(self, fitted):
@@ -198,7 +198,7 @@ class TestExecutorEquivalence:
     def test_exact_indif_scores_match_reference(self, encoded):
         pairs = list(combinations(encoded.attrs, 2))[:20]
         reference = exact_indif_scores(encoded, pairs)
-        runner = get_backend("thread", max_workers=2)
+        runner = get_backend("process", max_workers=2)
         batched = exact_indif_scores(encoded, pairs, executor=runner)
         assert batched == pytest.approx(reference)
 

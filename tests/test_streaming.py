@@ -465,7 +465,7 @@ class TestArenaDescriptorTransport:
 class TestExecutePlanDecoded:
     def test_direct_call(self, fitted):
         out = execute_plan_decoded(
-            fitted.plan(), EngineConfig(backend="thread", shards=2), n=400, rng=3
+            fitted.plan(), EngineConfig(backend="process", shards=2), n=400, rng=3
         )
         assert out.table.n_records == 400
         assert out.gum.data is None and out.gum.n_records == 400

@@ -142,52 +142,55 @@ class TestGum:
 
 
 class TestGumUpdateModes:
+    """The two update-step kernels, selected through ``run_gum(kernel=...)``."""
+
     def _setup(self, n=3000, seed=3):
         return TestGum._setup(TestGum(), n=n, seed=seed)
 
-    @pytest.mark.parametrize("mode", ["vectorized", "reference"])
-    def test_both_modes_converge(self, mode):
+    @pytest.mark.parametrize("kernel", ["fused", "reference"])
+    def test_both_modes_converge(self, kernel):
         data, targets, attrs, domain = self._setup()
-        config = GumConfig(iterations=20, update_mode=mode)
-        result = run_gum(data, targets, attrs, domain, config, rng=4)
+        config = GumConfig(iterations=20)
+        result = run_gum(data, targets, attrs, domain, config, rng=4, kernel=kernel)
+        assert result.kernel == kernel
         assert result.errors[-1] < result.errors[0]
         assert result.errors[-1] < 0.1
         assert result.data.min() >= 0
         assert result.data[:, 0].max() < 4 and result.data[:, 1].max() < 3
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            GumConfig(update_mode="magic")
+        data, targets, attrs, domain = self._setup(n=50)
+        for name in ("vectorized", "numba", "magic"):
+            with pytest.raises(ValueError, match="kernel"):
+                run_gum(data, targets, attrs, domain, GumConfig(), rng=1, kernel=name)
+        with pytest.raises(TypeError):
+            GumConfig(update_mode="reference")  # the kernel knob is the engine's
 
     def test_auto_resolution(self):
-        config = GumConfig()
-        assert config.resolved_mode() == "vectorized"
-        assert config.resolved_mode("reference") == "reference"
-        pinned = GumConfig(update_mode="reference")
-        assert pinned.resolved_mode("vectorized") == "reference"
-        with pytest.raises(ValueError):
-            config.resolved_mode("auto")
+        data, targets, attrs, domain = self._setup(n=200)
+        result = run_gum(data, targets, attrs, domain, GumConfig(iterations=2), rng=4)
+        assert result.kernel == "fused"
 
     def test_incremental_counts_stay_exact(self):
-        """The vectorized path's cached counts must equal a fresh bincount."""
+        """The fused kernel's cached counts must equal a fresh bincount."""
         from repro.marginals.compute import cell_codes, marginal_counts
-        from repro.synthesis.gum import _MarginalState, _update_marginal_vectorized
+        from repro.synthesis.kernels import FusedKernel, _MarginalState
 
         data, targets, attrs, domain = self._setup(n=2000)
         rng = np.random.default_rng(8)
-        config = GumConfig(iterations=8, update_mode="vectorized")
+        config = GumConfig(iterations=8)
         n = data.shape[0]
         states = []
         for m in targets:
             axes = np.array([attrs.index(a) for a in m.attrs])
             shape = domain.shape(m.attrs)
             target = np.clip(m.flat(), 0.0, None)
-            state = _MarginalState(axes, shape, target * (n / target.sum()))
-            state.init_cache(data)
-            states.append(state)
+            states.append(_MarginalState(axes, shape, target * (n / target.sum())))
+        kernel = FusedKernel()
+        kernel.prepare(data, states)
         for t in range(8):
             for k in rng.permutation(len(states)):
-                _update_marginal_vectorized(data, states, k, 0.98**t, config, rng)
+                kernel.step(data, states, k, 0.98**t, config, rng)
         for state in states:
             fresh = marginal_counts(data[:, state.axes], state.shape).reshape(-1)
             assert np.array_equal(state.counts, fresh)
