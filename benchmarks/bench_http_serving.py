@@ -2,7 +2,7 @@
 
 ``bench_serving`` gates the in-process execution plane; this benchmark gates
 what a network client gets from the full stack — stdlib HTTP transport,
-wire codecs, auth, answer cache, and the micro-batching window — under
+wire codecs, auth, answer cache, and the micro-batcher — under
 closed-loop concurrent load (:mod:`repro.experiments.http_serving`).
 
 Correctness gates, asserted at every scale:
@@ -17,12 +17,12 @@ Correctness gates, asserted at every scale:
 Perf gates, asserted at full scale (>= 10k-record fit) only:
 
 - with 16 concurrent clients, the micro-batched service sustains >= 1.5x
-  the queries/sec of the no-window (batch-size-1) configuration;
+  the queries/sec of the unbatched (batch-size-1) configuration;
 - client-observed p99 stays under an absolute stall ceiling (a wedged
   batcher shows up as seconds-long tails, not as a modest slowdown).
 
-At smoke scale the window latency dominates the tiny per-query engine work
-and the speedup hard-assert would measure scheduler noise; smoke instead
+At smoke scale HTTP latency dominates the tiny per-query engine work and
+the speedup hard-assert would measure scheduler noise; smoke instead
 relies on the committed-baseline gates in ``compare_baselines.py``
 (batched queries/sec and p50 latency, wide machine-drift band).
 
@@ -47,14 +47,14 @@ DEFAULT_CLIENTS = 8 if SMOKE else 16
 #: averages over hundreds of requests, not a handful.
 DEFAULT_REPS = 40 if SMOKE else 150
 
-#: The acceptance-criteria speedup gate: micro-batched vs no-window q/s.
-WINDOW_SPEEDUP_GATE = 1.5
+#: The acceptance-criteria speedup gate: micro-batched vs unbatched q/s.
+BATCH_SPEEDUP_GATE = 1.5
 
 #: Client-observed p99 stall ceiling at full scale (seconds -> ms).
 P99_CEILING_MS = http_serving.P99_CEILING_SECONDS * 1000.0
 
-#: Below this fit size the per-query engine work is microseconds and the
-#: window latency dominates any closed-loop throughput comparison.
+#: Below this fit size the per-query engine work is microseconds and HTTP
+#: latency dominates any closed-loop throughput comparison.
 FULL_SCALE_THRESHOLD = 10_000
 
 #: Fallback-sample size at full scale: serving-tier cache sizing (see
@@ -77,7 +77,6 @@ def run_and_check(scale: ExperimentScale) -> dict:
         scale,
         clients=_env_int("REPRO_BENCH_HTTP_CLIENTS", DEFAULT_CLIENTS),
         reps=_env_int("REPRO_BENCH_HTTP_REPS", DEFAULT_REPS),
-        window=_env_int("REPRO_BENCH_HTTP_WINDOW_US", 3_000) / 1e6,
         sample_records=_env_int(
             "REPRO_BENCH_HTTP_SAMPLE",
             FULL_SAMPLE_RECORDS if full_scale else max(scale.n_records, 20_000),
@@ -88,11 +87,11 @@ def run_and_check(scale: ExperimentScale) -> dict:
         print(
             f"[serve-http] {name:>9s} {row['queries_per_second']:>8.0f} q/s  "
             f"p50={fmt(row['p50_ms'])}ms p99={fmt(row['p99_ms'])}ms  "
-            f"window={row['window_ms']:g}ms "
+            f"micro_batch={row['micro_batch']} "
             f"mean_batch={row['batcher']['mean_batch_size']}"
         )
     print(
-        f"[serve-http] window_speedup={fmt(result['window_speedup'])}  "
+        f"[serve-http] batch_speedup={fmt(result['batch_speedup'])}  "
         f"cache_speedup={fmt(result['cache_speedup'])}  "
         f"verified={result['n_verified']} bit-identical  "
         f"hot_reload={result['hot_reload']['ok']}"
@@ -103,10 +102,10 @@ def run_and_check(scale: ExperimentScale) -> dict:
     cache_stats = result["configs"]["cached"]["cache_stats"]
     assert cache_stats["hits"] > 0, f"cached config observed no cache hits: {cache_stats}"
     if full_scale:
-        speedup = result["window_speedup"]
-        assert speedup >= WINDOW_SPEEDUP_GATE, (
-            f"micro-batched q/s only {speedup:.2f}x the no-window config "
-            f"(< {WINDOW_SPEEDUP_GATE}x) under {result['configs']['batched']['clients']} clients"
+        speedup = result["batch_speedup"]
+        assert speedup >= BATCH_SPEEDUP_GATE, (
+            f"micro-batched q/s only {speedup:.2f}x the unbatched config "
+            f"(< {BATCH_SPEEDUP_GATE}x) under {result['configs']['batched']['clients']} clients"
         )
         p99 = result["configs"]["batched"]["p99_ms"]
         assert p99 <= P99_CEILING_MS, (

@@ -89,7 +89,7 @@ GATED_RESULT_METRICS = {
     # stack (transport + wire codecs + micro-batcher).  Throughput and p50
     # latency are machine-absolute, so both take the wide band; the
     # batched-vs-unbatched speedup is hard-asserted in the benchmark itself
-    # at full scale only (at smoke scale the window dominates the tiny
+    # at full scale only (at smoke scale HTTP latency dominates the tiny
     # per-query work and the ratio is scheduler noise, so it is not gated
     # here).
     "serve_http.batched.queries_per_second": (

@@ -7,10 +7,10 @@ drives it with N closed-loop threaded clients (persistent keep-alive
 connections, each firing its next request the moment the previous answer
 lands), comparing three service configurations:
 
-- **unbatched** — ``batch_window=0``, answer cache off: every request runs
-  ``engine.run`` by itself (the batch-size-1 baseline);
-- **batched** — a few-millisecond micro-batching window, cache off:
-  concurrent requests ride one ``run_batch`` execution;
+- **unbatched** — ``micro_batch=False``, answer cache off: every request
+  runs ``engine.run`` by itself (the batch-size-1 baseline);
+- **batched** — micro-batching on, cache off: requests that arrive while a
+  batch executes ride the next ``run_batch`` execution together;
 - **cached** — the batched config with the answer cache on (the production
   default): repeated dashboard queries short-circuit entirely.
 
@@ -26,7 +26,7 @@ The workload is the dashboard shape micro-batching is built for: many
 clients repeating a small set of distinct queries, weighted toward
 sample-path filtered counts/topk over *unpublished* attribute pairs — the
 expensive shared-group work where one grouped execution amortizes across
-everyone in the window — plus cheap marginal-path counts, rankings, and
+everyone in the batch — plus cheap marginal-path counts, rankings, and
 histograms.
 
 Runnable as ``python -m repro.experiments servehttp`` or standalone::
@@ -71,9 +71,6 @@ from repro.serving.http import serve_in_thread
 #: Distinct queries in the workload (clients cycle through them offset by
 #: client id, so concurrent requests overlap heavily in batch groups).
 DEFAULT_DISTINCT = 48
-
-#: Micro-batching window of the batched/cached configurations (seconds).
-DEFAULT_WINDOW = 0.003
 
 #: Generous stall ceiling: client-observed p99 beyond this means the service
 #: wedged (deadlocked batcher, lost wakeup), not that it is merely slow.
@@ -282,7 +279,7 @@ def check_hot_reload_invalidation(tmp: Path, scale: ExperimentScale) -> dict:
     model_a.save(path)
 
     service = QueryService(
-        ModelRegistry(tmp), ServiceConfig(batch_window=0.0, cache_answers=True)
+        ModelRegistry(tmp), ServiceConfig(micro_batch=False, cache_answers=True)
     )
     server, _ = serve_in_thread(service)
     host, port = server.server_address[:2]
@@ -330,7 +327,6 @@ def run(
     clients: int = 16,
     reps: int = 150,
     n_distinct: int = DEFAULT_DISTINCT,
-    window: float = DEFAULT_WINDOW,
     sample_records: int | None = None,
 ) -> dict:
     """Fit once, serve over HTTP, and measure all three configurations."""
@@ -355,18 +351,14 @@ def run(
         ]
         # One registry shared by all three configurations: the engine (and its
         # lazily built sample cache) is constructed once, so each measured run
-        # sees a warm engine and the configs differ ONLY in window/cache.
+        # sees a warm engine and the configs differ ONLY in batching/cache.
         registry = ModelRegistry(tmp)
         configs = {
             "unbatched": ServiceConfig(
-                batch_window=0.0, cache_answers=False, engine_options=engine_options
+                micro_batch=False, cache_answers=False, engine_options=engine_options
             ),
-            "batched": ServiceConfig(
-                batch_window=window, cache_answers=False, engine_options=engine_options
-            ),
-            "cached": ServiceConfig(
-                batch_window=window, cache_answers=True, engine_options=engine_options
-            ),
+            "batched": ServiceConfig(cache_answers=False, engine_options=engine_options),
+            "cached": ServiceConfig(cache_answers=True, engine_options=engine_options),
         }
         results: dict = {}
         for name, config in configs.items():
@@ -374,7 +366,7 @@ def run(
             server, _ = serve_in_thread(service)
             try:
                 row = run_load(server, "ton", bodies, clients=clients, reps=reps)
-                row["window_ms"] = config.batch_window * 1000.0
+                row["micro_batch"] = config.micro_batch
                 row["cache"] = config.cache_answers
                 stats = service.stats()
                 row["batcher"] = stats["batcher"]
@@ -408,7 +400,7 @@ def run(
         "n_sample_path_groups": sample_path_groups,
         "sample_records": sample_records,
         "configs": results,
-        "window_speedup": (
+        "batch_speedup": (
             results["batched"]["queries_per_second"]
             / results["unbatched"]["queries_per_second"]
         ),

@@ -194,7 +194,6 @@ def run_faulted_http(
     scale: ExperimentScale,
     clients: int = 4,
     reps: int = 50,
-    window: float = 0.002,
     sample_records: int | None = None,
 ) -> dict:
     """Closed-loop load with ~1% injected engine faults; all answers typed."""
@@ -204,7 +203,6 @@ def run_faulted_http(
     service = QueryService(
         ModelRegistry(root),
         ServiceConfig(
-            batch_window=window,
             cache_answers=False,
             breaker_failures=5,
             breaker_reset=0.25,

@@ -10,8 +10,9 @@ and falling back to a bounded-memory cached synthetic sample, with
 per-answer provenance.
 
 On top of that sits the network-facing tier: :class:`QueryService`
-(micro-batching window over ``run_batch``, generation-keyed answer cache,
-per-tenant auth/quota), the versioned wire schemas
+(micro-batching over ``run_batch`` with no collection window — the next
+batch is whatever arrived during the previous one — generation-keyed answer
+cache, per-tenant auth/quota), the versioned wire schemas
 (:func:`query_to_wire` / :func:`answer_from_wire`, ``SCHEMA_VERSION``), the
 typed error taxonomy (:class:`ServingError` and friends, each with a
 machine-readable code and an HTTP status), and the stdlib HTTP transport in

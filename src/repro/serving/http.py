@@ -3,8 +3,8 @@
 No third-party dependency: ``http.server.ThreadingHTTPServer`` (one thread
 per connection, HTTP/1.1 keep-alive) dispatches straight into the shared
 thread-safe service — which is exactly the concurrency shape the service's
-micro-batching window exploits: requests arriving on different connection
-threads inside one window ride a single ``run_batch`` execution.
+micro-batching exploits: requests arriving on different connection threads
+while a batch executes ride the next single ``run_batch`` execution.
 
 Endpoints (all JSON; errors use the envelope of
 :meth:`~repro.serving.errors.ServingError.to_wire` with the taxonomy's
@@ -283,10 +283,9 @@ def main(argv=None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8080)
     parser.add_argument(
-        "--window-ms",
-        type=float,
-        default=4.0,
-        help="micro-batching collection window (0 disables batching)",
+        "--no-batching",
+        action="store_true",
+        help="run each request by itself instead of micro-batching",
     )
     parser.add_argument("--max-batch", type=int, default=64)
     parser.add_argument("--no-cache", action="store_true", help="disable the answer cache")
@@ -336,7 +335,7 @@ def main(argv=None) -> int:
     if args.sample_records is not None:
         engine_options["sample_records"] = args.sample_records
     config = ServiceConfig(
-        batch_window=args.window_ms / 1000.0,
+        micro_batch=not args.no_batching,
         max_batch=args.max_batch,
         cache_answers=not args.no_cache,
         cache_entries=args.cache_entries,
@@ -371,7 +370,7 @@ def main(argv=None) -> int:
     models = registry.list_models()
     print(f"serving {len(models)} model(s) {models} from {args.root} at {server.url}", flush=True)
     print(
-        f"micro-batch window {args.window_ms:g} ms, cache "
+        f"micro-batching {'off' if args.no_batching else 'on'}, cache "
         f"{'off' if args.no_cache else f'{args.cache_entries} entries'}, "
         f"auth {'api-key' if args.tenant else 'open'}",
         flush=True,

@@ -6,15 +6,15 @@ and owns the three behaviors that make a multi-client deployment fast and
 safe:
 
 **Micro-batching** — concurrent in-flight requests for the same
-``(model, generation, prefer)`` are collected for a short window
-(:attr:`ServiceConfig.batch_window`, a few milliseconds) and fed through
+``(model, generation, prefer)`` are fed through
 :meth:`~repro.serving.engine.QueryEngine.run_batch` as ONE grouped
-execution, answers fanned back out to their callers.  ``run_batch`` is
-bit-identical to serial ``run()``, so batching is invisible except for
-throughput: the first request of a quiet period pays the window once, and
-every request that lands inside it rides the grouped numpy work for free.
-A window of ``0`` disables batching (each request runs serially) — that is
-the baseline configuration the benchmark compares against.
+execution, answers fanned back out to their callers.  There is no
+collection window: a request to an idle group runs at once, and requests
+that arrive while a batch executes form the next batch, led by the first
+of them (:class:`MicroBatcher`).  ``run_batch`` is bit-identical to serial
+``run()``, so batching is invisible except for throughput.
+``ServiceConfig(micro_batch=False)`` runs each request by itself — the
+baseline configuration the benchmark compares against.
 
 **Answer caching** — answers are memoized under
 ``(model key, model generation, prefer, query)``.  Queries are frozen
@@ -214,56 +214,61 @@ class AnswerCache:
 
 # ------------------------------------------------------------ micro-batching
 class _Pending:
-    """One in-flight request parked in a batch group."""
+    """One in-flight request parked in a batch group.
 
-    __slots__ = ("query", "event", "answer", "error")
+    ``event`` is set either when the answer (or error) is in, or when the
+    request is promoted to lead the group's next batch (``lead`` is then
+    true).
+    """
+
+    __slots__ = ("query", "event", "answer", "error", "lead")
 
     def __init__(self, query: Query) -> None:
         self.query = query
         self.event = threading.Event()
         self.answer: QueryAnswer | None = None
         self.error: BaseException | None = None
+        self.lead = False
 
 
 class _Group:
-    """The pending queue of one ``(model key, generation, prefer)`` stream."""
+    """The pending queue of one busy ``(model key, generation, prefer)``
+    stream; it exists exactly while some request leads it."""
 
-    __slots__ = ("engine", "prefer", "queue", "active")
+    __slots__ = ("engine", "prefer", "queue")
 
     def __init__(self, engine, prefer: Prefer) -> None:
         self.engine = engine
         self.prefer = prefer
         self.queue: list = []
-        self.active = False
 
 
 class MicroBatcher:
     """Collects concurrent requests into :meth:`QueryEngine.run_batch` calls.
 
-    The first request of a quiet period becomes the group's *leader*: it
-    sleeps for the window (collecting whoever else arrives), then drains the
-    queue through ``run_batch`` in ``max_batch``-sized slices — including
-    requests that landed *while* it was executing, so under sustained load
-    follow-up batches form with no additional window latency.  Followers
-    just park on an event and wake with their answer.  One global lock
-    guards all group queues; the work under it is list appends only.
+    No request ever waits for company.  One that finds its group idle
+    becomes the *leader* and runs at once.  One that finds the group busy
+    queues and parks on its event.  When the leader's batch finishes it
+    hands the lead to the first queued request, which runs the next slice
+    of up to ``max_batch`` queued requests (its own query included), and
+    returns; with nothing queued it retires the group.  So a batch is
+    whatever arrived during the previous execution, and every thread runs
+    at most one batch — the one that carries its own query.  One global
+    lock guards all group queues; the work under it is list edits only.
 
     ``runner`` (optional) replaces the direct ``engine.run_batch`` call with
     ``runner(engine, queries, prefer)`` — the service passes its guarded
     runner so batched executions get the same circuit-breaker accounting and
-    fault typing as unbatched ones.  A request carrying a
-    :class:`~repro.reliability.Deadline` shortens the leader's collection
-    window to the time it has left, and a follower whose deadline lapses
-    while the leader executes gives up and maps to a 504 (its slot in the
-    batch still completes; nobody reads the abandoned answer).
+    fault typing as unbatched ones.  A queued request whose
+    :class:`~repro.reliability.Deadline` lapses leaves the queue and raises
+    ``DeadlineExceeded``; if its batch is already running it gives up (the
+    slot completes; nobody reads the abandoned answer); if it was already
+    promoted it still leads, so the queue behind it never stalls.
     """
 
-    def __init__(self, window: float, max_batch: int, runner=None) -> None:
-        if window < 0:
-            raise ValueError(f"window must be >= 0, got {window}")
+    def __init__(self, max_batch: int, runner=None) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        self.window = float(window)
         self.max_batch = int(max_batch)
         self._runner = runner
         self._lock = threading.Lock()
@@ -279,48 +284,39 @@ class MicroBatcher:
         with self._lock:
             group = self._groups.get(key)
             if group is None:
-                group = _Group(engine, prefer)
-                self._groups[key] = group
+                group = self._groups[key] = _Group(engine, prefer)
+                pending.lead = True
             group.queue.append(pending)
-            lead = not group.active
-            if lead:
-                group.active = True
-        if lead:
-            if self.window > 0:
-                pause = self.window
-                if deadline is not None:
-                    # Never let collection eat the whole budget: keep at
-                    # least half of what remains for the execution itself.
-                    pause = min(pause, deadline.remaining() / 2.0)
-                if pause > 0:
-                    time.sleep(pause)
-            self._drain(key, group)
-        elif deadline is None:
-            pending.event.wait()
-        # A small grace past the deadline lets a leader finishing right at
-        # the wire still deliver; beyond it the follower stops waiting.
-        elif not pending.event.wait(deadline.remaining() + 0.05):
-            raise DeadlineExceeded("batched query missed its deadline")
+        if not pending.lead:
+            self._await(group, pending, deadline)
+        if pending.lead:
+            self._lead(key, group)
         if pending.error is not None:
             raise pending.error
         return pending.answer
 
-    def _drain(self, key, group: _Group) -> None:
-        while True:
-            with self._lock:
-                batch = group.queue[: self.max_batch]
-                del group.queue[: self.max_batch]
-                if not batch:
-                    group.active = False
-                    # Retire the idle group; generations churn on hot reload
-                    # and dead (key, generation) groups must not accumulate.
-                    if self._groups.get(key) is group:
-                        del self._groups[key]
-                    return
-            self._execute(group, batch)
+    def _await(self, group: _Group, pending: _Pending, deadline: Deadline | None) -> None:
+        if deadline is None:
+            pending.event.wait()
+            return
+        # A small grace past the deadline lets a batch finishing right at
+        # the wire still deliver; beyond it the follower stops waiting.
+        if pending.event.wait(deadline.remaining() + 0.05):
+            return
+        with self._lock:
+            if pending.lead:
+                return
+            if pending in group.queue:
+                group.queue.remove(pending)
+        raise DeadlineExceeded("batched query missed its deadline")
 
-    def _execute(self, group: _Group, batch: list) -> None:
+    def _lead(self, key, group: _Group) -> None:
+        """Run the next slice of ``group``'s queue, then hand off or retire."""
+        with self._lock:
+            batch = group.queue[: self.max_batch]
+            del group.queue[: self.max_batch]
         queries = [p.query for p in batch]
+        answers, error = None, None
         try:
             if self._runner is not None:
                 answers = self._runner(group.engine, queries, group.prefer)
@@ -330,23 +326,31 @@ class MicroBatcher:
             # Queries are pre-resolved before enqueueing, so per-query
             # validation errors cannot land here; anything that does is a
             # server-side failure shared by the whole batch.
-            for pending in batch:
-                pending.error = exc
-                pending.event.set()
-            return
+            error = exc
         with self._lock:
-            self.batches += 1
-            self.batched_queries += len(batch)
-            self.largest_batch = max(self.largest_batch, len(batch))
-        for pending, answer in zip(batch, answers):
-            pending.answer = answer
+            if error is None:
+                self.batches += 1
+                self.batched_queries += len(batch)
+                self.largest_batch = max(self.largest_batch, len(batch))
+            if group.queue:
+                successor = group.queue[0]
+                successor.lead = True
+                successor.event.set()
+            else:
+                # Retire the idle group; generations churn on hot reload
+                # and dead (key, generation) groups must not accumulate.
+                del self._groups[key]
+        for i, pending in enumerate(batch):
+            if error is None:
+                pending.answer = answers[i]
+            else:
+                pending.error = error
             pending.event.set()
 
     def stats(self) -> dict:
         with self._lock:
             mean = self.batched_queries / self.batches if self.batches else 0.0
             return {
-                "window_seconds": self.window,
                 "max_batch": self.max_batch,
                 "batches": self.batches,
                 "batched_queries": self.batched_queries,
@@ -360,10 +364,9 @@ class MicroBatcher:
 class ServiceConfig:
     """Tuning knobs of one :class:`QueryService`.
 
-    ``batch_window`` is the micro-batching collection window in seconds
-    (``0`` disables batching); 2–10 ms is the useful range — long enough
-    that concurrent clients land in one batch, short enough to be invisible
-    next to network latency.  ``engine_options`` pass through to every
+    ``micro_batch`` sends concurrent requests through one
+    :class:`MicroBatcher` execution (``False`` runs each request by itself);
+    ``max_batch`` caps a batch.  ``engine_options`` pass through to every
     leased :class:`~repro.serving.engine.QueryEngine` (e.g.
     ``{"sample_records": 200_000}``).
 
@@ -383,7 +386,7 @@ class ServiceConfig:
       queries that genuinely need sampling get the 503 ``circuit_open``.
     """
 
-    batch_window: float = 0.004
+    micro_batch: bool = True
     max_batch: int = 64
     cache_answers: bool = True
     cache_entries: int = 10_000
@@ -396,8 +399,6 @@ class ServiceConfig:
     degraded_serving: bool = True
 
     def __post_init__(self) -> None:
-        if self.batch_window < 0:
-            raise ValueError(f"batch_window must be >= 0, got {self.batch_window}")
         if self.request_deadline is not None and self.request_deadline <= 0:
             raise ValueError(
                 f"request_deadline must be positive, got {self.request_deadline}"
@@ -433,11 +434,7 @@ class QueryService:
         self.config = config or ServiceConfig()
         self.authenticator = authenticator or OpenAccess()
         self.cache = AnswerCache(self.config.cache_entries)
-        self.batcher = MicroBatcher(
-            self.config.batch_window,
-            self.config.max_batch,
-            runner=self._run_guarded,
-        )
+        self.batcher = MicroBatcher(self.config.max_batch, runner=self._run_guarded)
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_failures,
             reset_timeout=self.config.breaker_reset,
@@ -511,7 +508,7 @@ class QueryService:
                 raise ServiceOverloaded(
                     f"service is at its in-flight cap ({self.config.max_inflight}); "
                     "request shed",
-                    retry_after=max(0.05, 2 * self.config.batch_window),
+                    retry_after=0.05,
                 )
             self._inflight += 1
         try:
@@ -612,7 +609,7 @@ class QueryService:
                 deadline.check("query admission")
             if not self.breaker.allow():
                 answer = self._degraded_answer(engine, query, prefer)
-            elif self.batcher.window > 0:
+            elif self.config.micro_batch:
                 answer = self.batcher.submit(
                     (model_key, generation, prefer), engine, prefer, query, deadline=deadline
                 )

@@ -109,7 +109,7 @@ def _touch(path, bump_ns: int = 5_000_000) -> None:
 
 # ------------------------------------------------------------- service core
 def test_service_matches_direct_engine(model_dir, direct_engine, workload):
-    service = _service(model_dir, batch_window=0.0, cache_answers=False)
+    service = _service(model_dir, micro_batch=False, cache_answers=False)
     for query in workload:
         assert answers_equal(service.query("ton", query), direct_engine.run(query))
 
@@ -117,35 +117,56 @@ def test_service_matches_direct_engine(model_dir, direct_engine, workload):
 def test_micro_batched_answers_bit_identical_under_concurrency(
     model_dir, direct_engine, workload
 ):
-    service = _service(model_dir, batch_window=0.02, cache_answers=False)
+    service = _service(model_dir, cache_answers=False)
     service.query("ton", workload[0])  # warm the model + sample outside timing
     queries = (workload * 4)[: 4 * len(workload)]
+    # Hold the first batch until every other request has queued behind it,
+    # so they all ride the second batch together.
+    entered, release = threading.Event(), threading.Event()
+    run_guarded = service.batcher._runner
+
+    def gated(engine, batch, prefer):
+        if not entered.is_set():
+            entered.set()
+            assert release.wait(10.0)
+        return run_guarded(engine, batch, prefer)
+
+    service.batcher._runner = gated
     results: list = [None] * len(queries)
     errors: list = []
-    barrier = threading.Barrier(len(queries))
 
     def worker(i):
         try:
-            barrier.wait()
             results[i] = service.query("ton", queries[i])
         except Exception as exc:  # pragma: no cover - surfaced in assert
             errors.append(exc)
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(queries))]
-    for t in threads:
+    threads[0].start()
+    assert entered.wait(10.0)
+    for t in threads[1:]:
         t.start()
+
+    def queued():
+        with service.batcher._lock:
+            return sum(len(g.queue) for g in service.batcher._groups.values())
+
+    stop = time.monotonic() + 10.0
+    while queued() < len(queries) - 1:
+        assert time.monotonic() < stop, f"only {queued()} requests queued"
+        time.sleep(0.001)
+    release.set()
     for t in threads:
-        t.join()
+        t.join(10.0)
+        assert not t.is_alive()
     assert not errors
     for query, answer in zip(queries, results):
         assert answers_equal(answer, direct_engine.run(query))
-    stats = service.batcher.stats()
-    assert stats["batches"] >= 1
-    assert stats["largest_batch"] > 1, f"no batching observed: {stats}"
+    assert service.batcher.stats()["largest_batch"] == len(queries) - 1
 
 
 def test_answer_cache_hits_are_bit_identical(model_dir, direct_engine):
-    service = _service(model_dir, batch_window=0.0, cache_answers=True)
+    service = _service(model_dir, micro_batch=False, cache_answers=True)
     query = topk("dstport", k=4)
     first = service.query("ton", query)
     second = service.query("ton", query)
@@ -155,7 +176,7 @@ def test_answer_cache_hits_are_bit_identical(model_dir, direct_engine):
 
 
 def test_cache_key_includes_prefer(model_dir, proto_value):
-    service = _service(model_dir, batch_window=0.0, cache_answers=True)
+    service = _service(model_dir, micro_batch=False, cache_answers=True)
     query = count(where={"proto": proto_value})
     auto = service.query("ton", query)
     sample = service.query("ton", query, prefer="sample")
@@ -167,7 +188,7 @@ def test_cache_key_includes_prefer(model_dir, proto_value):
 
 def test_stale_answer_impossible_after_hot_reload(model_dir, model_b):
     """THE invalidation contract: a re-deployed model changes served answers."""
-    service = _service(model_dir, batch_window=0.0, cache_answers=True)
+    service = _service(model_dir, micro_batch=False, cache_answers=True)
     query = count()
     before = service.query("ton", query)
     assert answers_equal(service.query("ton", query), before)  # cache hit
@@ -213,7 +234,7 @@ def test_lease_returns_engine_with_generation(model_dir):
 def test_query_batch_reuses_cache_and_matches_run_batch(
     model_dir, direct_engine, workload
 ):
-    service = _service(model_dir, batch_window=0.0, cache_answers=True)
+    service = _service(model_dir, micro_batch=False, cache_answers=True)
     service.query("ton", workload[0])  # pre-populate one cache entry
     answers = service.query_batch("ton", workload)
     expected = direct_engine.run_batch(workload)
@@ -223,7 +244,7 @@ def test_query_batch_reuses_cache_and_matches_run_batch(
 
 
 def test_validation_errors_surface_on_caller_not_batch(model_dir):
-    service = _service(model_dir, batch_window=0.02, cache_answers=False)
+    service = _service(model_dir, cache_answers=False)
     with pytest.raises(QueryValidationError):
         service.query("ton", marginal("nonexistent"))
     with pytest.raises(QueryValidationError):  # categorical histogram
@@ -274,7 +295,7 @@ def test_quota_exceeded_carries_retry_after(model_dir):
     registry = ModelRegistry(model_dir)
     service = QueryService(
         registry,
-        ServiceConfig(batch_window=0.0, engine_options=ENGINE_OPTIONS),
+        ServiceConfig(micro_batch=False, engine_options=ENGINE_OPTIONS),
         authenticator=ApiKeyAuth([Tenant(name="slow", api_key="sk", rate=0.001, burst=1)]),
     )
     assert service.query("ton", count(), api_key="sk") is not None
@@ -288,11 +309,7 @@ def test_quota_exceeded_carries_retry_after(model_dir):
 # ----------------------------------------------------------------- validation
 def test_component_validation():
     with pytest.raises(ValueError):
-        ServiceConfig(batch_window=-0.001)
-    with pytest.raises(ValueError):
-        MicroBatcher(window=-1, max_batch=4)
-    with pytest.raises(ValueError):
-        MicroBatcher(window=0.01, max_batch=0)
+        MicroBatcher(max_batch=0)
     with pytest.raises(ValueError):
         AnswerCache(max_entries=0)
     with pytest.raises(ValueError):
@@ -332,7 +349,7 @@ def test_parse_tenant_cli_spec():
 # ------------------------------------------------------------- HTTP end-to-end
 @pytest.fixture()
 def served(model_dir):
-    service = _service(model_dir, batch_window=0.002, cache_answers=True)
+    service = _service(model_dir, cache_answers=True)
     server, _thread = serve_in_thread(service)
     conn = HTTPConnection(*server.server_address[:2])
     yield server, service, conn
@@ -410,7 +427,7 @@ def test_http_error_matrix(served):
 def test_http_auth_and_quota(model_dir):
     service = QueryService(
         ModelRegistry(model_dir),
-        ServiceConfig(batch_window=0.0, engine_options=ENGINE_OPTIONS),
+        ServiceConfig(micro_batch=False, engine_options=ENGINE_OPTIONS),
         authenticator=ApiKeyAuth(
             [Tenant(name="slow", api_key="sk", rate=0.001, burst=1)]
         ),

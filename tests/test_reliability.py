@@ -361,7 +361,7 @@ class TestServiceReliability:
     def test_engine_fault_is_typed_and_breaker_trips(self, model_dir):
         service = _service(
             model_dir,
-            batch_window=0.0,
+            micro_batch=False,
             cache_answers=False,
             breaker_failures=2,
             breaker_reset=60.0,
@@ -385,7 +385,7 @@ class TestServiceReliability:
 
     def test_degraded_answer_matches_healthy_path(self, model_dir):
         service = _service(
-            model_dir, batch_window=0.0, cache_answers=False, breaker_failures=1,
+            model_dir, micro_batch=False, cache_answers=False, breaker_failures=1,
             breaker_reset=60.0,
         )
         healthy = service.query("ton", topk("dstport", k=5))
@@ -397,7 +397,7 @@ class TestServiceReliability:
     def test_breaker_recovers_through_half_open_probe(self, model_dir):
         service = _service(
             model_dir,
-            batch_window=0.0,
+            micro_batch=False,
             cache_answers=False,
             breaker_failures=1,
             breaker_reset=0.05,
@@ -412,7 +412,7 @@ class TestServiceReliability:
         assert service.breaker.state == "closed"
 
     def test_load_shedding_at_the_inflight_cap(self, model_dir):
-        service = _service(model_dir, batch_window=0.0, max_inflight=1)
+        service = _service(model_dir, micro_batch=False, max_inflight=1)
         primed = service.query("ton", count())  # prime the cache
         with service._admit():
             with pytest.raises(ServiceOverloaded) as excinfo:
@@ -425,25 +425,17 @@ class TestServiceReliability:
         assert service.query("ton", count(where={"dstport": 443})) is not None
 
     def test_default_request_deadline_maps_to_504(self, model_dir):
-        service = _service(model_dir, batch_window=0.0, request_deadline=1e-7)
+        service = _service(model_dir, micro_batch=False, request_deadline=1e-7)
         with pytest.raises(RequestDeadlineExceeded):
             service.query("ton", count())
         assert service.stats()["reliability"]["deadline_hits"] == 1
 
     def test_explicit_deadline_overrides(self, model_dir):
-        service = _service(model_dir, batch_window=0.0)
+        service = _service(model_dir, micro_batch=False)
         with pytest.raises(RequestDeadlineExceeded):
             service.query("ton", count(), deadline=Deadline(0.0))
         # And an ample explicit deadline passes.
         assert service.query("ton", count(), deadline=Deadline(30.0)) is not None
-
-    def test_batched_leader_window_clamped_by_deadline(self, model_dir):
-        service = _service(model_dir, batch_window=0.5, cache_answers=False)
-        service.query("ton", count())  # warm the model outside timing
-        started = time.monotonic()
-        service.query("ton", count(), deadline=Deadline(0.2))
-        # The 0.5 s collection window bent to the 0.2 s budget.
-        assert time.monotonic() - started < 0.4
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -511,7 +503,7 @@ class TestRegistryReloadIsolation:
 # --------------------------------------------------------------- HTTP chaos
 @pytest.fixture()
 def served(model_dir):
-    service = _service(model_dir, batch_window=0.0, cache_answers=False)
+    service = _service(model_dir, micro_batch=False, cache_answers=False)
     server, _thread = serve_in_thread(service)
     conn = HTTPConnection(*server.server_address[:2])
     yield server, service, conn
