@@ -9,7 +9,7 @@ first and gates both:
   divergence;
 - at full scale (>= 10k synthesized records) on a machine with >= 4 CPUs,
   the 4-worker LocalCluster release must show >= 1.5x speedup over the
-  serial baseline at the same shard count (the same bar the shared-backend
+  serial baseline at the same shard count (the same bar the process-backend
   stream gate sets: below that the fan-out is not paying for its transport);
 - ``fleet.local4.records_per_second`` is gated against the committed
   baseline by ``compare_baselines.py``.

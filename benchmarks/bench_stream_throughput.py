@@ -8,15 +8,15 @@ records what that buys end to end.
 Acceptance gates (full scale, >= 20k synthesized records; the speedup gate
 targets the 1M-record ToN workload of the acceptance criteria):
 
-- ``backend="shared"`` end-to-end ``sample()`` (GUM + decode) at 4 workers
+- ``backend="process"`` end-to-end ``sample()`` (GUM + decode) at 4 workers
   shows >= 1.5x speedup over the serial single-shard baseline;
 - ``sample_to()`` peak RSS stays flat (< 1.3x the 1-chunk baseline, probed
   in fresh subprocesses) while the record count grows 10x;
-- sharded decode is digest-stable across serial/process/shared backends, and
+- sharded decode is digest-stable across the serial and process backends, and
   ``sample_stream`` chunks concatenate to the in-memory ``sample()`` —
   always asserted, even in smoke mode;
 - the copy probe's ``pickled_column_bytes`` is **zero** at every scale
-  (shard tables must cross the shared backend as arena descriptors, never
+  (shard tables must cross the process pool as arena descriptors, never
   pickled columns — the probe floors its own record count so shard tables
   cannot legitimately fall under the pickle threshold), and
   ``bytes_copied_per_record`` is gated against the committed baseline by
@@ -103,9 +103,9 @@ def run_and_check(scale: ExperimentScale) -> dict:
 
     if result["n_synthesized"] >= FULL_SCALE_THRESHOLD:
         if (os.cpu_count() or 1) >= 2:
-            speedup = result["rows"]["shared-4"]["speedup_vs_serial"]
+            speedup = result["rows"]["process-4"]["speedup_vs_serial"]
             assert speedup >= 1.5, (
-                f"shared-4 end-to-end speedup {speedup:.2f}x < 1.5x over serial"
+                f"process-4 end-to-end speedup {speedup:.2f}x < 1.5x over serial"
             )
         else:
             # A single hardware thread cannot overlap workers: the end-to-end

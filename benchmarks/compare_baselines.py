@@ -8,7 +8,7 @@ them against ``benchmarks/baselines/bench-smoke-baseline.json``:
 - synthesis throughput (records/sec, engine + streaming serial baselines);
 - the fused-kernel speedup over the reference kernel (a ratio, so it is
   robust to runner speed differences);
-- bytes copied per record across the sharded shared backend (the zero-copy
+- bytes copied per record across the sharded process backend (the zero-copy
   data plane's per-record movement budget, lower is better);
 - HTTP serving throughput and p50 latency under closed-loop client load;
 - per-benchmark peak RSS.
@@ -62,7 +62,7 @@ GATED_RESULT_METRICS = {
         "higher",
     ),
     # Zero-copy data plane: bytes moved per synthesized record across the
-    # sharded shared backend (pickled + stitch).  The pickled share is
+    # sharded process backend (pickled + stitch).  The pickled share is
     # hard-asserted to be zero in the benchmark itself; the per-record total
     # is gated here so a stitching regression cannot land silently.  It is a
     # per-record byte count, not a wall-clock rate, so it is machine-stable

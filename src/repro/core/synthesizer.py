@@ -26,8 +26,8 @@ work out across workers without touching the noise stream.
 
 Steps 9-11 run on the :mod:`repro.engine` sampling engine: ``fit()`` freezes
 a picklable :class:`~repro.engine.SynthesisPlan` and ``sample()`` executes it
-on a serial, thread, or process backend, optionally sharded — post-processing
-parallelism is free under DP.
+on the serial or process backend (or a fleet), optionally sharded —
+post-processing parallelism is free under DP.
 
 A fitted model round-trips through :meth:`NetDPSyn.save` /
 :meth:`NetDPSyn.load` (see :mod:`repro.io`): the loaded instance samples
@@ -56,6 +56,7 @@ from repro.engine import (
     execute_plan_stream,
     get_backend,
 )
+from repro.engine.backends import default_workers
 from repro.pipeline import FitContext, FitPipeline, FitReport
 from repro.utils.memory import peak_rss_bytes
 from repro.utils.rng import ensure_rng, make_seed_sequence
@@ -70,7 +71,7 @@ def _fit_executor(engine: EngineConfig | None):
     """
     if engine is None:
         return None, None, None
-    workers = engine.max_workers or (os.cpu_count() or 1)
+    workers = engine.max_workers or default_workers()
     backend = get_backend(
         engine.backend,
         max_workers=workers,
@@ -376,7 +377,7 @@ class NetDPSyn:
         reuse it (calls whose per-call ``backend=`` differs still get their
         own execution).  The pool is closed on exit.
 
-        >>> with synth.pool(backend="shared", max_workers=4):  # doctest: +SKIP
+        >>> with synth.pool(backend="process", max_workers=4):  # doctest: +SKIP
         ...     for day in range(30):
         ...         synth.sample_to(f"day-{day}.csv", n=1_000_000)
         """

@@ -7,7 +7,7 @@ table's buffer layout: ship the descriptors plus the buffer (or a shared-
 memory segment name standing in for it) and the receiver reconstructs every
 column as a **view** — no per-column pickling, no per-column copies.  The
 same layout backs :meth:`TraceTable.concat_all`'s single-allocation stitch,
-the ``shared`` backend's one-segment-per-table transport
+the process backend's one-segment-per-table transport
 (:mod:`repro.engine.shm`), and the Arrow sink's buffer wrapping.
 
 Slot kinds:

@@ -247,7 +247,7 @@ class TraceTable:
         """Flatten into a :class:`~repro.data.arena.TableArena` (one buffer).
 
         The arena's ``(slots, buffer, extras)`` triple is the table's
-        explicit buffer layout — what the ``shared`` backend ships as a
+        explicit buffer layout — what the process backend ships as a
         single shm segment and the Arrow sink wraps without copying.
         """
         from repro.data.arena import TableArena

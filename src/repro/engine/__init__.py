@@ -7,26 +7,24 @@ provides:
 
 - :class:`SynthesisPlan` — a picklable capture of everything ``sample()``
   needs after ``fit()``;
-- serial / process / shared-memory :mod:`backends
-  <repro.engine.backends>` exposing a generic map-style
+- serial and process-pool :mod:`backends <repro.engine.backends>`
+  exposing a generic map-style
   :meth:`~repro.engine.backends.Backend.run_tasks` (used by the fit
-  pipeline's exact-count fan-out), the streaming
-  :meth:`~repro.engine.backends.Backend.imap_tasks`, and the shard runner
-  that splits the record budget with independent ``SeedSequence``-spawned
-  streams;
-- :func:`execute_plan` — the executor that runs a plan under an
-  :class:`EngineConfig` and merges encoded shard outputs;
-- :func:`execute_plan_decoded` / :func:`execute_plan_stream` — the streaming
-  execution plane (:mod:`repro.engine.streaming`): decoding happens inside
-  the shards and results arrive as finished trace tables, in bulk or as
-  bounded-memory chunks.
+  pipeline's exact-count fan-out and the shard runs) and the streaming
+  :meth:`~repro.engine.backends.Backend.imap_tasks`; the process pool
+  returns large arrays through shared memory;
+- :func:`execute_plan_decoded` / :func:`execute_plan_stream` — the
+  execution plane (:mod:`repro.engine.streaming`): the record budget is
+  split into shards with independent ``SeedSequence``-spawned streams,
+  decoding happens inside the shards, and results arrive as finished trace
+  tables, in bulk or as bounded-memory chunks.  One shard runs the golden
+  single-stream path of :mod:`repro.engine.executor`.
 """
 
 from repro.engine.backends import (
     Backend,
     ProcessBackend,
     SerialBackend,
-    SharedMemoryBackend,
     get_backend,
     scatter_map,
 )
@@ -36,7 +34,6 @@ from repro.engine.config import (
     DISTRIBUTED_BACKENDS,
     EngineConfig,
 )
-from repro.engine.executor import ExecutionResult, execute_plan
 from repro.engine.plan import DecodedShard, ShardResult, SynthesisPlan, shard_sizes
 from repro.engine.streaming import (
     DEFAULT_CHUNK,
@@ -55,14 +52,11 @@ __all__ = [
     "DecodedResult",
     "DecodedShard",
     "EngineConfig",
-    "ExecutionResult",
     "ProcessBackend",
     "SerialBackend",
     "ShardResult",
     "ShardTaskError",
-    "SharedMemoryBackend",
     "SynthesisPlan",
-    "execute_plan",
     "execute_plan_decoded",
     "execute_plan_stream",
     "get_backend",

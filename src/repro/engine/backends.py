@@ -1,24 +1,21 @@
-"""Execution backends: a generic map-style task executor, serial to shared-memory.
+"""Execution backends: a generic map-style task executor, serial or process pool.
 
 Every backend implements :meth:`Backend.run_tasks` — run a module-level
 function over a list of argument tuples, returning results in task order —
 plus the streaming :meth:`Backend.imap_tasks` (results yielded in task order
 with a bounded submission window, the memory bound behind the streaming
-synthesis API) and the shard-oriented :meth:`Backend.run` used by the
-sampling engine.  Because every task result is a pure function of its
+synthesis API).  Because every task result is a pure function of its
 inputs, all backends produce identical results for the same inputs; the only
 thing that changes is where the work runs and how results travel back.
 
 A ``shared`` payload (e.g. the encoded data matrix, or the synthesis plan)
-is passed to every task as its first argument.  The process backends ship it
+is passed to every task as its first argument.  The process backend ships it
 to workers **once per pool** — via fork inheritance where the start method
 allows it, or via the pool initializer otherwise — instead of pickling it
 per task; :meth:`Backend.open` binds a persistent pool to one payload so the
-shipment happens once per pool *lifetime* across many calls.
-
-The ``shared`` backend additionally returns large ndarray results through
-:mod:`multiprocessing.shared_memory` segments (see :mod:`repro.engine.shm`)
-instead of the pickled result pipe.
+shipment happens once per pool *lifetime* across many calls.  Large ndarray
+results come back through :mod:`multiprocessing.shared_memory` segments
+(see :mod:`repro.engine.shm`) instead of the pickled result pipe.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.engine.config import ALL_BACKENDS
+from repro.engine.config import canonical_backend
 from repro.engine.shm import (
     export_result,
     import_result,
@@ -56,14 +53,23 @@ from repro.reliability.faults import (
 if TYPE_CHECKING:  # import would cycle through plan -> synthesis -> marginals
     from repro.engine.plan import ShardResult, SynthesisPlan
 
-#: Worker-side shared payload for :meth:`ProcessBackend.run_tasks` under the
-#: fork start method: workers fork during ``submit`` and inherit the value
+#: Worker-side shared payload for :class:`ProcessBackend` under the fork
+#: start method: workers fork during ``submit`` and inherit the value
 #: (spawn/forkserver ship it via the pool initializer instead).  The parent
 #: only mutates it — and only submits, since that is where forks happen —
 #: while holding :data:`_TASK_SHARED_LOCK`, so concurrent pools on different
 #: threads can never fork a worker carrying another pool's payload.
 _TASK_SHARED = None
 _TASK_SHARED_LOCK = threading.Lock()
+
+
+def default_workers() -> int:
+    """The worker count used when none is configured: one per CPU.
+
+    ``os.cpu_count()`` may return ``None`` (``multiprocessing.cpu_count()``
+    raises instead), so the ``or 1`` fallback is reachable.
+    """
+    return os.cpu_count() or 1
 
 
 def _set_task_shared(value) -> None:
@@ -74,14 +80,11 @@ def _set_task_shared(value) -> None:
 def _call_task(fn, args):
     """Invoke one task against the worker's shared payload.
 
-    Module-level so the process backend can pickle it; ``fn`` itself must be
-    a module-level callable for the same reason.
+    Large array results are parked in shared memory here, in the worker,
+    and only their handles cross the pipe.  Module-level so the process
+    backend can pickle it; ``fn`` itself must be a module-level callable for
+    the same reason.
     """
-    return fn(_TASK_SHARED, *args)
-
-
-def _call_task_shm(fn, args):
-    """Like :func:`_call_task`, but park large array results in shared memory."""
     out = export_result(fn(_TASK_SHARED, *args))
     # Chaos hook: a ``drop_shm`` fault simulates the segment vanishing
     # between the worker's export and the parent's import — the handles
@@ -129,7 +132,7 @@ class Backend(abc.ABC):
     ``SeedSequence``-child generator in the task tuple — a resubmitted task
     reproduces its original result bit-for-bit, so retrying never changes
     what a run computes, only whether it survives.  Both knobs only bind on
-    the process-pool backends; in-process backends have no worker to lose.
+    the process-pool backend; the serial backend has no worker to lose.
     """
 
     name: str = "abstract"
@@ -180,33 +183,16 @@ class Backend(abc.ABC):
     def close(self) -> None:
         """Tear down the persistent pool opened by :meth:`open`, if any."""
 
-    def run(
-        self,
-        plan: SynthesisPlan,
-        sizes: list[int],
-        rngs: list[np.random.Generator],
-        kernel: str,
-    ) -> list[ShardResult]:
-        """Run one GUM shard per ``(size, rng)`` pair; results in shard order.
-
-        ``kernel`` is the concrete (pre-resolved) GUM kernel name every
-        shard executes with.
-        """
-        tasks = [
-            (n, rng, index, kernel) for index, (n, rng) in enumerate(zip(sizes, rngs))
-        ]
-        return self.run_tasks(_run_shard_task, tasks, shared=plan)
-
     def _workers(self, n_tasks: int) -> int:
         # Default: one worker per task, but no more than one per CPU — extra
         # processes only time-slice the same cores and slow every shard.
-        limit = self.max_workers or min(n_tasks, os.cpu_count() or 1)
+        limit = self.max_workers or min(n_tasks, default_workers())
         return max(1, min(limit, n_tasks))
 
     def _window(self, window: int | None) -> int:
         if window is not None:
             return max(1, int(window))
-        return (self.max_workers or multiprocessing.cpu_count() or 1) + 1
+        return (self.max_workers or default_workers()) + 1
 
 
 class SerialBackend(Backend):
@@ -225,23 +211,26 @@ class SerialBackend(Backend):
 
 
 class ProcessBackend(Backend):
-    """Run tasks on a process pool.
+    """Run tasks on a process pool; large array results bypass the pipe.
 
-    Task arguments and results are pickled per task; the ``shared`` payload
-    travels once per pool — by fork inheritance under the (Linux-default)
-    fork start method, through the pool initializer otherwise.  Sidesteps
-    the GIL entirely.  :meth:`open` binds a persistent pool to one payload so
-    consecutive ``run_tasks`` calls (e.g. the fit pipeline's selection and
-    publish stages, or every chunk of one streaming ``sample_to``) share a
-    single worker startup and a single payload shipment.
+    The ``shared`` payload travels once per pool — by fork inheritance under
+    the (Linux-default) fork start method, through the pool initializer
+    otherwise.  Sidesteps the GIL entirely.  :meth:`open` binds a persistent
+    pool to one payload so consecutive calls (e.g. the fit pipeline's
+    selection and publish stages, or every chunk of one streaming
+    ``sample_to``) share a single worker startup and payload shipment.
+
+    Every result passes through :func:`~repro.engine.shm.export_result` in
+    the worker and :func:`~repro.engine.shm.import_result` in the parent:
+    big numeric ndarrays (shard matrices, decoded trace columns) come back
+    as :mod:`multiprocessing.shared_memory` segments — one memcpy instead of
+    the pickle-encode/pipe/pickle-decode round trip — while values under
+    :data:`~repro.engine.shm.SHM_MIN_BYTES` pickle through the pipe and are
+    charged to the copy ledger.  Pool teardown (``close()``, every drain,
+    every rebuild after a fault) sweeps segments orphaned by dead workers.
     """
 
     name = "process"
-
-    #: Worker-side wrapper each task is submitted through; the shared-memory
-    #: subclass swaps in the shm-exporting variant.  Must be module-level so
-    #: the pool can pickle it.
-    _caller = staticmethod(_call_task)
 
     def __init__(
         self,
@@ -257,19 +246,17 @@ class ProcessBackend(Backend):
     def _forking() -> bool:
         return multiprocessing.get_start_method() == "fork"
 
-    def _finish(self, raw):
-        """Post-process one raw future result (hook for the shm subclass)."""
-        return raw
-
-    def _discard(self, raw) -> None:
-        """Dispose of a raw result that will never be finished (shm hook)."""
-
-    def _drain(self, futures) -> None:
-        """Consume and discard unfinished futures so no result leaks.
+    @staticmethod
+    def _drain(futures) -> None:
+        """Reap unfinished futures, release their segments, sweep orphans.
 
         Called on every teardown path — early generator exit, a failed
-        sibling task — because the shared-memory subclass parks results in
-        ``/dev/shm`` segments that only die when imported or released.
+        sibling task — because exported results live in ``/dev/shm`` until
+        imported or released.  A worker killed between exporting a segment
+        and the parent importing it leaves no handle to release, but its
+        segment names are reconstructable (they embed this pid and the
+        worker's), so the sweep reclaims them.  Live workers' segments are
+        never touched.
         """
         for future in futures:
             try:
@@ -277,9 +264,10 @@ class ProcessBackend(Backend):
             except BaseException:
                 continue
             try:
-                self._discard(raw)
+                release_result(raw)
             except BaseException:  # pragma: no cover - best-effort cleanup
                 pass
+        sweep_orphan_segments()
 
     def _make_pool(self, workers: int, shared) -> ProcessPoolExecutor:
         """A pool whose (lazily forked) workers will carry ``shared``.
@@ -303,25 +291,30 @@ class ProcessBackend(Backend):
         other threads.
         """
         if not self._forking():
-            return pool.submit(self._caller, fn, task)
+            return pool.submit(_call_task, fn, task)
         with _TASK_SHARED_LOCK:
             _set_task_shared(shared)
             try:
-                return pool.submit(self._caller, fn, task)
+                return pool.submit(_call_task, fn, task)
             finally:
                 _set_task_shared(None)
 
+    def _persist(self, shared) -> ProcessPoolExecutor:
+        """Stand up the persistent pool bound to ``shared``."""
+        self._pool = self._make_pool(self.max_workers or default_workers(), shared)
+        self._pool_shared = shared
+        return self._pool
+
     def open(self, shared=None) -> None:
         self.close()
-        workers = self.max_workers or (multiprocessing.cpu_count() or 1)
-        self._pool = self._make_pool(workers, shared)
-        self._pool_shared = shared
+        self._persist(shared)
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
             self._pool_shared = None
+        sweep_orphan_segments()
 
     def _pool_for(self, shared, n_tasks: int) -> tuple[ProcessPoolExecutor, bool]:
         """The persistent pool when it carries ``shared``, else a fresh one.
@@ -332,10 +325,7 @@ class ProcessBackend(Backend):
         """
         if self._pool is not None and shared is self._pool_shared:
             if getattr(self._pool, "_broken", False):
-                self._kill_pool(self._pool)
-                self._after_failure()
-                workers = self.max_workers or (multiprocessing.cpu_count() or 1)
-                self._pool = self._make_pool(workers, shared)
+                return self._rebuild(self._pool, True, shared, n_tasks)
             return self._pool, True
         return self._make_pool(self._workers(n_tasks), shared), False
 
@@ -360,8 +350,14 @@ class ProcessBackend(Backend):
             remote_traceback=remote_traceback_of(exc),
         )
 
-    def _kill_pool(self, pool: ProcessPoolExecutor) -> None:
-        """Tear down a broken or hung pool without waiting for its tasks."""
+    @staticmethod
+    def _kill_pool(pool: ProcessPoolExecutor) -> None:
+        """Tear down a broken or hung pool without waiting for its tasks.
+
+        Ends with an orphan sweep: segments the dead workers exported but
+        nobody will import are reclaimed.  Callers import every salvageable
+        result *before* calling this, so only true orphans are destroyed.
+        """
         procs = list((getattr(pool, "_processes", None) or {}).values())
         for proc in procs:
             try:
@@ -374,9 +370,7 @@ class ProcessBackend(Backend):
             if proc.is_alive():  # pragma: no cover - SIGTERM was ignored
                 proc.kill()
                 proc.join(timeout=1.0)
-
-    def _after_failure(self) -> None:
-        """Post-teardown hook (the shm subclass sweeps orphan segments)."""
+        sweep_orphan_segments()
 
     def _rebuild(
         self, pool: ProcessPoolExecutor, reuse: bool, shared, n_tasks: int
@@ -388,106 +382,12 @@ class ProcessBackend(Backend):
         callers.
         """
         self._kill_pool(pool)
-        self._after_failure()
         if reuse:
-            workers = self.max_workers or (multiprocessing.cpu_count() or 1)
-            self._pool = self._make_pool(workers, shared)
-            self._pool_shared = shared
-            return self._pool, True
+            return self._persist(shared), True
         return self._make_pool(self._workers(n_tasks), shared), False
 
-    def _dispose(self, pool: ProcessPoolExecutor, reuse: bool) -> None:
-        """Final teardown after giving up on a faulted pool."""
-        self._kill_pool(pool)
-        self._after_failure()
-        if reuse:
-            self._pool = None
-            self._pool_shared = None
-
-    def _consume(self, futures: list, results: list, tries: dict):
-        """Wait for every submitted ``(index, future)`` pair, in index order.
-
-        Successful results are finished (shm handles imported) here,
-        *before* any pool teardown — the recovery path's orphan sweep would
-        otherwise destroy completed-but-unimported segments.  Returns
-        ``(failed_indices, (index, cause))`` on transient faults (the listed
-        tasks must be resubmitted); raises :class:`ShardTaskError` outright
-        when a task function failed deterministically.
-        """
-        failed: list[int] = []
-        cause = None
-        salvage = False
-        for pos, (idx, future) in enumerate(futures):
-            if salvage and not future.done():
-                # Already giving up on this pool; whatever is still running
-                # dies with it and reruns on the successor.
-                failed.append(idx)
-                continue
-            try:
-                raw = future.result(timeout=self.task_timeout)
-            except Exception as exc:
-                if self._transient(exc):
-                    if cause is None:
-                        cause = (idx, exc)
-                    failed.append(idx)
-                    salvage = True
-                    continue
-                self._drain(f for _, f in futures[pos + 1 :])
-                raise self._shard_error(idx, exc, tries[idx]) from exc
-            try:
-                results[idx] = self._finish(raw)
-            except FileNotFoundError as exc:
-                # The segment behind a completed task vanished before import:
-                # rerun just that task.
-                if cause is None:
-                    cause = (idx, exc)
-                failed.append(idx)
-        return failed, cause
-
     def run_tasks(self, fn, tasks, shared=None):
-        if not tasks:
-            return []
-        pool, reuse = self._pool_for(shared, len(tasks))
-        results = [None] * len(tasks)
-        remaining = list(range(len(tasks)))
-        tries = dict.fromkeys(remaining, 0)
-        round_no = 0
-        try:
-            while remaining:
-                futures = []
-                submit_exc = None
-                for idx in remaining:
-                    try:
-                        futures.append(
-                            (idx, self._submit_one(pool, shared, fn, tasks[idx]))
-                        )
-                    except BrokenExecutor as exc:
-                        # The pool died while the round was still being fed;
-                        # everything unsubmitted joins the retry round.
-                        submit_exc = exc
-                        break
-                    tries[idx] += 1
-                failed, cause = self._consume(futures, results, tries)
-                if submit_exc is not None:
-                    failed = failed + remaining[len(futures) :]
-                    if cause is None:
-                        cause = (remaining[len(futures)], submit_exc)
-                if not failed:
-                    break
-                index, exc = cause
-                round_no += 1
-                if not self.retry.retryable(round_no):
-                    self._dispose(pool, reuse)
-                    raise self._shard_error(
-                        index, exc, tries[index], transient=True
-                    ) from exc
-                pool, reuse = self._rebuild(pool, reuse, shared, len(failed))
-                self.retry.sleep(round_no)
-                remaining = failed
-            return results
-        finally:
-            if not reuse:
-                pool.shutdown()
+        return list(self.imap_tasks(fn, tasks, shared=shared, window=len(tasks)))
 
     def imap_tasks(self, fn, tasks, shared=None, window=None):
         tasks = list(tasks)
@@ -532,7 +432,7 @@ class ProcessBackend(Backend):
                     else:
                         pending.popleft()
                         try:
-                            ready[idx] = self._finish(raw)
+                            ready[idx] = import_result(raw)
                             continue
                         except FileNotFoundError as exc:
                             # The segment behind the head result vanished
@@ -547,7 +447,9 @@ class ProcessBackend(Backend):
                 round_no += 1
                 if not self.retry.retryable(round_no):
                     pending.clear()
-                    self._dispose(pool, reuse)
+                    self._kill_pool(pool)
+                    if reuse:
+                        self._pool = self._pool_shared = None
                     raise self._shard_error(
                         index, exc, tries.get(index, 1), transient=True
                     ) from exc
@@ -555,7 +457,7 @@ class ProcessBackend(Backend):
                 for j, f in pending:
                     if f.done():
                         try:
-                            ready[j] = self._finish(f.result())
+                            ready[j] = import_result(f.result())
                             continue
                         except Exception:
                             pass
@@ -575,53 +477,6 @@ class ProcessBackend(Backend):
                 pool.shutdown()
 
 
-class SharedMemoryBackend(ProcessBackend):
-    """A process pool whose large array results bypass the result pipe.
-
-    Identical task semantics to :class:`ProcessBackend` — the payload still
-    ships once per pool, results still arrive in task order — but any result
-    containing big numeric ndarrays (shard matrices, decoded trace columns)
-    comes back as :mod:`multiprocessing.shared_memory` segments: the worker
-    copies the array into a segment and sends a name-sized handle; the
-    parent attaches a view, materializes it, and unlinks.  One memcpy
-    replaces the pickle-encode/pipe/pickle-decode round trip, which is what
-    the per-shard serialization cost is mostly made of.  See
-    :mod:`repro.engine.shm` for the ownership protocol.
-    """
-
-    name = "shared"
-
-    _caller = staticmethod(_call_task_shm)
-
-    def _finish(self, raw):
-        return import_result(raw)
-
-    def _discard(self, raw):
-        release_result(raw)
-
-    def _drain(self, futures) -> None:
-        """Reap futures, then sweep segments orphaned by dead workers.
-
-        A worker killed between exporting a segment and the parent importing
-        it leaves no handle to release — every future it touched raises —
-        but its segment names are reconstructable (they embed this pid and
-        the worker's), so the sweep reclaims them here, on every teardown
-        path.  Live workers' segments are never touched.
-        """
-        super()._drain(futures)
-        sweep_orphan_segments()
-
-    def _after_failure(self) -> None:
-        """Recovery hook: reclaim segments orphaned by the workers that just
-        died.  Runs strictly after :meth:`_consume` imported the survivors,
-        so only results nobody will ever import are destroyed."""
-        sweep_orphan_segments()
-
-    def close(self) -> None:
-        super().close()
-        sweep_orphan_segments()
-
-
 def scatter_map(
     executor: Backend | None, fn, items: list, shared=None, n_chunks=None
 ) -> list:
@@ -639,7 +494,7 @@ def scatter_map(
     if executor is None:
         return fn(shared, list(items))
     if n_chunks is None:
-        n_chunks = executor.max_workers or (multiprocessing.cpu_count() or 1)
+        n_chunks = executor.max_workers or default_workers()
     k = max(1, min(int(n_chunks), len(items)))
     chunks = [items[i::k] for i in range(k)]
     chunk_results = executor.run_tasks(fn, [(chunk,) for chunk in chunks], shared=shared)
@@ -657,7 +512,6 @@ def scatter_map(
 _BACKEND_CLASSES = {
     SerialBackend.name: SerialBackend,
     ProcessBackend.name: ProcessBackend,
-    SharedMemoryBackend.name: SharedMemoryBackend,
 }
 
 
@@ -668,8 +522,8 @@ def get_backend(
     task_timeout: float | None = None,
     retry: "RetryPolicy | int | None" = None,
 ) -> Backend:
-    """Instantiate a backend by name (``serial``, ``process``, ``shared``,
-    ``fleet``).
+    """Instantiate a backend by name (``serial``, ``process``, ``fleet``;
+    ``shared`` is an accepted spelling of ``process``).
 
     ``task_timeout`` bounds the wait on any single task result;
     ``retry`` (a :class:`~repro.reliability.RetryPolicy`, or an int for
@@ -678,16 +532,12 @@ def get_backend(
     :class:`repro.fleet.LocalCluster` context (imported lazily: the fleet
     package depends on this module).
     """
+    name = canonical_backend(name)
     if name == "fleet":
         from repro.fleet.backend import FleetBackend
 
         return FleetBackend(
             max_workers=max_workers, task_timeout=task_timeout, retry=retry
         )
-    try:
-        cls = _BACKEND_CLASSES[name]
-    except KeyError:
-        raise ValueError(
-            f"backend must be one of {ALL_BACKENDS}, got {name!r}"
-        ) from None
+    cls = _BACKEND_CLASSES[name]
     return cls(max_workers=max_workers, task_timeout=task_timeout, retry=retry)

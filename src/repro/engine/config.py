@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 #: Names of the self-contained in-process execution backends — usable with
 #: no setup beyond ``EngineConfig``; generic parity suites iterate these.
-BACKENDS = ("serial", "process", "shared")
+BACKENDS = ("serial", "process")
 
 #: Backends that need external infrastructure before they can run: ``fleet``
 #: dispatches shards to the active :class:`repro.fleet.LocalCluster`
@@ -16,6 +16,19 @@ DISTRIBUTED_BACKENDS = ("fleet",)
 
 #: Every backend name ``EngineConfig``/``get_backend`` accept.
 ALL_BACKENDS = BACKENDS + DISTRIBUTED_BACKENDS
+
+#: Older spellings still accepted, mapped to the backend that runs them now.
+#: ``shared`` named a process pool returning large arrays through shared
+#: memory, which is what every ``process`` pool does.
+BACKEND_ALIASES = {"shared": "process"}
+
+
+def canonical_backend(name: str) -> str:
+    """``name`` with any alias resolved; ``ValueError`` for unknown names."""
+    canonical = BACKEND_ALIASES.get(name, name)
+    if canonical not in ALL_BACKENDS:
+        raise ValueError(f"backend must be one of {ALL_BACKENDS}, got {name!r}")
+    return canonical
 
 
 def _positive_int(name: str, value) -> int:
@@ -46,21 +59,20 @@ class EngineConfig:
     workers without touching the DP accounting.
     """
 
-    #: ``"serial"`` (in-process loop), ``"process"`` (ProcessPoolExecutor;
-    #: results pickled per task) or ``"shared"`` (process pool returning
-    #: large arrays through ``multiprocessing.shared_memory`` instead of the
-    #: result pipe).
+    #: ``"serial"`` (in-process loop) or ``"process"`` (ProcessPoolExecutor
+    #: returning large arrays through ``multiprocessing.shared_memory``
+    #: instead of the result pipe); ``"shared"`` is read as ``"process"``.
     backend: str = "serial"
     #: Number of independent GUM shards the record budget is split into.
     shards: int = 1
-    #: Worker cap for the process/shared backends (default: one per shard,
-    #: at most one per CPU).
+    #: Worker cap for the process backend (default: one per shard, at most
+    #: one per CPU).
     max_workers: int | None = None
     #: GUM update kernel: ``"fused"``, ``"reference"`` or ``"auto"`` (means
     #: ``"fused"``).  Both kernels are bit-identical, so this only changes
     #: speed, never output.
     kernel: str = "auto"
-    #: Per-task result timeout (seconds) for the process/shared backends; a
+    #: Per-task result timeout (seconds) for the process backend; a
     #: shard that exceeds it is treated as a hung worker and resubmitted.
     #: ``None`` (default) waits indefinitely.
     task_timeout: float | None = None
@@ -71,10 +83,7 @@ class EngineConfig:
     max_task_retries: int = 2
 
     def __post_init__(self) -> None:
-        if self.backend not in ALL_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {ALL_BACKENDS}, got {self.backend!r}"
-            )
+        self.backend = canonical_backend(self.backend)
         # Imported lazily: the kernel table lives under repro.synthesis,
         # whose package init reaches back into the engine backends.
         from repro.synthesis.kernels import get_kernel

@@ -1,17 +1,17 @@
-"""The engine executor: shard the record budget, run backends, merge results.
+"""The engine executor: the single-shard run and the helpers sharded runs share.
 
 RNG policy (reproducibility contract):
 
 - ``shards=1``: the caller's generator is used directly for initialization,
   GUM, and (continuing the same stream) decoding — with the serial backend
   and the reference GUM update this reproduces the pre-engine ``sample()``
-  bit for bit.
+  bit for bit.  :func:`execute_plan` runs this path.
 - ``shards>1``: per-shard streams are spawned from a
   :class:`numpy.random.SeedSequence`.  GUM shards use children
   ``0..shards-1``; decoding uses children ``shards..2*shards-1`` (one decode
-  stream per shard, for in-shard decoding) — the merged-decode child
-  ``shards`` of the legacy encoded path is shard 0's decode stream.  Either
-  way shard outputs are independent of the backend and of each other.
+  stream per shard, decoded inside the shard — see
+  :mod:`repro.engine.streaming`).  Shard outputs are independent of the
+  backend and of each other.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.engine.backends import Backend, get_backend
+from repro.engine.backends import Backend, _run_shard_task, get_backend
 from repro.engine.config import EngineConfig
-from repro.engine.plan import ShardResult, SynthesisPlan, shard_sizes
+from repro.engine.plan import SynthesisPlan
 from repro.synthesis.gum import GumResult
 from repro.synthesis.kernels import get_kernel
 from repro.utils.rng import ensure_rng
@@ -31,7 +31,7 @@ from repro.utils.timer import Timer
 
 @dataclass
 class ExecutionResult:
-    """Merged engine output: the aggregate GumResult plus the decode stream."""
+    """Single-shard engine output: the GumResult plus the decode stream."""
 
     gum: GumResult
     decode_rng: np.random.Generator
@@ -51,29 +51,18 @@ def _root_sequence(rng) -> np.random.SeedSequence:
 
 
 def _derive_streams(
-    rng, shards: int, decode_per_shard: bool = False
-) -> tuple[list[np.random.Generator], object]:
-    """Per-shard generators plus the decode generator(s).
+    rng, shards: int
+) -> tuple[list[np.random.Generator], list[np.random.Generator]]:
+    """Per-shard GUM generators plus per-shard decode generators.
 
-    Returns ``decode=None`` for single-shard runs: the shard's generator
-    itself (after synthesis) continues into decoding, preserving the legacy
-    single-stream behavior.  For sharded runs, ``decode`` is one generator
-    (child ``shards``, the legacy merged-decode stream) or — with
-    ``decode_per_shard`` — a list of ``shards`` generators (children
-    ``shards..2*shards-1``).  The GUM children ``0..shards-1`` are identical
-    in both modes, so the encoded shard outputs never depend on the decode
-    layout.
+    Children ``0..shards-1`` of the run's seed-sequence root drive GUM and
+    children ``shards..2*shards-1`` drive decoding, one of each per shard.
     """
-    if shards == 1:
-        if isinstance(rng, np.random.SeedSequence):
-            return [np.random.default_rng(rng)], None
-        return [ensure_rng(rng)], None
-    seq = _root_sequence(rng)
-    children = seq.spawn(2 * shards if decode_per_shard else shards + 1)
-    shard_rngs = [np.random.default_rng(child) for child in children[:shards]]
-    if decode_per_shard:
-        return shard_rngs, [np.random.default_rng(child) for child in children[shards:]]
-    return shard_rngs, np.random.default_rng(children[shards])
+    children = _root_sequence(rng).spawn(2 * shards)
+    return (
+        [np.random.default_rng(child) for child in children[:shards]],
+        [np.random.default_rng(child) for child in children[shards:]],
+    )
 
 
 def _merge_errors(results: list, sizes: list[int]) -> list[float]:
@@ -101,16 +90,6 @@ def _merge_errors(results: list, sizes: list[int]) -> list[float]:
     return list(weights @ padded / total)
 
 
-def _strip_payloads(results: list[ShardResult]) -> list[ShardResult]:
-    """Payload-free copies: keep timings/errors/iterations, drop the arrays.
-
-    The merged matrix already holds every row, so keeping the per-shard
-    ``data`` references alive inside ``GumResult.shard_results`` would double
-    peak RSS for the lifetime of the result object.
-    """
-    return [replace(r, data=None, rng=None) for r in results]
-
-
 def resolve_run_kernel(plan: SynthesisPlan, config: EngineConfig) -> str:
     """The concrete kernel name one engine run ships to every shard.
 
@@ -123,6 +102,16 @@ def resolve_run_kernel(plan: SynthesisPlan, config: EngineConfig) -> str:
     if name == "auto":
         name = plan.kernel
     return get_kernel(name).name
+
+
+def backend_for(config: EngineConfig) -> Backend:
+    """A fresh backend instance configured by ``config``."""
+    return get_backend(
+        config.backend,
+        config.max_workers,
+        task_timeout=config.task_timeout,
+        retry=config.max_task_retries,
+    )
 
 
 def resolve_record_count(plan: SynthesisPlan, n: int | None) -> int:
@@ -141,59 +130,60 @@ def execute_plan(
     rng=None,
     backend: Backend | None = None,
 ) -> ExecutionResult:
-    """Synthesize ``n`` encoded records under ``config``.
+    """Synthesize ``n`` encoded records on one shard: the golden single stream.
 
-    The returned :class:`ExecutionResult` carries the merged
-    :class:`~repro.synthesis.gum.GumResult` (shard rows concatenated in shard
-    order, payload-free per-shard results attached, wall-clock timings filled
-    in) and the generator the caller should decode with.  ``backend`` may be
-    a pre-built (possibly pool-holding) instance; by default one is created
-    from the config per call.
+    The returned :class:`ExecutionResult` carries the
+    :class:`~repro.synthesis.gum.GumResult` (the encoded matrix, a
+    payload-free copy of the shard result, wall-clock timings) and the
+    generator the caller decodes with — the shard's own stream, continued.
+    ``backend`` may be a pre-built (possibly pool-holding) instance; by
+    default one is created from the config per call.  Sharded runs decode
+    inside their shards and go through
+    :func:`~repro.engine.streaming.execute_plan_decoded` instead.
     """
     config = config or EngineConfig()
-    n = resolve_record_count(plan, n)
-    sizes = shard_sizes(n, config.shards)
-    # Every kernel consumes the stream identically (bit-exact parity is
-    # pinned by the golden digests), so even the legacy single-shard path is
-    # free to run the fastest kernel available.
-    kernel = resolve_run_kernel(plan, config)
-
-    shard_rngs, decode_rng = _derive_streams(rng, config.shards)
-    if backend is None:
-        backend = get_backend(
-            config.backend,
-            config.max_workers,
-            task_timeout=config.task_timeout,
-            retry=config.max_task_retries,
+    if config.shards != 1:
+        raise ValueError(
+            f"execute_plan runs one shard, got shards={config.shards}; "
+            "use execute_plan_decoded for sharded runs"
         )
+    n = resolve_record_count(plan, n)
+    # Every kernel consumes the stream identically (bit-exact parity is
+    # pinned by the golden digests), so even the golden path is free to run
+    # the fastest kernel available.
+    kernel = resolve_run_kernel(plan, config)
+    if isinstance(rng, np.random.SeedSequence):
+        shard_rng = np.random.default_rng(rng)
+    else:
+        shard_rng = ensure_rng(rng)
+    if backend is None:
+        backend = backend_for(config)
 
     timer = Timer()
     timer.start()
-    results = backend.run(plan, sizes, shard_rngs, kernel)
-    data = (
-        results[0].data
-        if len(results) == 1
-        else np.concatenate([r.data for r in results], axis=0)
+    (result,) = backend.run_tasks(
+        _run_shard_task, [(n, shard_rng, 0, kernel)], shared=plan
     )
-    if decode_rng is None:
-        # Continue the single shard's stream (round-tripped through pickling
-        # for the process backends, so the state is exactly the post-GUM one).
-        decode_rng = results[0].rng
-        if isinstance(rng, np.random.Generator) and decode_rng is not rng:
-            # Process backend advanced a pickled copy; fold the state back
-            # into the caller's generator so every backend mutates it
-            # identically (callers may keep drawing from it afterwards).
-            rng.bit_generator.state = decode_rng.bit_generator.state
-            decode_rng = rng
-    merged = GumResult(
-        data=data,
-        errors=_merge_errors(results, sizes),
-        iterations_run=max((r.iterations_run for r in results), default=0),
+    # Continue the shard's stream into decoding (round-tripped through
+    # pickling on the process backend, so the state is exactly the post-GUM
+    # one).
+    decode_rng = result.rng
+    if isinstance(rng, np.random.Generator) and decode_rng is not rng:
+        # The process backend advanced a pickled copy; fold the state back
+        # into the caller's generator so every backend mutates it
+        # identically (callers may keep drawing from it afterwards).
+        rng.bit_generator.state = decode_rng.bit_generator.state
+        decode_rng = rng
+    gum = GumResult(
+        data=result.data,
+        errors=_merge_errors([result], [n]),
+        iterations_run=result.iterations_run,
         seconds=timer.stop(),
         backend=config.backend,
-        shards=config.shards,
+        shards=1,
         kernel=kernel,
-        shard_results=_strip_payloads(results),
-        n_records=int(data.shape[0]),
+        # The matrix lives in ``data``; the shard copy keeps only metadata.
+        shard_results=[replace(result, data=None, rng=None)],
+        n_records=int(result.data.shape[0]),
     )
-    return ExecutionResult(gum=merged, decode_rng=decode_rng)
+    return ExecutionResult(gum=gum, decode_rng=decode_rng)

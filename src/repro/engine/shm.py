@@ -1,11 +1,11 @@
 """Shared-memory transport for ndarray-bearing task results.
 
-The process backend pays one pickle + pipe round trip per task result; for
-shard outputs (the (n, k) encoded matrix, or the decoded columns of a
-:class:`~repro.data.table.TraceTable`) that serialization dominates the IPC
-cost.  The ``shared`` backend instead has the **worker** park large results
-in :mod:`multiprocessing.shared_memory` segments and ship only name-sized
-handles through the pipe:
+A process pool that pickles every task result pays one pickle + pipe round
+trip per result; for shard outputs (the (n, k) encoded matrix, or the
+decoded columns of a :class:`~repro.data.table.TraceTable`) that
+serialization dominates the IPC cost.  The process backend instead has the
+**worker** park large results in :mod:`multiprocessing.shared_memory`
+segments and ship only name-sized handles through the pipe:
 
 - a bare numeric ndarray travels as a :class:`ShmArrayRef` (one segment, one
   worker-side memcpy, parent materializes and unlinks);
@@ -36,8 +36,9 @@ reconstructable.  :func:`sweep_orphan_segments` scans ``/dev/shm`` for this
 parent's prefix and unlinks segments whose creating worker *incarnation* no
 longer exists — a recycled pid with a different start-time token does not
 pin a dead worker's segments (pid liveness alone once did exactly that);
-the shared backend runs it after every drain and on ``close()``, so a
-killed worker cannot leak ``/dev/shm`` space past the run that lost it.
+the process backend runs it after every drain, every pool rebuild and on
+``close()``, so a killed worker cannot leak ``/dev/shm`` space past the run
+that lost it.
 
 Only values of at least :data:`SHM_MIN_BYTES` travel through segments; small
 arrays and tables, plus every other value, pickle through the pipe as usual

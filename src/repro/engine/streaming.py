@@ -1,11 +1,9 @@
 """Streaming execution plane: decode in the shards, emit bounded-size chunks.
 
-The legacy release path funnels every shard's encoded rows back into one
-process, decodes the whole matrix on a single stream, and holds the full
-trace in RAM.  This module pushes :meth:`SynthesisPlan.finalize` into the
-shards — each shard decodes its own rows with its own spawned decode stream
-(``SeedSequence`` children ``shards..2*shards-1``) — and exposes the result
-two ways:
+Sharded runs push :meth:`SynthesisPlan.finalize` into the shards — each
+shard decodes its own rows with its own spawned decode stream
+(``SeedSequence`` children ``shards..2*shards-1``), so encoded matrices never
+leave the workers — and expose the result two ways:
 
 - :func:`execute_plan_decoded` — the in-memory path ``sample()`` uses for
   sharded runs: decoded shard tables are concatenated in shard order, the
@@ -15,10 +13,9 @@ two ways:
   shards in flight (``Backend.imap_tasks``), so a loaded model can emit
   arbitrarily many records at bounded RSS.
 
-Both paths share the GUM children ``0..shards-1`` with the encoded path, so
-for a given ``(seed, shards)`` the synthesized rows are identical everywhere;
-only where decoding happens differs.  ``shards=1`` keeps the legacy
-single-stream synthesize-then-decode behavior bit for bit.
+For a given ``(seed, shards)`` both paths synthesize identical rows.
+``shards=1`` keeps the legacy single-stream synthesize-then-decode behavior
+bit for bit (:func:`~repro.engine.executor.execute_plan`).
 """
 
 from __future__ import annotations
@@ -28,11 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.table import TraceTable
-from repro.engine.backends import Backend, _run_decoded_shard_task, get_backend
+from repro.engine.backends import Backend, _run_decoded_shard_task
 from repro.engine.config import EngineConfig
 from repro.engine.executor import (
     _derive_streams,
     _merge_errors,
+    backend_for,
     execute_plan,
     resolve_record_count,
     resolve_run_kernel,
@@ -124,7 +122,7 @@ def _decoded_tasks(plan: SynthesisPlan, config: EngineConfig, n: int, rng):
     """The per-shard (task list, sizes) for an in-shard-decode run."""
     sizes = shard_sizes(n, config.shards)
     kernel = resolve_run_kernel(plan, config)
-    shard_rngs, decode_rngs = _derive_streams(rng, config.shards, decode_per_shard=True)
+    shard_rngs, decode_rngs = _derive_streams(rng, config.shards)
     tasks = [
         (size, shard_rng, decode_rng, index, kernel)
         for index, (size, shard_rng, decode_rng) in enumerate(
@@ -166,12 +164,7 @@ def execute_plan_decoded(
     if config.shards == 1:
         return _legacy_decoded(plan, config, n, rng, backend)
     if backend is None:
-        backend = get_backend(
-            config.backend,
-            config.max_workers,
-            task_timeout=config.task_timeout,
-            retry=config.max_task_retries,
-        )
+        backend = backend_for(config)
     tasks, sizes, kernel = _decoded_tasks(plan, config, n, rng)
     timer = Timer()
     timer.start()
@@ -235,12 +228,7 @@ def _stream_chunks(
 
     own_backend = backend is None
     if own_backend:
-        backend = get_backend(
-            config.backend,
-            config.max_workers,
-            task_timeout=config.task_timeout,
-            retry=config.max_task_retries,
-        )
+        backend = backend_for(config)
     tasks, sizes, kernel = _decoded_tasks(plan, config, n, rng)
     timer = Timer()
     timer.start()

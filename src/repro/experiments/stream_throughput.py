@@ -14,7 +14,7 @@ what the streaming execution plane buys end to end:
   once, then each probe loads it, streams ``n`` records to a sink, and
   reports its own peak RSS.  Growing ``n`` 10x at a fixed chunk size should
   leave the peak roughly flat;
-- **copy probe** — a sharded ``backend="shared"`` sample with the
+- **copy probe** — a sharded ``backend="process"`` sample with the
   :data:`~repro.data.arena.copy_stats` ledger reset around it: shard tables
   must cross as arena descriptors (``pickled_column_bytes == 0``, asserted
   by the benchmark), and ``bytes_copied_per_record`` — pickled plus stitch
@@ -38,6 +38,7 @@ from pathlib import Path
 from repro.core import NetDPSyn, SynthesisConfig
 from repro.data.table import TraceTable
 from repro.datasets import load_dataset
+from repro.engine import BACKENDS
 from repro.experiments.runner import ExperimentScale
 from repro.utils.memory import peak_rss_bytes
 from repro.utils.timer import Timer
@@ -47,7 +48,6 @@ DEFAULT_GRID = (
     ("serial", 1),
     ("serial", 4),
     ("process", 4),
-    ("shared", 4),
 )
 
 #: Shard count for the cross-backend digest-stability check.
@@ -125,7 +125,7 @@ def _run_probe(model_path: str, n: int, chunk: int, sink_format: str) -> dict:
 
 
 def copy_probe(synthesizer, n: int, seed: int, shards: int = 4) -> dict:
-    """Byte-movement ledger around one sharded ``backend="shared"`` sample.
+    """Byte-movement ledger around one sharded ``backend="process"`` sample.
 
     ``n`` is floored at 4000 so each of the ``shards`` decoded shard tables
     stays above ``SHM_MIN_BYTES`` — smaller tables legitimately pickle
@@ -136,7 +136,7 @@ def copy_probe(synthesizer, n: int, seed: int, shards: int = 4) -> dict:
 
     probe_n = max(min(n, 20_000), 4_000)
     copy_stats.reset()
-    trace = synthesizer.sample(probe_n, rng=seed, shards=shards, backend="shared")
+    trace = synthesizer.sample(probe_n, rng=seed, shards=shards, backend="process")
     snap = copy_stats.snapshot()
     return {
         "n_records": trace.n_records,
@@ -209,7 +209,7 @@ def run(
         backend: synthesizer.sample(
             min(n, 2000), rng=scale.seed + 7, shards=STABILITY_SHARDS, backend=backend
         ).content_digest()
-        for backend in ("serial", "process", "shared")
+        for backend in BACKENDS
     }
 
     result = {

@@ -1,7 +1,7 @@
 """FleetBackend: the engine backend that fans shard tasks across a fleet.
 
 ``get_backend("fleet")`` returns this class, which makes the fleet a
-drop-in peer of ``serial``/``thread``/``process``/``shared``::
+drop-in peer of ``serial``/``process``::
 
     with LocalCluster(workers=4):
         table = synth.sample(200_000, rng=7, shards=8, backend="fleet")

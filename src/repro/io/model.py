@@ -38,6 +38,11 @@ MODEL_VERSION = 1
 #: update ``fused`` runs now, so a model carrying one loads as ``fused``.
 RETIRED_KERNELS = ("vectorized", "numba")
 
+#: Engine backend names earlier releases stored, mapped to the backend that
+#: now produces the same output: ``thread`` ran the serial loop on threads,
+#: ``shared`` is the process pool every ``process`` backend now is.
+RETIRED_BACKENDS = {"thread": "serial", "shared": "process"}
+
 
 def save_model(synth, path) -> Path:
     """Write a fitted :class:`~repro.core.synthesizer.NetDPSyn` to ``path``.
@@ -117,18 +122,18 @@ def _upgrade_names(plan, config) -> None:
     """Map engine names retired since the model was saved to current ones.
 
     Without this ``config.engine.override()`` — run by every ``sample()`` —
-    would reject the stored name.  Every mapping is output-neutral: the
-    retired kernels were bit-identical to ``fused``, the retired ``thread``
-    backend to ``serial``.  A plan saved before it had a ``kernel`` field
-    gets ``"auto"``, and the retired ``GumConfig.update_mode`` pin is
-    dropped.
+    would reject a stored ``thread``, and a stored ``shared`` would outlive
+    the backend it named.  Every mapping is output-neutral: the retired
+    kernels were bit-identical to ``fused``, each retired backend to its
+    :data:`RETIRED_BACKENDS` target.  A plan saved before it had a
+    ``kernel`` field gets ``"auto"``, and the retired
+    ``GumConfig.update_mode`` pin is dropped.
     """
     kernel = getattr(plan, "kernel", "auto")
     plan.kernel = "fused" if kernel in RETIRED_KERNELS else kernel
     engine = config.engine
     if engine.kernel in RETIRED_KERNELS:
         engine.kernel = "fused"
-    if engine.backend == "thread":
-        engine.backend = "serial"
+    engine.backend = RETIRED_BACKENDS.get(engine.backend, engine.backend)
     for gum in (plan.gum, config.gum):
         vars(gum).pop("update_mode", None)

@@ -1,4 +1,4 @@
-"""Suite-wide hang backstop for environments without pytest-timeout.
+"""Suite-wide hang backstop and leak census.
 
 ``pyproject.toml`` sets ``timeout = 300`` for pytest-timeout, which is only
 in the ``[test]`` extras; without it that key does nothing and a deadlocked
@@ -6,12 +6,18 @@ test would stall the whole run.  In that case every test (setup, call and
 teardown) instead runs under ``faulthandler.dump_traceback_later``: past the
 same ceiling it dumps every thread's stack to the real stderr and exits the
 process, so a hang still fails loudly with the diagnostic that matters.
+
+The leak census (:func:`leak_census`, autouse) fails any test that leaves
+behind a new ``/dev/shm`` segment of this process's engine pools or a live
+``multiprocessing`` child.
 """
 
 from __future__ import annotations
 
 import faulthandler
+import gc
 import importlib.util
+import multiprocessing
 import os
 
 import pytest
@@ -47,3 +53,36 @@ if importlib.util.find_spec("pytest_timeout") is None:
             yield
         finally:
             faulthandler.cancel_dump_traceback_later()
+
+
+def _own_segments() -> set:
+    """This process's engine segments (``nds{pid:x}-*``, see repro.engine.shm)."""
+    prefix = f"nds{os.getpid():x}-"
+    try:
+        return {name for name in os.listdir("/dev/shm") if name.startswith(prefix)}
+    except FileNotFoundError:  # pragma: no cover - non-Linux
+        return set()
+
+
+def _live_children() -> set:
+    return {proc.pid for proc in multiprocessing.active_children()}
+
+
+@pytest.fixture(autouse=True)
+def leak_census():
+    """Fail a test that leaks shm segments or ``multiprocessing`` children.
+
+    Imported shard tables unlink their segment when collected, so a leak
+    candidate triggers one ``gc.collect()`` before it counts; clean tests
+    pay two directory scans and no collection.
+    """
+    segments, children = _own_segments(), _live_children()
+    yield
+    leaked = _own_segments() - segments
+    spawned = _live_children() - children
+    if leaked or spawned:
+        gc.collect()
+        leaked = _own_segments() - segments
+        spawned = _live_children() - children
+    assert not leaked, f"test leaked shm segments: {sorted(leaked)}"
+    assert not spawned, f"test left multiprocessing children alive: {sorted(spawned)}"

@@ -12,10 +12,10 @@ from repro.data.table import TraceTable
 from repro.engine import (
     BACKENDS,
     EngineConfig,
-    execute_plan,
     get_backend,
     shard_sizes,
 )
+from repro.engine.executor import execute_plan
 from repro.experiments.engine_scaling import PRE_REFACTOR_GOLDEN
 from repro.synthesis.decode import decode_records
 from repro.synthesis.gum import run_gum
@@ -232,11 +232,18 @@ class TestBackendEquality:
 
     def test_execute_plan_direct(self, fitted):
         plan = fitted.plan()
-        out = execute_plan(plan, EngineConfig(backend="process", shards=2), n=600, rng=3)
+        rng = np.random.default_rng(3)
+        out = execute_plan(plan, EngineConfig(backend="process"), n=600, rng=rng)
         assert out.gum.data.shape[0] == 600
-        assert out.gum.backend == "process" and out.gum.shards == 2
-        assert len(out.gum.shard_results) == 2
-        assert out.decode_rng is not None
+        assert out.gum.backend == "process" and out.gum.shards == 1
+        (shard,) = out.gum.shard_results
+        assert shard.data is None and shard.rng is None and shard.n_records == 600
+        # Decoding continues the caller's own generator, advanced past GUM.
+        assert out.decode_rng is rng
+        table = plan.finalize(out.gum.data, out.decode_rng)
+        assert table_digest(table) == table_digest(fitted.sample(600, rng=3))
+        with pytest.raises(ValueError, match="execute_plan_decoded"):
+            execute_plan(plan, EngineConfig(shards=2), n=600, rng=3)
 
     def test_invalid_n(self, fitted):
         with pytest.raises(ValueError):

@@ -373,24 +373,31 @@ class TestKernelConfigPersistence:
             fitted._plan = None
 
     def test_model_pinned_to_unavailable_kernel_still_samples(self, fitted, tmp_path):
-        """A model saved under a retired kernel name loads as ``fused``."""
+        """A model saved under a retired kernel name loads as ``fused``, and
+        one saved under a retired backend name as that backend's successor."""
         expected = fitted.sample(250, rng=13).content_digest()
         path = tmp_path / "model.ndpsyn"
         fitted.save(path)
-        for retired in ("vectorized", "numba"):
+        for retired, backend, successor in (
+            ("vectorized", "thread", "serial"),
+            ("numba", "shared", "process"),
+        ):
 
-            def pin(payload, retired=retired):
+            def pin(payload, retired=retired, backend=backend):
                 payload["plan"].kernel = retired
                 payload["config"].engine.kernel = retired
+                payload["config"].engine.backend = backend
                 payload["plan"].gum.update_mode = retired  # stale GumConfig field
 
             rewrite_model(path, pin)
             loaded = NetDPSyn.load(path)
             assert loaded.plan().kernel == "fused"
             assert loaded.config.engine.kernel == "fused"
+            assert loaded.config.engine.backend == successor
             assert not hasattr(loaded.plan().gum, "update_mode")
             assert loaded.config.engine.override().kernel == "fused"
             assert loaded.sample(250, rng=13).content_digest() == expected
+            assert loaded.gum_result.backend == successor
 
     def test_plan_without_kernel_field_defaults_to_auto(self, fitted, tmp_path):
         """Plans from model files saved before the field existed load as auto."""

@@ -6,7 +6,7 @@ The reliability contract under test:
   segment, or an injected transient error resubmits only the failed shards
   on their original ``SeedSequence`` children, so the recovered run's
   content digest equals the fault-free run's — for ``sample()`` and for
-  ``sample_stream()`` mid-stream, on the process and shared backends.
+  ``sample_stream()`` mid-stream, on per-call and persistent process pools.
 - **Failures are attributed.**  Anything crossing ``run_tasks`` out of a
   process pool is a :class:`ShardTaskError` with the shard index, the
   attempt count, and the worker-side traceback text.
@@ -21,6 +21,7 @@ Worker-side fault injection (kill/drop_shm inside pool workers) relies on
 platforms.  ``REPRO_FAULT_SEED`` pins the retry jitter in CI.
 """
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -310,6 +311,15 @@ class TestShardAttribution:
 
 
 # --------------------------------------------------- digest-identical chaos
+def _session(fitted, backend):
+    """``process``: a per-call pool.  ``shared`` (an accepted spelling of
+    ``process``): one persistent pool opened under that name, as the release
+    benchmark opens it, so recovery must rebuild the pool in place."""
+    if backend == "shared":
+        return fitted.pool(backend="shared", max_workers=2)
+    return contextlib.nullcontext()
+
+
 @fork_only
 class TestRecoveryDigestIdentity:
     """Recovered runs are bit-identical to fault-free runs, /dev/shm clean."""
@@ -322,7 +332,8 @@ class TestRecoveryDigestIdentity:
     def test_killed_worker_sample(self, fitted, baseline, backend):
         before = _shm_segments()
         with inject(FaultSpec(kind=KIND_KILL, site=SITE_SHARD, index=2)) as injector:
-            table = fitted.sample(N_SAMPLE, rng=123, shards=4, backend=backend)
+            with _session(fitted, backend):
+                table = fitted.sample(N_SAMPLE, rng=123, shards=4, backend=backend)
             assert injector.fired(KIND_KILL) == 1
         assert table.content_digest() == baseline
         assert _shm_segments() == before
@@ -330,7 +341,7 @@ class TestRecoveryDigestIdentity:
     def test_dropped_shm_segment_sample(self, fitted, baseline):
         before = _shm_segments()
         with inject(FaultSpec(kind=KIND_DROP_SHM, site=SITE_SHM_EXPORT)) as injector:
-            table = fitted.sample(N_SAMPLE, rng=123, shards=4, backend="shared")
+            table = fitted.sample(N_SAMPLE, rng=123, shards=4, backend="process")
             assert injector.fired(KIND_DROP_SHM) == 1
         assert table.content_digest() == baseline
         assert _shm_segments() == before
@@ -345,12 +356,13 @@ class TestRecoveryDigestIdentity:
         ]
         before = _shm_segments()
         with inject(FaultSpec(kind=KIND_KILL, site=SITE_SHARD, index=2)) as injector:
-            faulted = [
-                part.content_digest()
-                for part in fitted.sample_stream(
-                    N_SAMPLE, chunk=300, rng=5, shards=4, backend=backend
-                )
-            ]
+            with _session(fitted, backend):
+                faulted = [
+                    part.content_digest()
+                    for part in fitted.sample_stream(
+                        N_SAMPLE, chunk=300, rng=5, shards=4, backend=backend
+                    )
+                ]
             assert injector.fired(KIND_KILL) == 1
         assert faulted == clean
         assert _shm_segments() == before

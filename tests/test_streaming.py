@@ -1,5 +1,7 @@
 """Streaming engine tests: sharded decode, chunked sampling, sinks, shm pool."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from repro.data.table import TraceTable
 from repro.engine import (
     BACKENDS,
     EngineConfig,
-    SharedMemoryBackend,
+    ProcessBackend,
     execute_plan_decoded,
     get_backend,
 )
@@ -26,13 +28,22 @@ from repro.engine.plan import ShardResult
 from repro.engine.shm import export_result, import_result
 from repro.utils.memory import peak_rss_bytes
 
-#: Backends exercised by the digest-equality property tests (thread is
-#: covered by the engine suite; these are the streaming acceptance trio).
-STREAM_BACKENDS = ("serial", "process", "shared")
+#: Backends exercised by the stream digest-equality tests.  ``shared`` (the
+#: older spelling ``process`` is still accepted under) runs the release
+#: benchmark's configuration: calls served by one persistent pool opened as
+#: ``pool(backend="shared")`` — see :func:`_session`.
+STREAM_BACKENDS = (*BACKENDS, "shared")
 
 
 def digest(table) -> str:
     return table.content_digest()
+
+
+def _session(fitted, backend):
+    """A persistent pool for the ``shared`` spelling, per-call pools otherwise."""
+    if backend == "shared":
+        return fitted.pool(backend="shared", max_workers=2)
+    return contextlib.nullcontext()
 
 
 def _shm_segments() -> set:
@@ -122,9 +133,10 @@ class TestStreamEquality:
     @pytest.mark.parametrize("backend", STREAM_BACKENDS)
     def test_chunks_concat_to_sample(self, fitted, backend):
         expected = digest(fitted.sample(900, rng=5, shards=3, backend=backend))
-        chunks = list(
-            fitted.sample_stream(900, chunk=250, rng=5, shards=3, backend=backend)
-        )
+        with _session(fitted, backend):
+            chunks = list(
+                fitted.sample_stream(900, chunk=250, rng=5, shards=3, backend=backend)
+            )
         assert [c.n_records for c in chunks] == [250, 250, 250, 150]
         assert digest(TraceTable.concat_all(chunks)) == expected
 
@@ -172,9 +184,10 @@ class TestSampleTo:
     def test_round_trip_digest_equal(self, fitted, tmp_path, fmt, backend):
         expected = fitted.sample(700, rng=9, shards=2, backend=backend)
         path = tmp_path / f"trace.{fmt}"
-        report = fitted.sample_to(
-            path, n=700, chunk=173, rng=9, shards=2, backend=backend
-        )
+        with _session(fitted, backend):
+            report = fitted.sample_to(
+                path, n=700, chunk=173, rng=9, shards=2, backend=backend
+            )
         assert report.n_records == 700
         assert report.n_chunks == 5  # ceil(700 / 173)
         assert report.format == fmt
@@ -234,9 +247,16 @@ class TestSampleTo:
 
 
 class TestSharedBackend:
+    """The process pool's shared-memory result path and persistent pools."""
+
     def test_registered(self):
-        assert "shared" in BACKENDS
-        assert isinstance(get_backend("shared"), SharedMemoryBackend)
+        # "shared" is an accepted spelling of the one process backend.
+        assert "shared" not in BACKENDS
+        assert type(get_backend("shared")) is ProcessBackend
+        assert EngineConfig(backend="shared").backend == "process"
+        assert EngineConfig().override(backend="shared").backend == "process"
+        with pytest.raises(ValueError, match="backend must be one of"):
+            get_backend("threads")
 
     def test_shm_round_trip_large_and_small(self):
         rng = np.random.default_rng(0)
@@ -267,18 +287,19 @@ class TestSharedBackend:
 
         inline = build(None)
         shared = build(EngineConfig(backend="shared", max_workers=2))
+        assert shared.fit_report.backend == "process"
         assert digest(shared.sample(300, rng=5)) == digest(inline.sample(300, rng=5))
 
     def test_persistent_pool_reuse_matches_fresh_pools(self, fitted):
-        fresh = digest(fitted.sample(500, rng=21, shards=2, backend="shared"))
-        with fitted.pool(backend="shared", max_workers=2):
-            a = digest(fitted.sample(500, rng=21, shards=2, backend="shared"))
-            b = digest(fitted.sample(500, rng=21, shards=2, backend="shared"))
-        after = digest(fitted.sample(500, rng=21, shards=2, backend="shared"))
+        fresh = digest(fitted.sample(500, rng=21, shards=2, backend="process"))
+        with fitted.pool(backend="process", max_workers=2):
+            a = digest(fitted.sample(500, rng=21, shards=2, backend="process"))
+            b = digest(fitted.sample(500, rng=21, shards=2, backend="process"))
+        after = digest(fitted.sample(500, rng=21, shards=2, backend="process"))
         assert fresh == a == b == after
 
     def test_pool_ignored_for_other_backends(self, fitted):
-        with fitted.pool(backend="shared", max_workers=2):
+        with fitted.pool(backend="process", max_workers=2):
             out = fitted.sample(300, rng=1, shards=2, backend="serial")
         assert fitted.gum_result.backend == "serial"
         assert out.n_records == 300
@@ -286,22 +307,42 @@ class TestSharedBackend:
     def test_pool_is_default_backend_for_calls_under_it(self, fitted):
         # The documented usage omits per-call backend=; the open pool must
         # actually serve those calls, not sit idle.
-        expected = digest(fitted.sample(400, rng=6, shards=2, backend="shared"))
-        with fitted.pool(backend="shared", max_workers=2):
+        expected = digest(fitted.sample(400, rng=6, shards=2, backend="process"))
+        with fitted.pool(backend="process", max_workers=2):
             got = digest(fitted.sample(400, rng=6, shards=2))
-            assert fitted.gum_result.backend == "shared"
+            assert fitted.gum_result.backend == "process"
         assert got == expected
+
+    def test_shared_spelling_pool_serves_sample_to(self, fitted, tmp_path, monkeypatch):
+        # The release benchmark opens its pool as backend="shared" and then
+        # calls sample_to without a backend: every call must run on that one
+        # pool, never on a per-call pool.
+        pools = []
+        make_pool = ProcessBackend._make_pool
+
+        def counting(self, workers, shared):
+            pools.append(workers)
+            return make_pool(self, workers, shared)
+
+        monkeypatch.setattr(ProcessBackend, "_make_pool", counting)
+        expected = fitted.sample(700, rng=9, shards=4, backend="serial")
+        with fitted.pool(backend="shared", max_workers=2):
+            for _ in range(2):
+                fitted.sample_to(tmp_path / "t.csv", n=700, chunk=175, rng=9)
+                got = read_csv(tmp_path / "t.csv", expected.schema)
+                assert digest(got) == digest(expected)
+        assert pools == [2]
 
     def test_abandoned_stream_leaks_no_shm_segments(self, fitted):
         before = _shm_segments()
-        stream = fitted.sample_stream(1200, chunk=100, rng=3, shards=4, backend="shared")
+        stream = fitted.sample_stream(1200, chunk=100, rng=3, shards=4, backend="process")
         next(stream)
         stream.close()
         assert _shm_segments() == before
 
     def test_failed_task_leaks_no_shm_segments(self):
         before = _shm_segments()
-        runner = get_backend("shared", max_workers=2)
+        runner = get_backend("process", max_workers=2)
         with pytest.raises(RuntimeError, match="task boom"):
             runner.run_tasks(_failing_task, [(0,), (1,), (2,), (3,)])
         out = runner.run_tasks(_big_array_task, [(5,)])
@@ -310,7 +351,7 @@ class TestSharedBackend:
 
 
 class TestArenaDescriptorTransport:
-    """Tables cross the shared backend as (segment, slots) descriptors."""
+    """Tables cross the process pool as (segment, slots) descriptors."""
 
     def test_cross_process_table_round_trip(self):
         import gc
@@ -319,14 +360,16 @@ class TestArenaDescriptorTransport:
 
         before = _shm_segments()
         copy_stats.reset()
-        runner = get_backend("shared", max_workers=2)
+        runner = get_backend("process", max_workers=2)
         out = runner.run_tasks(_table_task, [(7,), (8,)])
         digests = [table.content_digest() for table in out]
         assert digests == [
             _make_mixed_table(seed).content_digest() for seed in (7, 8)
         ]
-        # Raw columns and dict codes crossed as one segment each: no column
-        # ever traveled through pickle.
+        # Each table is a view over its own segment, alive while the table
+        # is: the columns never went through the pickled pipe, which the
+        # copy ledger would have seen.
+        assert len(_shm_segments() - before) == 2
         assert copy_stats.snapshot()["pickled_array_bytes"] == 0
         del out
         gc.collect()
@@ -361,7 +404,7 @@ class TestArenaDescriptorTransport:
 
     def test_killed_worker_segments_are_swept(self):
         before = _shm_segments()
-        runner = get_backend("shared", max_workers=1)
+        runner = get_backend("process", max_workers=1)
         with pytest.raises(Exception):  # noqa: B017 - BrokenProcessPool
             runner.run_tasks(_export_then_die, [(0,)])
         runner.close()
@@ -455,7 +498,7 @@ class TestArenaDescriptorTransport:
         # so every shard must take the descriptor path.
         expected = digest(fitted.sample(4800, rng=19, shards=4, backend="serial"))
         copy_stats.reset()
-        got = digest(fitted.sample(4800, rng=19, shards=4, backend="shared"))
+        got = digest(fitted.sample(4800, rng=19, shards=4, backend="process"))
         assert got == expected
         snap = copy_stats.snapshot()
         assert snap["pickled_array_bytes"] == 0
