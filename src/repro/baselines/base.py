@@ -10,13 +10,8 @@ from __future__ import annotations
 
 import abc
 
-import numpy as np
-
-from repro.binning.encoder import TSDIFF, DatasetEncoder, EncodedDataset
 from repro.data.table import TraceTable
-from repro.synthesis.decode import decode_records
-from repro.synthesis.timestamps import reconstruct_timestamps
-from repro.utils.rng import ensure_rng
+from repro.engine.plan import finalize_encoded
 
 
 class BaselineSynthesizer(abc.ABC):
@@ -36,25 +31,18 @@ class BaselineSynthesizer(abc.ABC):
         """One-shot fit + sample."""
         return self.fit(table).sample(n)
 
+    def _finalize(self, data, rng) -> TraceTable:
+        """Decode sampled bins into a raw trace on NetDPSyn's decode path.
 
-def finalize_encoded_sample(
-    data: np.ndarray,
-    template: EncodedDataset,
-    encoder: DatasetEncoder,
-    original_schema,
-    rng: np.random.Generator | int | None,
-    rules: list | None = None,
-) -> TraceTable:
-    """Shared decode path: bins → values → timestamps → original schema."""
-    rng = ensure_rng(rng)
-    encoded = template.replace_data(np.asarray(data, dtype=np.int32))
-    table = decode_records(encoded, encoder, rng, rules=rules)
-    if TSDIFF in table.schema:
-        table = reconstruct_timestamps(
-            table,
-            tsdiff_codes=encoded.column(TSDIFF),
-            tsdiff_codec=encoder.codecs[TSDIFF],
-            rng=rng,
+        Subclasses set ``encoder``, ``_template``, ``_original_schema`` and
+        ``_rules`` in ``fit()``.
+        """
+        return finalize_encoded(
+            data,
+            self._template.attrs,
+            self.encoder.codecs,
+            self.encoder.schema,
+            self._original_schema,
+            rng,
+            rules=self._rules,
         )
-    columns = {name: table.column(name) for name in original_schema.names}
-    return TraceTable(original_schema, columns)

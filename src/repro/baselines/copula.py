@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import norm
 
-from repro.baselines.base import BaselineSynthesizer, finalize_encoded_sample
+from repro.baselines.base import BaselineSynthesizer
 from repro.binning.encoder import DatasetEncoder, EncoderConfig
 from repro.consistency.projection import norm_sub
 from repro.consistency.rules import build_default_rules
@@ -149,6 +149,4 @@ class GaussianCopulaSynthesizer(BaselineSynthesizer):
         for j in range(d):
             data[:, j] = np.searchsorted(self.marginal_cdfs[j], u[:, j], side="right")
             data[:, j] = np.clip(data[:, j], 0, len(self.marginal_cdfs[j]) - 1)
-        return finalize_encoded_sample(
-            data, self._template, self.encoder, self._original_schema, rng, self._rules
-        )
+        return self._finalize(data, rng)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.base import BaselineSynthesizer, finalize_encoded_sample
+from repro.baselines.base import BaselineSynthesizer
 from repro.baselines.netshare.gan import NetShareGan
 from repro.baselines.netshare.representation import BlockOneHot
 from repro.binning.encoder import DatasetEncoder, EncoderConfig
@@ -116,9 +116,7 @@ class NetShareSynthesizer(BaselineSynthesizer):
             raise RuntimeError("fit() must be called before sample()")
         n = n if n is not None else self._n
         data = self.gan.sample_codes(n)
-        return finalize_encoded_sample(
-            data, self._template, self.encoder, self._original_schema, self._rng, self._rules
-        )
+        return self._finalize(data, self._rng)
 
     def spent_epsilon(self) -> float:
         """Epsilon actually consumed by DP-SGD (for reporting)."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.base import BaselineSynthesizer, finalize_encoded_sample
+from repro.baselines.base import BaselineSynthesizer
 from repro.binning.encoder import DatasetEncoder, EncoderConfig
 from repro.consistency.projection import norm_sub
 from repro.consistency.rules import build_default_rules
@@ -183,9 +183,7 @@ class PgmSynthesizer(BaselineSynthesizer):
                     attr, par, columns[par], domain, rng
                 )
         data = np.stack([columns[a] for a in attrs], axis=1).astype(np.int32)
-        return finalize_encoded_sample(
-            data, self._template, self.encoder, self._original_schema, rng, self._rules
-        )
+        return self._finalize(data, rng)
 
     def _pair_marginal(self, a: str, b: str) -> Marginal | None:
         for key in ((a, b), (b, a)):

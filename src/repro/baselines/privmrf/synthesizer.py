@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.base import BaselineSynthesizer, finalize_encoded_sample
+from repro.baselines.base import BaselineSynthesizer
 from repro.baselines.privmrf.memory import MemoryAccountant
 from repro.baselines.privmrf.mrf import MarkovRandomField, charge_model_memory
 from repro.baselines.privmrf.selection import select_mrf_marginals
@@ -133,6 +133,4 @@ class PrivMrfSynthesizer(BaselineSynthesizer):
         rng = self._rng
         n = n if n is not None else self._n_estimate
         data = self.mrf.gibbs_sample(n, sweeps=self.config.gibbs_sweeps, rng=rng)
-        return finalize_encoded_sample(
-            data, self._template, self.encoder, self._original_schema, rng, self._rules
-        )
+        return self._finalize(data, rng)

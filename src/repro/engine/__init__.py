@@ -10,15 +10,17 @@ provides:
 - serial and process-pool :mod:`backends <repro.engine.backends>`
   exposing a generic map-style
   :meth:`~repro.engine.backends.Backend.run_tasks` (used by the fit
-  pipeline's exact-count fan-out and the shard runs) and the streaming
-  :meth:`~repro.engine.backends.Backend.imap_tasks`; the process pool
-  returns large arrays through shared memory;
+  pipeline's exact-count fan-out) and the streaming
+  :meth:`~repro.engine.backends.Backend.imap_tasks` (every shard run); the
+  process pool returns large results through shared memory;
 - :func:`execute_plan_decoded` / :func:`execute_plan_stream` — the
-  execution plane (:mod:`repro.engine.streaming`): the record budget is
-  split into shards with independent ``SeedSequence``-spawned streams,
-  decoding happens inside the shards, and results arrive as finished trace
-  tables, in bulk or as bounded-memory chunks.  One shard runs the golden
-  single-stream path of :mod:`repro.engine.executor`.
+  execution plane (:mod:`repro.engine.streaming`): one shard task that
+  synthesizes and decodes where it runs, one generator over
+  :meth:`~repro.engine.backends.Backend.imap_tasks`, and results that
+  arrive as finished trace tables, in bulk or as bounded-memory chunks.
+  :mod:`repro.engine.executor` cuts the record budget into shard tasks: one
+  shard runs the golden single stream on the caller's generator, more
+  shards get independent ``SeedSequence``-spawned streams.
 """
 
 from repro.engine.backends import (
@@ -34,7 +36,7 @@ from repro.engine.config import (
     DISTRIBUTED_BACKENDS,
     EngineConfig,
 )
-from repro.engine.plan import DecodedShard, ShardResult, SynthesisPlan, shard_sizes
+from repro.engine.plan import ShardResult, SynthesisPlan, shard_sizes
 from repro.engine.streaming import (
     DEFAULT_CHUNK,
     DecodedResult,
@@ -50,7 +52,6 @@ __all__ = [
     "DISTRIBUTED_BACKENDS",
     "DEFAULT_CHUNK",
     "DecodedResult",
-    "DecodedShard",
     "EngineConfig",
     "ProcessBackend",
     "SerialBackend",

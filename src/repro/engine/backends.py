@@ -100,25 +100,13 @@ def _run_shard_task(
     plan: SynthesisPlan,
     n: int,
     rng: np.random.Generator,
+    decode_rng: np.random.Generator | None,
     index: int,
     kernel: str,
 ) -> ShardResult:
-    """GUM shard synthesis as a ``run_tasks`` task; ``shared`` is the plan."""
+    """One shard's synthesis *and decode* as a task; ``shared`` is the plan."""
     maybe_fire(SITE_SHARD, index=index)
-    return plan.run_shard(n, rng, index=index, kernel=kernel)
-
-
-def _run_decoded_shard_task(
-    plan: SynthesisPlan,
-    n: int,
-    rng: np.random.Generator,
-    decode_rng: np.random.Generator,
-    index: int,
-    kernel: str,
-):
-    """Shard synthesis *plus decode* as one task (the streaming hot path)."""
-    maybe_fire(SITE_SHARD, index=index)
-    return plan.run_shard_decoded(n, rng, decode_rng, index=index, kernel=kernel)
+    return plan.run_shard(n, rng, decode_rng, index=index, kernel=kernel)
 
 
 class Backend(abc.ABC):

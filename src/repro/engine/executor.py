@@ -1,40 +1,30 @@
-"""The engine executor: the single-shard run and the helpers sharded runs share.
+"""The engine executor: how one release is cut into shard tasks.
 
-RNG policy (reproducibility contract):
+Every release runs the same task — :func:`~repro.engine.backends._run_shard_task`,
+which synthesizes *and decodes* one shard where it runs.  The shard count
+only decides which generators go into the task tuples (reproducibility
+contract):
 
-- ``shards=1``: the caller's generator is used directly for initialization,
-  GUM, and (continuing the same stream) decoding — with the serial backend
-  and the reference GUM update this reproduces the pre-engine ``sample()``
-  bit for bit.  :func:`execute_plan` runs this path.
+- ``shards=1``: the caller's generator drives initialization, GUM, and —
+  continuing the same stream (``decode_rng=None``) — decoding.  With any
+  backend and kernel this reproduces the pre-engine ``sample()`` bit for
+  bit.
 - ``shards>1``: per-shard streams are spawned from a
   :class:`numpy.random.SeedSequence`.  GUM shards use children
   ``0..shards-1``; decoding uses children ``shards..2*shards-1`` (one decode
-  stream per shard, decoded inside the shard — see
-  :mod:`repro.engine.streaming`).  Shard outputs are independent of the
-  backend and of each other.
+  stream per shard).  Shard outputs are independent of the backend and of
+  each other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
-from repro.engine.backends import Backend, _run_shard_task, get_backend
+from repro.engine.backends import Backend, get_backend
 from repro.engine.config import EngineConfig
-from repro.engine.plan import SynthesisPlan
-from repro.synthesis.gum import GumResult
+from repro.engine.plan import SynthesisPlan, shard_sizes
 from repro.synthesis.kernels import get_kernel
 from repro.utils.rng import ensure_rng
-from repro.utils.timer import Timer
-
-
-@dataclass
-class ExecutionResult:
-    """Single-shard engine output: the GumResult plus the decode stream."""
-
-    gum: GumResult
-    decode_rng: np.random.Generator
 
 
 def _root_sequence(rng) -> np.random.SeedSequence:
@@ -123,67 +113,27 @@ def resolve_record_count(plan: SynthesisPlan, n: int | None) -> int:
     return int(n)
 
 
-def execute_plan(
-    plan: SynthesisPlan,
-    config: EngineConfig | None = None,
-    n: int | None = None,
-    rng=None,
-    backend: Backend | None = None,
-) -> ExecutionResult:
-    """Synthesize ``n`` encoded records on one shard: the golden single stream.
+def shard_tasks(
+    plan: SynthesisPlan, config: EngineConfig, n: int, rng
+) -> tuple[list[tuple], list[int], str]:
+    """The ``(tasks, sizes, kernel)`` of one release of ``n`` records.
 
-    The returned :class:`ExecutionResult` carries the
-    :class:`~repro.synthesis.gum.GumResult` (the encoded matrix, a
-    payload-free copy of the shard result, wall-clock timings) and the
-    generator the caller decodes with — the shard's own stream, continued.
-    ``backend`` may be a pre-built (possibly pool-holding) instance; by
-    default one is created from the config per call.  Sharded runs decode
-    inside their shards and go through
-    :func:`~repro.engine.streaming.execute_plan_decoded` instead.
+    Each task is the argument tuple ``(n, rng, decode_rng, index, kernel)``
+    of :func:`~repro.engine.backends._run_shard_task`.  One shard runs on
+    the caller's own stream (a seed or ``SeedSequence`` becomes a fresh
+    generator, a ``Generator`` is used as is); sharded runs derive their
+    streams with :func:`_derive_streams`.  The kernel is resolved once, so
+    every shard runs the same one.
     """
-    config = config or EngineConfig()
-    if config.shards != 1:
-        raise ValueError(
-            f"execute_plan runs one shard, got shards={config.shards}; "
-            "use execute_plan_decoded for sharded runs"
-        )
-    n = resolve_record_count(plan, n)
-    # Every kernel consumes the stream identically (bit-exact parity is
-    # pinned by the golden digests), so even the golden path is free to run
-    # the fastest kernel available.
+    sizes = shard_sizes(n, config.shards)
     kernel = resolve_run_kernel(plan, config)
-    if isinstance(rng, np.random.SeedSequence):
-        shard_rng = np.random.default_rng(rng)
-    else:
-        shard_rng = ensure_rng(rng)
-    if backend is None:
-        backend = backend_for(config)
-
-    timer = Timer()
-    timer.start()
-    (result,) = backend.run_tasks(
-        _run_shard_task, [(n, shard_rng, 0, kernel)], shared=plan
-    )
-    # Continue the shard's stream into decoding (round-tripped through
-    # pickling on the process backend, so the state is exactly the post-GUM
-    # one).
-    decode_rng = result.rng
-    if isinstance(rng, np.random.Generator) and decode_rng is not rng:
-        # The process backend advanced a pickled copy; fold the state back
-        # into the caller's generator so every backend mutates it
-        # identically (callers may keep drawing from it afterwards).
-        rng.bit_generator.state = decode_rng.bit_generator.state
-        decode_rng = rng
-    gum = GumResult(
-        data=result.data,
-        errors=_merge_errors([result], [n]),
-        iterations_run=result.iterations_run,
-        seconds=timer.stop(),
-        backend=config.backend,
-        shards=1,
-        kernel=kernel,
-        # The matrix lives in ``data``; the shard copy keeps only metadata.
-        shard_results=[replace(result, data=None, rng=None)],
-        n_records=int(result.data.shape[0]),
-    )
-    return ExecutionResult(gum=gum, decode_rng=decode_rng)
+    if config.shards == 1:
+        return [(n, ensure_rng(rng), None, 0, kernel)], sizes, kernel
+    shard_rngs, decode_rngs = _derive_streams(rng, config.shards)
+    tasks = [
+        (size, shard_rng, decode_rng, index, kernel)
+        for index, (size, shard_rng, decode_rng) in enumerate(
+            zip(sizes, shard_rngs, decode_rngs)
+        )
+    ]
+    return tasks, sizes, kernel

@@ -12,7 +12,7 @@ regardless of how many shards generate them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,61 +32,33 @@ from repro.utils.timer import Timer
 
 @dataclass
 class ShardResult:
-    """Output of one independent GUM loop over a slice of the record budget."""
+    """Output of one shard: its decoded trace slice plus GUM metadata."""
 
     index: int
-    #: Encoded rows; the executor drops this reference (sets ``None``) once
-    #: the shard has been merged, so per-shard payloads never outlive the
-    #: concatenated result — only the metadata below is kept.
-    data: np.ndarray | None
-    errors: list = field(default_factory=list)
-    iterations_run: int = 0
-    #: Wall-clock seconds of this shard (initialization + GUM).
-    seconds: float = 0.0
-    #: The shard's generator, returned so a single-shard run can continue the
-    #: exact same stream into decoding (bit-compatibility with the
-    #: pre-engine ``sample()``); pickling round-trips the state intact.
-    rng: np.random.Generator | None = None
-    #: Row count of this shard; survives after ``data`` is dropped.
-    n_records: int = 0
-
-
-@dataclass
-class DecodedShard:
-    """Output of one shard that synthesized *and decoded* its own rows.
-
-    The streaming execution plane ships these instead of encoded matrices:
-    the encoded rows never leave the worker, only the finished
-    :class:`~repro.data.table.TraceTable` slice does.
-    """
-
-    index: int
-    table: TraceTable
+    #: The shard's decoded records; ``None`` in the :meth:`meta` copies a
+    #: merged run keeps, so shard tables never outlive the merge.
+    table: TraceTable | None
     errors: list = field(default_factory=list)
     iterations_run: int = 0
     #: Wall-clock seconds of this shard (initialization + GUM + decode).
     seconds: float = 0.0
     n_records: int = 0
+    #: The generator after decoding, set only when the shard decoded on its
+    #: GUM stream (``decode_rng=None``).  A worker advanced a pickled copy,
+    #: so the engine writes this state back into a caller-owned generator.
+    rng: np.random.Generator | None = None
 
-    def meta(self) -> ShardResult:
+    def meta(self) -> "ShardResult":
         """The shard's payload-free metadata, for ``GumResult.shard_results``."""
-        return ShardResult(
-            index=self.index,
-            data=None,
-            errors=self.errors,
-            iterations_run=self.iterations_run,
-            seconds=self.seconds,
-            n_records=self.n_records,
-        )
+        return replace(self, table=None, rng=None)
 
 
 @dataclass
 class SynthesisPlan:
     """All inputs of the sampling phase, frozen after ``fit()``.
 
-    Instances are self-contained: :meth:`run_shard` synthesizes encoded rows
-    and :meth:`finalize` decodes them into a raw trace, so a pickled plan is
-    enough to generate records anywhere.
+    Instances are self-contained: :meth:`run_shard` synthesizes and decodes
+    records, so a pickled plan is enough to generate records anywhere.
     """
 
     attrs: tuple
@@ -120,15 +92,18 @@ class SynthesisPlan:
         self,
         n: int,
         rng: np.random.Generator | int | None = None,
+        decode_rng: np.random.Generator | int | None = None,
         index: int = 0,
         kernel: str | None = None,
     ) -> ShardResult:
-        """Initialize and GUM-synthesize ``n`` encoded records.
+        """Initialize, GUM-synthesize and decode ``n`` records.
 
-        ``kernel`` overrides the update-step kernel for this run (the engine
-        ships a concrete, pre-resolved name to every shard); when omitted,
-        the plan's frozen :attr:`kernel` preference applies.  Kernel choice
-        never changes the output.
+        ``decode_rng=None`` continues ``rng`` into decoding: the golden
+        single stream, whose post-decode generator comes back as
+        :attr:`ShardResult.rng`.  Sharded runs pass each shard its own decode
+        stream (``SeedSequence`` child ``shards + index``).  ``kernel``
+        overrides the plan's frozen :attr:`kernel` preference for this run;
+        kernel choice never changes the output.
         """
         rng = ensure_rng(rng)
         timer = Timer()
@@ -151,63 +126,58 @@ class SynthesisPlan:
         result = run_gum(
             data, self.published, self.attrs, self.domain, self.gum, rng, kernel=kernel
         )
+        table = self.finalize(result.data, rng if decode_rng is None else decode_rng)
         return ShardResult(
             index=index,
-            data=result.data,
+            table=table,
             errors=result.errors,
             iterations_run=result.iterations_run,
             seconds=timer.stop(),
-            rng=rng,
-            n_records=int(result.data.shape[0]),
-        )
-
-    def run_shard_decoded(
-        self,
-        n: int,
-        rng: np.random.Generator | int | None = None,
-        decode_rng: np.random.Generator | int | None = None,
-        index: int = 0,
-        kernel: str | None = None,
-    ) -> DecodedShard:
-        """Synthesize ``n`` records and decode them in one worker-side step.
-
-        ``decode_rng`` drives the shard's own decode stream (the engine
-        derives it as ``SeedSequence`` child ``shards + index``); the encoded
-        matrix stays local to the worker, only the decoded trace slice is
-        returned.
-        """
-        timer = Timer()
-        timer.start()
-        shard = self.run_shard(n, rng, index=index, kernel=kernel)
-        table = self.finalize(shard.data, decode_rng)
-        return DecodedShard(
-            index=index,
-            table=table,
-            errors=shard.errors,
-            iterations_run=shard.iterations_run,
-            seconds=timer.stop(),
             n_records=table.n_records,
+            rng=rng if decode_rng is None else None,
         )
 
-    # -------------------------------------------------------------- decoding
     def finalize(
         self, data: np.ndarray, rng: np.random.Generator | int | None = None
     ) -> TraceTable:
         """Decode encoded rows, reconstruct timestamps, restore the schema."""
-        rng = ensure_rng(rng)
-        table = decode_encoded(
-            data, self.attrs, self.codecs, self.schema, rng, rules=self.rules
+        return finalize_encoded(
+            data,
+            self.attrs,
+            self.codecs,
+            self.schema,
+            self.original_schema,
+            rng,
+            rules=self.rules,
         )
-        if TSDIFF in table.schema:
-            tsdiff_codes = data[:, self.attrs.index(TSDIFF)]
-            table = reconstruct_timestamps(
-                table,
-                tsdiff_codes=tsdiff_codes,
-                tsdiff_codec=self.codecs[TSDIFF],
-                rng=rng,
-            )
-        columns = {name: table.column(name) for name in self.original_schema.names}
-        return TraceTable(self.original_schema, columns)
+
+
+def finalize_encoded(
+    data: np.ndarray,
+    attrs: tuple,
+    codecs: dict,
+    schema: Schema,
+    original_schema: Schema,
+    rng: np.random.Generator | int | None = None,
+    rules: list | None = None,
+) -> TraceTable:
+    """Decode encoded rows, reconstruct timestamps, restore the raw schema.
+
+    The one decode path of NetDPSyn and the baselines.  ``decode_encoded``
+    and ``reconstruct_timestamps`` are looked up in this module at call
+    time, so rebinding them here times (or replaces) every release's decode.
+    """
+    rng = ensure_rng(rng)
+    table = decode_encoded(data, attrs, codecs, schema, rng, rules=rules)
+    if TSDIFF in table.schema:
+        table = reconstruct_timestamps(
+            table,
+            tsdiff_codes=data[:, attrs.index(TSDIFF)],
+            tsdiff_codec=codecs[TSDIFF],
+            rng=rng,
+        )
+    columns = {name: table.column(name) for name in original_schema.names}
+    return TraceTable(original_schema, columns)
 
 
 def shard_sizes(n: int, shards: int) -> list[int]:

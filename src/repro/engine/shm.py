@@ -1,8 +1,8 @@
 """Shared-memory transport for ndarray-bearing task results.
 
 A process pool that pickles every task result pays one pickle + pipe round
-trip per result; for shard outputs (the (n, k) encoded matrix, or the
-decoded columns of a :class:`~repro.data.table.TraceTable`) that
+trip per result; for large results (a shard's decoded
+:class:`~repro.data.table.TraceTable`, the fit pipeline's count arrays) that
 serialization dominates the IPC cost.  The process backend instead has the
 **worker** park large results in :mod:`multiprocessing.shared_memory`
 segments and ship only name-sized handles through the pipe:
@@ -215,7 +215,8 @@ def sweep_orphan_segments() -> int:
     an unrelated process, which must not keep a dead worker's segment
     pinned).  Segments of live, token-matching workers are left alone — they
     are either in flight (the parent will import and unlink them) or about
-    to be handed over.  Legacy two-part names (``nds{parent}-{pid}-{seq}``,
+    to be handed over — and so are segments a live imported table still
+    maps, whatever became of their worker.  Legacy two-part names (``nds{parent}-{pid}-{seq}``,
     pre-token) fall back to pid liveness alone, as do tokens the sweep
     cannot recompute (no ``/proc``).  Returns the number of segments removed.
     """
@@ -224,7 +225,7 @@ def sweep_orphan_segments() -> int:
     prefix = f"nds{os.getpid():x}-"
     swept = 0
     for entry in os.listdir(_SHM_DIR):
-        if not entry.startswith(prefix):
+        if not entry.startswith(prefix) or entry in _MAPPED:
             continue
         parts = entry[len(prefix) :].split("-")
         try:
@@ -250,6 +251,12 @@ def sweep_orphan_segments() -> int:
     return swept
 
 
+#: Segments mapped by live imported tables.  Their workers may be gone, but
+#: they are not orphans: :func:`sweep_orphan_segments` leaves them to the
+#: capsule finalizer, which unlinks them when the last table dies.
+_MAPPED: set[str] = set()
+
+
 class _ArenaCapsule:
     """Keeps a parent-side segment mapping alive for the tables viewing it."""
 
@@ -267,6 +274,7 @@ def _release_mapped(shm) -> None:
     simply stays alive until the process exits, while ``unlink()`` still
     removes the name so the segment cannot outlive this run on disk.
     """
+    _MAPPED.discard(shm.name)
     try:
         shm.close()
     except BufferError:
@@ -384,6 +392,7 @@ def import_table(ref: ShmTableArenaRef) -> TraceTable:
     from multiprocessing import shared_memory
 
     shm = shared_memory.SharedMemory(name=ref.name)
+    _MAPPED.add(shm.name)
     capsule = _ArenaCapsule(shm.name)
     weakref.finalize(capsule, _release_mapped, shm)
     track_arena(capsule, ref.nbytes)
@@ -406,21 +415,19 @@ def _exportable(value) -> bool:
 def export_result(obj):
     """Recursively swap large payloads in a task result for shm handles.
 
-    Understands the engine's result shapes — bare arrays, ``ShardResult`` /
-    ``DecodedShard`` payloads, whole :class:`TraceTable` results (which
-    travel as single-segment arenas) — plus plain dict/list/tuple
+    Understands the engine's result shapes — bare arrays, whole
+    :class:`TraceTable` results (which travel as single-segment arenas) and
+    the tables inside ``ShardResult`` — plus plain dict/list/tuple
     containers.  Everything else passes through untouched (and is pickled by
     the pool as usual).
     """
-    from repro.engine.plan import DecodedShard, ShardResult
+    from repro.engine.plan import ShardResult
 
     if _exportable(obj):
         return export_array(obj)
     if isinstance(obj, TraceTable):
         return export_table(obj)
     if isinstance(obj, ShardResult):
-        return replace(obj, data=export_result(obj.data))
-    if isinstance(obj, DecodedShard):
         return replace(obj, table=export_result(obj.table))
     if isinstance(obj, dict):
         return {key: export_result(value) for key, value in obj.items()}
@@ -447,7 +454,7 @@ def import_result(obj):
     importing side, so the benchmark copy probe observes every byte that
     crossed the pipe regardless of which branch it took.
     """
-    from repro.engine.plan import DecodedShard, ShardResult
+    from repro.engine.plan import ShardResult
 
     if isinstance(obj, ShmArrayRef):
         return import_array(obj)
@@ -461,8 +468,6 @@ def import_result(obj):
             copy_stats.count_pickled(obj.nbytes)
         return obj
     if isinstance(obj, ShardResult):
-        return replace(obj, data=import_result(obj.data))
-    if isinstance(obj, DecodedShard):
         return replace(obj, table=import_result(obj.table))
     if isinstance(obj, dict):
         return {key: import_result(value) for key, value in obj.items()}
@@ -475,13 +480,11 @@ def import_result(obj):
 
 def release_result(obj) -> None:
     """Destroy every segment in an exported result that won't be imported."""
-    from repro.engine.plan import DecodedShard, ShardResult
+    from repro.engine.plan import ShardResult
 
     if isinstance(obj, (ShmArrayRef, ShmTableArenaRef)):
         release_array(obj)
     elif isinstance(obj, ShardResult):
-        release_result(obj.data)
-    elif isinstance(obj, DecodedShard):
         release_result(obj.table)
     elif isinstance(obj, dict):
         for value in obj.values():

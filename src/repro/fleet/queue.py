@@ -2,7 +2,7 @@
 
 One release = one list of shard tasks, fixed *before* any worker sees them:
 each task tuple already carries its shard's pre-spawned ``SeedSequence``
-child generators (the engine's ``_decoded_tasks`` derivation — GUM children
+child generators (the engine's ``shard_tasks`` derivation — GUM children
 ``0..shards-1``, decode children ``shards..2*shards-1``).  The queue only
 decides *where* a shard runs, never *what* it computes, which is the whole
 digest-equality argument:

@@ -379,11 +379,11 @@ class ServiceConfig:
       typed 503 + ``Retry-After`` instead of queueing (cache hits are never
       shed — they complete in microseconds and hold no engine resources).
     - ``breaker_failures`` / ``breaker_reset`` — circuit-breaker trip
-      threshold (consecutive engine faults) and open-state cool-down.
-    - ``degraded_serving`` — while the breaker is open, still answer
-      queries the marginal path covers (pure array reads off published
-      marginals, independent of the faulting execution machinery); only
-      queries that genuinely need sampling get the 503 ``circuit_open``.
+      threshold (consecutive engine faults) and open-state cool-down.  While
+      the breaker is open, queries the marginal path covers are still
+      answered (pure array reads off published marginals, independent of
+      the faulting execution machinery); only queries that genuinely need
+      sampling get the 503 ``circuit_open``.
     """
 
     micro_batch: bool = True
@@ -396,7 +396,6 @@ class ServiceConfig:
     max_inflight: int = 256
     breaker_failures: int = 5
     breaker_reset: float = 30.0
-    degraded_serving: bool = True
 
     def __post_init__(self) -> None:
         if self.request_deadline is not None and self.request_deadline <= 0:
@@ -552,11 +551,7 @@ class QueryService:
         whenever one covers the query), which is why the answer is safe to
         cache under the caller's prefer.
         """
-        if (
-            self.config.degraded_serving
-            and prefer is not Prefer.SAMPLE
-            and engine.answerable_from_marginal(query)
-        ):
+        if prefer is not Prefer.SAMPLE and engine.answerable_from_marginal(query):
             answer = engine.run(query, prefer=Prefer.MARGINAL)
             with self._inflight_lock:
                 self._degraded += 1

@@ -54,25 +54,24 @@ class GumConfig:
 class GumResult:
     """Synthesized encoded rows plus the convergence trace and timings.
 
-    Runs that decode inside the shards (the engine's sharded-decode and
-    streaming paths) never materialize a merged encoded matrix; they carry
-    ``data=None`` and record the row count in :attr:`n_records` instead.
+    Engine runs decode inside every shard and never materialize a merged
+    encoded matrix: they carry ``data=None`` and record the row count in
+    :attr:`n_records` instead.
     """
 
     data: np.ndarray | None
     errors: list = field(default_factory=list)
     iterations_run: int = 0
     #: Wall-clock seconds of the GUM loop; for engine runs this is the whole
-    #: sampling phase (initialization + GUM across all shards, plus decode
-    #: when the run decoded in-shard).
+    #: sampling phase (initialization + GUM + decode across all shards).
     seconds: float = 0.0
-    #: Execution provenance (filled in by :mod:`repro.engine` for sharded runs).
+    #: Execution provenance (filled in by :mod:`repro.engine`).
     backend: str = "serial"
     shards: int = 1
     #: The concrete kernel that executed the update steps.
     kernel: str = ""
-    #: Per-shard results when this result merges a sharded run (payload-free:
-    #: the executor keeps timings/errors/iterations but drops the data arrays).
+    #: Per-shard metadata of an engine run (``ShardResult.meta()`` copies:
+    #: timings, errors and iterations, no tables).
     shard_results: list = field(default_factory=list)
     #: Total synthesized rows; authoritative when ``data`` is ``None``.
     n_records: int | None = None

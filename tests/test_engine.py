@@ -12,10 +12,10 @@ from repro.data.table import TraceTable
 from repro.engine import (
     BACKENDS,
     EngineConfig,
+    execute_plan_decoded,
     get_backend,
     shard_sizes,
 )
-from repro.engine.executor import execute_plan
 from repro.experiments.engine_scaling import PRE_REFACTOR_GOLDEN
 from repro.synthesis.decode import decode_records
 from repro.synthesis.gum import run_gum
@@ -120,11 +120,13 @@ class TestSynthesisPlan:
         clone = pickle.loads(pickle.dumps(plan))
         a = plan.run_shard(400, np.random.default_rng(9), kernel="fused")
         b = clone.run_shard(400, np.random.default_rng(9), kernel="fused")
-        assert np.array_equal(a.data, b.data)
+        assert table_digest(a.table) == table_digest(b.table)
         assert a.errors == b.errors
-        ta = plan.finalize(a.data, np.random.default_rng(10))
-        tb = clone.finalize(b.data, np.random.default_rng(10))
-        assert table_digest(ta) == table_digest(tb)
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        c = plan.run_shard(400, 9, np.random.default_rng(10), kernel="fused")
+        d = clone.run_shard(400, 9, np.random.default_rng(10), kernel="fused")
+        assert table_digest(c.table) == table_digest(d.table)
+        assert c.rng is None
 
     def test_default_n_is_noisy_total(self, fitted):
         plan = fitted.plan()
@@ -216,7 +218,7 @@ class TestBackendEquality:
         # used to double peak RSS; only metadata survives the merge.
         fitted.sample(900, rng=2, shards=3, backend="serial")
         for result in fitted.gum_result.shard_results:
-            assert result.data is None
+            assert result.table is None
             assert result.n_records > 0
             assert result.seconds > 0
 
@@ -233,21 +235,21 @@ class TestBackendEquality:
     def test_execute_plan_direct(self, fitted):
         plan = fitted.plan()
         rng = np.random.default_rng(3)
-        out = execute_plan(plan, EngineConfig(backend="process"), n=600, rng=rng)
-        assert out.gum.data.shape[0] == 600
+        out = execute_plan_decoded(plan, EngineConfig(backend="process"), n=600, rng=rng)
+        assert out.table.n_records == 600
+        assert out.gum.data is None and out.gum.n_records == 600
         assert out.gum.backend == "process" and out.gum.shards == 1
         (shard,) = out.gum.shard_results
-        assert shard.data is None and shard.rng is None and shard.n_records == 600
-        # Decoding continues the caller's own generator, advanced past GUM.
-        assert out.decode_rng is rng
-        table = plan.finalize(out.gum.data, out.decode_rng)
-        assert table_digest(table) == table_digest(fitted.sample(600, rng=3))
-        with pytest.raises(ValueError, match="execute_plan_decoded"):
-            execute_plan(plan, EngineConfig(shards=2), n=600, rng=3)
+        assert shard.table is None and shard.rng is None and shard.n_records == 600
+        # The shard decoded on the caller's stream; the worker's copy of the
+        # generator was written back into the caller's own.
+        serial_rng = np.random.default_rng(3)
+        assert table_digest(out.table) == table_digest(fitted.sample(600, rng=serial_rng))
+        assert rng.bit_generator.state == serial_rng.bit_generator.state
 
     def test_invalid_n(self, fitted):
         with pytest.raises(ValueError):
-            execute_plan(fitted.plan(), EngineConfig(), n=0)
+            execute_plan_decoded(fitted.plan(), EngineConfig(), n=0)
 
 
 class TestTimingInstrumentation:

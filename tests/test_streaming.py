@@ -152,6 +152,36 @@ class TestStreamEquality:
         parts = list(fitted.sample_stream(600, chunk=200, rng=11, shards=1))
         assert digest(TraceTable.concat_all(parts)) == expected
 
+    def test_single_shard_stream_advances_caller_generator(self, fitted):
+        # The process worker advances a pickled copy of the generator; the
+        # stream must write its state back exactly as sample() does.
+        serial_rng = np.random.default_rng(17)
+        expected = digest(fitted.sample(600, rng=serial_rng))
+        process_rng = np.random.default_rng(17)
+        parts = list(
+            fitted.sample_stream(
+                600, chunk=250, rng=process_rng, shards=1, backend="process"
+            )
+        )
+        assert digest(TraceTable.concat_all(parts)) == expected
+        assert process_rng.bit_generator.state == serial_rng.bit_generator.state
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_each_row_copied_at_most_once(self, fitted, monkeypatch, shards):
+        taken = []
+        original = TraceTable.take
+
+        def counting_take(self, indices):
+            out = original(self, indices)
+            taken.append(out.n_records)
+            return out
+
+        monkeypatch.setattr(TraceTable, "take", counting_take)
+        n = 3000
+        parts = list(fitted.sample_stream(n, chunk=70, rng=5, shards=shards))
+        assert sum(p.n_records for p in parts) == n
+        assert sum(taken) <= n
+
     def test_default_shards_derived_from_chunk(self, fitted):
         parts = list(fitted.sample_stream(800, chunk=200, rng=2))
         assert sum(p.n_records for p in parts) == 800
@@ -166,7 +196,7 @@ class TestStreamEquality:
         result = fitted.gum_result
         assert result is not None
         assert len(result.shard_results) == 2
-        assert all(r.data is None for r in result.shard_results)
+        assert all(r.table is None for r in result.shard_results)
         assert result.errors and result.iterations_run >= 1
 
     def test_invalid_arguments_raise_at_call_time(self, fitted):
@@ -271,12 +301,15 @@ class TestSharedBackend:
         assert out["nested"][1][1] == 3.5 and out["plain"] == "x"
 
     def test_shard_result_round_trip(self):
-        rng = np.random.default_rng(1)
-        data = rng.integers(0, 9, size=(400, 60), dtype=np.int32)
-        shard = ShardResult(index=2, data=data, errors=[0.5, 0.4], n_records=400)
-        out = import_result(export_result(shard))
+        from repro.engine.shm import ShmTableArenaRef
+
+        table = _make_mixed_table(1)  # > 64 KiB: travels as an arena segment
+        shard = ShardResult(index=2, table=table, errors=[0.5, 0.4], n_records=6000)
+        exported = export_result(shard)
+        assert isinstance(exported.table, ShmTableArenaRef)
+        out = import_result(exported)
         assert out.index == 2 and out.errors == [0.5, 0.4]
-        assert np.array_equal(out.data, data)
+        assert out.table.content_digest() == table.content_digest()
 
     def test_fit_with_shared_executor_is_bit_identical(self, ton):
         def build(fit_engine):
@@ -366,6 +399,9 @@ class TestArenaDescriptorTransport:
         assert digests == [
             _make_mixed_table(seed).content_digest() for seed in (7, 8)
         ]
+        # The workers are gone after close(), but the tables still map their
+        # segments, so the orphan sweep must leave them alone.
+        runner.close()
         # Each table is a view over its own segment, alive while the table
         # is: the columns never went through the pickled pipe, which the
         # copy ledger would have seen.
@@ -579,7 +615,7 @@ class TestMergeErrors:
         return merged
 
     def _shards(self, curves):
-        return [ShardResult(index=i, data=None, errors=c) for i, c in enumerate(curves)]
+        return [ShardResult(index=i, table=None, errors=c) for i, c in enumerate(curves)]
 
     def test_matches_reference_on_ragged_curves(self):
         rng = np.random.default_rng(42)
