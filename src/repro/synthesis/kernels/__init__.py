@@ -4,10 +4,10 @@ The GUM record-update hot path is expressed as a :class:`GumKernel`:
 
 - ``reference`` — the original per-cell Python loop, kept verbatim as the
   golden oracle (:mod:`~repro.synthesis.kernels.reference`);
-- ``fused`` — whole-step numpy passes over a fused (marginals x records)
-  code matrix: radix-sorted grouping, a single bounds-broadcast duplication
-  draw, and a one-``bincount`` cache patch for every marginal at once, with
-  compiled twins when numba is present
+- ``fused`` — whole-step numpy passes over a fused (records x marginals)
+  code arena: radix-sorted grouping, cell bounds from the cached counts, a
+  single bounds-broadcast duplication draw, and a touched-key count patch
+  for every marginal at once, with compiled twins when numba is present
   (:mod:`~repro.synthesis.kernels.fused`).
 
 Both kernels consume the random stream identically and produce bit-identical

@@ -6,29 +6,35 @@ while consuming the random stream *exactly* like
 :mod:`~repro.synthesis.kernels.base`), so its output is bit-identical:
 
 - **cached codes and counts** — every marginal's cell codes live in one
-  ``(M, n)`` matrix and its counts in one flat arena with per-marginal
-  offsets, built once per run and patched only for the rows a step rewrites
-  (integer deltas on float64 counts are exact, so the cached counts equal a
-  fresh ``bincount``);
+  row-major ``(n, M)`` arena (``n`` records by ``M`` marginals; marginal
+  ``k`` reads the column view ``codes[:, k]``) and its counts in one flat
+  arena with per-marginal offsets, built once per run and patched only for
+  the rows a step rewrites;
 - **grouping** — cell codes are cast to ``uint16`` whenever the marginal has
   at most :data:`RADIX_MAX_CELLS` cells (every NetDPSyn marginal does: the
   largest ToN marginal has ~2.7k cells), which flips numpy's stable
   ``argsort`` onto its O(n) radix path — bit-identical, since casting
   in-range codes preserves order exactly;
-- **free/refill** — one vectorized ``searchsorted`` and one
-  ``repeat``/``arange`` segment gather per pass instead of per-cell slicing,
-  and one fancy-indexed write per pass instead of per-cell writes;
+- **cell bounds** — the cached counts *are* the cell lengths of the grouped
+  rows, so one ``cumsum`` over the marginal's cells gives every cell's
+  segment start (no ``searchsorted`` over the ``n`` sorted codes);
+- **free/refill** — one ``repeat``/``arange`` segment gather per pass
+  instead of per-cell slicing, and one fancy-indexed write per pass instead
+  of per-cell writes;
 - **duplication draws** — the reference consumes one
   ``rng.integers(0, match, size=n_dup)`` call per refilled cell; a single
   ``rng.integers(0, bounds)`` call with the per-cell bounds repeated
   per-slot consumes the *identical* stream (PCG64 draws one bounded word per
   element either way — pinned by the parity suite against future numpy
   changes) at ~1/100th of the Python dispatch cost;
-- **cache patch** — the new codes of the freed rows for *every* marginal
-  come from one BLAS matmul against an ``(attrs, M)`` stride matrix
+- **touched-key patch** — the new codes of the freed rows for *every*
+  marginal come from one BLAS matmul against an ``(attrs, M)`` stride matrix
   (float64 products of in-domain codes are < 2^53, so the round-trip through
-  float is exact), and the counts patch is ONE signed-weight ``bincount``
-  over offset-shifted codes.
+  float is exact); the old codes are one row gather ``codes[freed]``, the
+  write-back one row scatter, and the counts are patched by ``subtract.at``
+  / ``add.at`` over only the touched keys, two per freed row and marginal
+  (integer deltas on float64 counts are exact, so the cached counts equal a
+  fresh ``bincount``).  A step thus costs what it moves, not the arena size.
 
 The free/refill writes commute with the reference's sequential per-cell
 writes: freed rows come from over-full cells and duplication sources from
@@ -37,7 +43,7 @@ under-full cells, the two cell sets are disjoint (``excess > 0`` vs
 freed slots partition exactly.
 
 **Optional numba accelerator.** When numba imports, the grouping becomes a
-compiled O(n + cells) stable counting sort and the cache patch a
+compiled O(n + cells) stable counting sort and the count patch a
 per-marginal ``@njit(nogil=True)`` loop.  The compiled functions' pure-Python
 twins (:func:`_group_rows_py`, :func:`_patch_rows_py`) are the source of
 truth — the njit wrapper is applied to them at first use and cached on disk
@@ -81,11 +87,13 @@ def numba_available() -> bool:
 def _patch_rows_py(data, rows, axes, strides, codes, counts):
     """Re-code ``rows`` of ``data`` for one marginal and patch its counts.
 
-    For each rewritten row, the new flat cell code is the stride-weighted sum
-    of the row's values on the marginal's axes (exactly ``ravel_multi_index``
-    for in-domain values), the old code's count decremented, the new one
-    incremented.  Integer deltas on float64 counts are exact, so the cached
-    counts stay equal to a fresh ``bincount``.
+    ``codes`` is the marginal's strided column view of the ``(n, M)`` code
+    arena, written in place.  For each rewritten row, the new flat cell code
+    is the stride-weighted sum of the row's values on the marginal's axes
+    (exactly ``ravel_multi_index`` for in-domain values), the old code's
+    count decremented, the new one incremented.  Integer deltas on float64
+    counts are exact, so the cached counts stay equal to a fresh
+    ``bincount``.
     """
     for i in range(rows.shape[0]):
         r = rows[i]
@@ -101,10 +109,10 @@ def _patch_rows_py(data, rows, axes, strides, codes, counts):
 def _group_rows_py(codes, perm, size):
     """Stable counting sort of ``perm`` by ``codes[perm]``.
 
-    The loop twin of ``argsort(codes[perm], kind="stable")``: returns the
-    row indices grouped by cell (within-cell order following ``perm``) and
-    the sorted cell codes — bit-identical to the numpy grouping, in
-    ``O(n + size)`` instead of ``O(n log n)``.
+    The loop twin of ``perm[argsort(codes[perm], kind="stable")]``: returns
+    the row indices grouped by cell (within-cell order following ``perm``)
+    — bit-identical to the numpy grouping, in ``O(n + size)`` instead of
+    ``O(n log n)``.
     """
     n = perm.shape[0]
     counts = np.zeros(size + 1, dtype=np.int64)
@@ -113,16 +121,13 @@ def _group_rows_py(codes, perm, size):
     for c in range(size):
         counts[c + 1] += counts[c]
     rows_by_cell = np.empty(n, dtype=perm.dtype)
-    sorted_codes = np.empty(n, dtype=codes.dtype)
     cursor = counts[:size].copy()
     for i in range(n):
         r = perm[i]
         c = codes[r]
-        dest = cursor[c]
-        rows_by_cell[dest] = r
-        sorted_codes[dest] = c
+        rows_by_cell[cursor[c]] = r
         cursor[c] += 1
-    return rows_by_cell, sorted_codes
+    return rows_by_cell
 
 
 #: Lazily compiled njit twins (filled on first use).
@@ -175,40 +180,38 @@ def _segment_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 class FusedKernel(GumKernel):
-    """Single-pass grouping + draws + cache patch over fused per-run state."""
+    """Single-pass grouping + draws + count patch over fused per-run state."""
 
     name = "fused"
     uses_cache = True
 
     def prepare(self, data, states):
-        """Build the fused per-run state: code matrix, counts arena, strides.
+        """Build the fused per-run state: ``(n, M)`` code arena, counts, strides.
 
         Each marginal's ``codes``/``counts`` are bound to views into the
-        fused storage, so :meth:`step` reads the per-marginal caches while
-        :meth:`_apply_updates` patches them all at once.
+        fused storage (``codes[:, k]`` and a slice of the counts arena), so
+        :meth:`step` reads the per-marginal caches while :meth:`_apply_updates`
+        patches them all at once.
         """
         n, n_attrs = data.shape
         m = len(states)
         sizes = np.array([state.target.size for state in states], dtype=np.int64)
         offsets = np.zeros(m, dtype=np.int64)
         np.cumsum(sizes[:-1], out=offsets[1:])
-        total = int(sizes.sum())
-        codes = np.empty((m, n), dtype=np.int64)
-        counts = np.zeros(total, dtype=np.float64)
+        codes = np.empty((n, m), dtype=np.int64)
+        counts = np.zeros(int(sizes.sum()), dtype=np.float64)
         strides = np.zeros((n_attrs, m), dtype=np.float64)
         for k, state in enumerate(states):
-            codes[k] = _cell_codes(data[:, state.axes], state.shape)
+            state.codes = codes[:, k]
+            state.codes[...] = _cell_codes(data[:, state.axes], state.shape)
             view = counts[offsets[k] : offsets[k] + sizes[k]]
-            view[...] = np.bincount(codes[k], minlength=int(sizes[k]))
-            state.codes = codes[k]
+            view[...] = np.bincount(state.codes, minlength=int(sizes[k]))
             state.counts = view
             strides[state.axes, k] = _strides_for(state.shape)
         self._codes = codes
         self._counts = counts
         self._offsets = offsets
         self._strides = strides
-        self._total = total
-        self._m = m
         self._jit = numba_available()
         if self._jit:
             self._axes = [
@@ -219,7 +222,6 @@ class FusedKernel(GumKernel):
     def step(self, data, states, k, alpha, config, rng):
         state = states[k]
         n = data.shape[0]
-        codes = state.codes
         diff = state.target - state.counts
         pre_error = float(np.abs(diff).sum()) / (2.0 * n)
 
@@ -232,22 +234,23 @@ class FusedKernel(GumKernel):
             return pre_error
 
         perm = rng.permutation(n)
-        rows_by_cell, sorted_codes = self._group_rows(codes, perm, state.target.size)
+        rows_by_cell = self._group_rows(state.codes, perm, state.target.size)
+        # The cached counts are the cell lengths of the grouped rows.
+        cell_len = state.counts.astype(np.int64)
+        cell_lo = np.cumsum(cell_len) - cell_len
 
         # --- free rows from over-represented cells (one pass) --------------
         over_cells = np.nonzero(excess > 0)[0]
         over_quota = rng.multinomial(moves, excess[over_cells] / excess_total)
-        lo = np.searchsorted(sorted_codes, over_cells, side="left")
-        hi = np.searchsorted(sorted_codes, over_cells, side="right")
         cap = np.where(
             excess[over_cells] >= 1.0,
             np.minimum(over_quota, np.floor(excess[over_cells]).astype(np.int64)),
             over_quota,
         )
-        take = np.minimum(cap, hi - lo)
+        take = np.minimum(cap, cell_len[over_cells])
         if int(take.sum()) <= 0:
             return pre_error
-        freed = rows_by_cell[_segment_gather(lo, take)]
+        freed = rows_by_cell[_segment_gather(cell_lo[over_cells], take)]
         rng.shuffle(freed)
 
         # --- refill freed rows for under-represented cells (one pass) ------
@@ -256,9 +259,8 @@ class FusedKernel(GumKernel):
         nz = fill_quota > 0
         cells_nz = under_cells[nz]
         quota_nz = fill_quota[nz].astype(np.int64)
-        lo_u = np.searchsorted(sorted_codes, cells_nz, side="left")
-        hi_u = np.searchsorted(sorted_codes, cells_nz, side="right")
-        match = hi_u - lo_u
+        lo_u = cell_lo[cells_nz]
+        match = cell_len[cells_nz]
         # round() and np.rint both round half to even, so the per-cell split
         # equals the reference's int(round(quota * fraction)).
         n_dup = np.where(
@@ -291,7 +293,7 @@ class FusedKernel(GumKernel):
         return pre_error
 
     def _group_rows(self, codes, perm, size):
-        """Rows grouped by cell (stable in ``perm`` order) + their codes.
+        """Rows grouped by cell, stable in ``perm`` order.
 
         Any stable grouping is bit-equivalent to the reference's
         ``argsort(codes[perm], kind="stable")``.
@@ -306,7 +308,7 @@ class FusedKernel(GumKernel):
             order = np.argsort(cp.astype(np.uint16), kind="stable")
         else:  # pragma: no cover - no shipped marginal exceeds 65535 cells
             order = np.argsort(cp, kind="stable")
-        return perm[order], cp[order]
+        return perm[order]
 
     def _dup_offsets(self, rng, match, n_dup, dup_idx):
         """All per-cell duplication draws as one bounds-broadcast call.
@@ -320,25 +322,15 @@ class FusedKernel(GumKernel):
 
     def _apply_updates(self, data, states, freed):
         """Patch every marginal's cached codes/counts for the rewritten rows."""
-        k = freed.shape[0]
-        if k == 0:
-            return
         if self._jit:
             patch = _compiled("patch_rows", _patch_rows_py)
             rows = np.ascontiguousarray(freed, dtype=np.int64)
             for state, axes, strides in zip(states, self._axes, self._int_strides):
                 patch(data, rows, axes, strides, state.codes, state.counts)
             return
-        m = self._m
         # One matmul re-codes the freed rows for every marginal: exact,
         # because every product and partial sum is an integer < 2^53.
         new_codes = (data[freed].astype(np.float64) @ self._strides).astype(np.int64)
-        off = self._offsets[:, None]
-        flat = np.empty((2, m, k), dtype=np.int64)
-        np.add(new_codes.T, off, out=flat[0])
-        np.add(self._codes[:, freed], off, out=flat[1])
-        weights = np.empty(2 * m * k, dtype=np.float64)
-        weights[: m * k] = 1.0
-        weights[m * k :] = -1.0
-        self._counts += np.bincount(flat.ravel(), weights=weights, minlength=self._total)
-        self._codes[:, freed] = new_codes.T
+        np.subtract.at(self._counts, self._codes[freed] + self._offsets, 1.0)
+        np.add.at(self._counts, new_codes + self._offsets, 1.0)
+        self._codes[freed] = new_codes

@@ -190,34 +190,35 @@ class TestNumbaTwins:
         size = int(rng.integers(1, 60))
         codes = rng.integers(0, size, size=n)
         perm = rng.permutation(n)
-        cp = codes[perm]
-        order = np.argsort(cp, kind="stable")
-        rows, sorted_codes = _group_rows_py(codes, perm, size)
-        assert np.array_equal(rows, perm[order])
-        assert np.array_equal(sorted_codes, cp[order])
+        order = np.argsort(codes[perm], kind="stable")
+        assert np.array_equal(_group_rows_py(codes, perm, size), perm[order])
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     def test_patch_rows_matches_marginal_state(self, seed):
+        """The njit patch steps each marginal's strided ``codes[:, k]``
+        column of the kernel's row-major ``(n, M)`` arena in place."""
         rng = np.random.default_rng(seed)
-        n, k = 300, 4
-        shape = (5, 3)
-        axes = np.array([0, 2], dtype=np.int64)
-        data = rng.integers(0, 3, size=(n, k)).astype(np.int32)
-        data[:, 0] = rng.integers(0, 5, size=n)
-        codes, counts = fresh_cache(data, axes, shape)
+        n = int(rng.integers(1, 300))
+        specs = [(np.array([0, 2], dtype=np.int64), (5, 3)),
+                 (np.array([1], dtype=np.int64), (4,))]
+        domain = np.array([5, 4, 3, 3])
+        data = rng.integers(0, domain, size=(n, 4)).astype(np.int32)
+        arena = np.empty((n, len(specs)), dtype=np.int64)
+        counts = []
+        for k, (axes, shape) in enumerate(specs):
+            arena[:, k], fresh_counts = fresh_cache(data, axes, shape)
+            counts.append(fresh_counts)
 
-        rows = rng.choice(n, size=40, replace=False).astype(np.int64)
-        new_vals = np.column_stack(
-            [rng.integers(0, 5, 40), rng.integers(0, 3, 40), rng.integers(0, 3, 40),
-             rng.integers(0, 3, 40)]
-        ).astype(np.int32)
-        data[rows] = new_vals
-
-        _patch_rows_py(data, rows, axes, _strides_for(shape), codes, counts)
-        want_codes, want_counts = fresh_cache(data, axes, shape)
-        assert np.array_equal(codes, want_codes)
-        assert np.array_equal(counts, want_counts)
+        rows = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        data[rows] = rng.integers(0, domain, size=(len(rows), 4))
+        for k, (axes, shape) in enumerate(specs):
+            column = arena[:, k]
+            assert column.strides == (arena.strides[0],)
+            _patch_rows_py(data, rows, axes, _strides_for(shape), column, counts[k])
+            want_codes, want_counts = fresh_cache(data, axes, shape)
+            assert np.array_equal(arena[:, k], want_codes)
+            assert np.array_equal(counts[k], want_counts)
 
     def test_strides_match_ravel(self):
         shape = (7, 3, 5)
@@ -265,10 +266,32 @@ class TestFusedKernel:
         perm = rng.permutation(n)
         kernel = FusedKernel()
         kernel._jit = False
-        rows, sorted_codes = kernel._group_rows(codes, perm, size)
         order = np.argsort(codes[perm], kind="stable")
-        assert np.array_equal(rows, perm[order])
-        assert np.array_equal(sorted_codes, codes[perm][order])
+        assert np.array_equal(kernel._group_rows(codes, perm, size), perm[order])
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+    def test_count_bounds_match_searchsorted(self, seed):
+        """``(cell_lo, cell_len)`` from the cached counts == the reference's
+        ``searchsorted`` bounds over ``codes[perm]`` sorted stably, so the
+        step slices the grouped rows at the same places."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 400))
+        size = int(rng.integers(1, 80))
+        # Skewed codes so that empty, single-row and large cells all occur.
+        codes = np.minimum(rng.geometric(0.15, size=n) - 1, size - 1)
+        perm = rng.permutation(n)
+        counts = np.bincount(codes, minlength=size).astype(np.float64)
+
+        cell_len = counts.astype(np.int64)
+        cell_lo = np.cumsum(cell_len) - cell_len
+
+        sorted_codes = codes[perm][np.argsort(codes[perm], kind="stable")]
+        cells = np.arange(size)
+        lo = np.searchsorted(sorted_codes, cells, side="left")
+        hi = np.searchsorted(sorted_codes, cells, side="right")
+        assert np.array_equal(cell_lo, lo)
+        assert np.array_equal(cell_len, hi - lo)
 
     def test_grouping_beyond_radix_range_still_stable(self):
         size = 70_000  # > uint16 range: must take the int64 branch, same result
@@ -277,10 +300,8 @@ class TestFusedKernel:
         perm = rng.permutation(400)
         kernel = FusedKernel()
         kernel._jit = False
-        rows, sorted_codes = kernel._group_rows(codes, perm, size)
         order = np.argsort(codes[perm], kind="stable")
-        assert np.array_equal(rows, perm[order])
-        assert np.array_equal(sorted_codes, codes[perm][order])
+        assert np.array_equal(kernel._group_rows(codes, perm, size), perm[order])
 
     def _states(self, data):
         specs = [
@@ -299,7 +320,8 @@ class TestFusedKernel:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     def test_fused_apply_updates_matches_marginal_state(self, seed):
-        """One matmul + one bincount == codes and counts from scratch."""
+        """One matmul + a touched-key ``subtract.at``/``add.at`` patch of
+        the ``(n, M)`` arena == codes and counts from scratch."""
         rng = np.random.default_rng(seed)
         n = 300
         data = np.column_stack(

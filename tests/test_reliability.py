@@ -28,7 +28,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 from http.client import HTTPConnection
 from pathlib import Path
 
@@ -407,18 +406,14 @@ class TestServiceReliability:
         assert answers_equal(service.query("ton", topk("dstport", k=5)), healthy)
 
     def test_breaker_recovers_through_half_open_probe(self, model_dir):
-        service = _service(
-            model_dir,
-            micro_batch=False,
-            cache_answers=False,
-            breaker_failures=1,
-            breaker_reset=0.05,
-        )
+        service = _service(model_dir, micro_batch=False, cache_answers=False)
+        clock = FakeClock()
+        service.breaker = CircuitBreaker(failure_threshold=1, reset_timeout=0.05, clock=clock)
         with inject(FaultSpec(kind=KIND_ERROR, site=SITE_QUERY)):
             with pytest.raises(EngineFaultError):
                 service.query("ton", count())
         assert service.breaker.state == "open"
-        time.sleep(0.06)
+        clock.t += 0.06
         answer = service.query("ton", count())  # the half-open probe
         assert answer is not None
         assert service.breaker.state == "closed"
