@@ -7,12 +7,13 @@ provides:
 
 - :class:`SynthesisPlan` — a picklable capture of everything ``sample()``
   needs after ``fit()``;
-- serial and process-pool :mod:`backends <repro.engine.backends>`
+- serial and multi-process :mod:`backends <repro.engine.backends>`
   exposing a generic map-style
   :meth:`~repro.engine.backends.Backend.run_tasks` (used by the fit
   pipeline's exact-count fan-out) and the streaming
   :meth:`~repro.engine.backends.Backend.imap_tasks` (every shard run); the
-  process pool returns large results through shared memory;
+  multi-process ones run on a :class:`repro.fleet.LocalCluster` and return
+  large results through shared memory;
 - :func:`execute_plan_decoded` / :func:`execute_plan_stream` — the
   execution plane (:mod:`repro.engine.streaming`): one shard task that
   synthesizes and decodes where it runs, one generator over
@@ -25,7 +26,7 @@ provides:
 
 from repro.engine.backends import (
     Backend,
-    ProcessBackend,
+    ClusterBackend,
     SerialBackend,
     get_backend,
     scatter_map,
@@ -49,11 +50,11 @@ __all__ = [
     "ALL_BACKENDS",
     "BACKENDS",
     "Backend",
+    "ClusterBackend",
     "DISTRIBUTED_BACKENDS",
     "DEFAULT_CHUNK",
     "DecodedResult",
     "EngineConfig",
-    "ProcessBackend",
     "SerialBackend",
     "ShardResult",
     "ShardTaskError",

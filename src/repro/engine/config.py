@@ -59,9 +59,10 @@ class EngineConfig:
     workers without touching the DP accounting.
     """
 
-    #: ``"serial"`` (in-process loop) or ``"process"`` (ProcessPoolExecutor
-    #: returning large arrays through ``multiprocessing.shared_memory``
-    #: instead of the result pipe); ``"shared"`` is read as ``"process"``.
+    #: ``"serial"`` (in-process loop) or ``"process"`` (worker processes of
+    #: a private ``LocalCluster`` returning large arrays through
+    #: ``multiprocessing.shared_memory``); ``"shared"`` is read as
+    #: ``"process"``.
     backend: str = "serial"
     #: Number of independent GUM shards the record budget is split into.
     shards: int = 1

@@ -3,8 +3,8 @@
 A process pool that pickles every task result pays one pickle + pipe round
 trip per result; for large results (a shard's decoded
 :class:`~repro.data.table.TraceTable`, the fit pipeline's count arrays) that
-serialization dominates the IPC cost.  The process backend instead has the
-**worker** park large results in :mod:`multiprocessing.shared_memory`
+serialization dominates the IPC cost.  The multi-process backends instead
+have the **worker** park large results in :mod:`multiprocessing.shared_memory`
 segments and ship only name-sized handles through the pipe:
 
 - a bare numeric ndarray travels as a :class:`ShmArrayRef` (one segment, one
@@ -36,12 +36,11 @@ reconstructable.  :func:`sweep_orphan_segments` scans ``/dev/shm`` for this
 parent's prefix and unlinks segments whose creating worker *incarnation* no
 longer exists — a recycled pid with a different start-time token does not
 pin a dead worker's segments (pid liveness alone once did exactly that);
-the process backend runs it after every drain, every pool rebuild and on
-``close()``, so a killed worker cannot leak ``/dev/shm`` space past the run
-that lost it.
+the cluster runtime runs it after every lost worker and on ``close()``, so
+a killed worker cannot leak ``/dev/shm`` space past the run that lost it.
 
 Only values of at least :data:`SHM_MIN_BYTES` travel through segments; small
-arrays and tables, plus every other value, pickle through the pipe as usual
+arrays and tables, plus every other value, pickle into the result message as usual
 (the parent charges those bytes to the :data:`~repro.data.arena.copy_stats`
 ledger, which is how the ``bytes_copied_per_record`` benchmark probe keeps
 the zero-pickled-column-bytes invariant honest), so results round-trip
@@ -110,6 +109,30 @@ class ShmTableArenaRef:
     extras: dict
     nbytes: int
     pickled_bytes: int = 0
+
+
+def _fork_locks() -> tuple:
+    """Locks a worker's export takes that other parent threads take too.
+
+    A fork while another thread held one (attaching or unlinking a segment,
+    charging the ledger) would leave the child's copy locked for good, so
+    every fork waits for both to be free and holds them across it.
+    """
+    from multiprocessing import resource_tracker
+
+    return (resource_tracker._resource_tracker._lock, copy_stats._lock)
+
+
+def _release_fork_locks() -> None:
+    for lock in reversed(_fork_locks()):
+        lock.release()
+
+
+os.register_at_fork(
+    before=lambda: [lock.acquire() for lock in _fork_locks()],
+    after_in_parent=_release_fork_locks,
+    after_in_child=_release_fork_locks,
+)
 
 
 def _unregister(name: str) -> None:
@@ -216,9 +239,9 @@ def sweep_orphan_segments() -> int:
     pinned).  Segments of live, token-matching workers are left alone — they
     are either in flight (the parent will import and unlink them) or about
     to be handed over — and so are segments a live imported table still
-    maps, whatever became of their worker.  Legacy two-part names (``nds{parent}-{pid}-{seq}``,
-    pre-token) fall back to pid liveness alone, as do tokens the sweep
-    cannot recompute (no ``/proc``).  Returns the number of segments removed.
+    maps, whatever became of their worker.  A token the sweep cannot
+    recompute (no ``/proc``) falls back to pid liveness alone.  Returns the
+    number of segments removed.
     """
     if not os.path.isdir(_SHM_DIR):  # pragma: no cover - non-POSIX host
         return 0
@@ -229,20 +252,16 @@ def sweep_orphan_segments() -> int:
             continue
         parts = entry[len(prefix) :].split("-")
         try:
-            worker = int(parts[0], 16)
+            worker, token = int(parts[0], 16), parts[1]
         except (ValueError, IndexError):  # pragma: no cover - foreign name
             continue
         if _pid_alive(worker):
-            if len(parts) >= 3:
-                live_token = _proc_start_token(worker)
-                if live_token is None or live_token == parts[1]:
-                    # Same incarnation (or unverifiable): genuinely in use.
-                    continue
-                # Alive pid, different start time: the name's owner is dead
-                # and the pid was recycled — the segment is an orphan.
-            else:
-                # Legacy name without a token: liveness is all we have.
+            live_token = _proc_start_token(worker)
+            if live_token is None or live_token == token:
+                # Same incarnation (or unverifiable): genuinely in use.
                 continue
+            # Alive pid, different start time: the name's owner is dead and
+            # the pid was recycled — the segment is an orphan.
         try:
             os.unlink(os.path.join(_SHM_DIR, entry))
             swept += 1
@@ -419,7 +438,7 @@ def export_result(obj):
     :class:`TraceTable` results (which travel as single-segment arenas) and
     the tables inside ``ShardResult`` — plus plain dict/list/tuple
     containers.  Everything else passes through untouched (and is pickled by
-    the pool as usual).
+    the transport as usual).
     """
     from repro.engine.plan import ShardResult
 

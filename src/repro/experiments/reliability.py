@@ -8,8 +8,8 @@ baseline.  The fault budget is sized so the *shard-execution* fault rate is
 on the order of 1%: one kill across ``rounds`` runs of ``shards`` shards.
 The gated number is ``overhead_ratio`` (faulted wall-clock over clean
 wall-clock) — recovery re-runs only the killed shard on its original
-``SeedSequence`` child, so the ratio prices one pool rebuild plus one
-shard re-execution amortized over the whole series, not a restart.
+``SeedSequence`` child, so the ratio prices one worker replacement plus
+one shard re-execution amortized over the whole series, not a restart.
 
 **Faulted serving tails** — closed-loop HTTP clients over the full stack
 while ~1% of engine executions raise injected faults.  Every response must

@@ -10,8 +10,9 @@ shard tasks across them (:class:`ShardQueue` — deterministic
 ``SeedSequence`` shard assignment, so a multi-node release is digest-equal
 to single-node), and fronts replicated HTTP query workers with round-robin
 dispatch and per-replica circuit breakers
-(:class:`ReplicatedQueryClient`).  The engine integration is one backend
-(:class:`FleetBackend`, ``backend="fleet"``)::
+(:class:`ReplicatedQueryClient`).  The cluster is also the engine's one
+multi-process runtime: ``backend="fleet"`` runs on the active cluster, and
+``backend="process"`` on a private one (:meth:`LocalCluster.private`)::
 
     with LocalCluster(workers=4):
         table = synth.sample(200_000, rng=7, shards=8, backend="fleet")
@@ -23,7 +24,6 @@ on their original seed children, bounded by the backend's
 protocol, envelope schema, determinism contract, and failure matrix.
 """
 
-from repro.fleet.backend import FleetBackend
 from repro.fleet.cluster import FleetError, LocalCluster, current_cluster
 from repro.fleet.messaging import (
     FLEET_SCHEMA_VERSION,
@@ -54,7 +54,6 @@ __all__ = [
     "STATE_EXPIRED",
     "Envelope",
     "EnvelopeError",
-    "FleetBackend",
     "FleetError",
     "LocalCluster",
     "NoReplicaAvailableError",

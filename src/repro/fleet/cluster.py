@@ -1,32 +1,38 @@
-"""LocalCluster: the fleet coordinator, with subprocess workers for CI.
+"""LocalCluster: the coordinator and its forked workers — the one multi-process runtime.
 
 One :class:`LocalCluster` owns the whole coordinator side of the fleet
 protocol (:mod:`repro.fleet.messaging`):
 
-- a :class:`multiprocessing.connection.Listener` on localhost with an HMAC
-  ``authkey`` — the same channel a multi-host deployment would run over TCP;
+- a :class:`multiprocessing.connection.Listener` on an ``AF_UNIX`` socket
+  with an HMAC ``authkey`` — every worker is forked on this host, and a
+  local socket has none of the small-write stalls of loopback TCP;
 - a :class:`~repro.fleet.registry.WorkerRegistry` driven by worker
   heartbeats, with monotonic liveness expiry;
 - a single **dispatcher thread** that owns all connection I/O and all
   mutable release state (multiplexed via ``connection.wait``), so the
   scheduler needs no locking discipline beyond the hand-off queues at its
   edges;
-- ``workers`` forked subprocesses running :func:`~repro.fleet.worker.worker_main`
-  (fork start method where available, so the chaos suite's installed
-  :class:`~repro.reliability.FaultInjector` is inherited).
+- ``workers`` subprocesses running :func:`~repro.fleet.worker.worker_main`.
+  A fleet forks them where the platform can, so the chaos suite's
+  installed :class:`~repro.reliability.FaultInjector` is inherited; a
+  :meth:`~LocalCluster.private` cluster starts them with the caller's
+  configured start method, as a process pool would.  The initial workers
+  start before the coordinator's threads do; a replacement for a lost
+  worker starts from the dispatcher thread.
 
-:meth:`run_tasks` is the release primitive the ``fleet`` engine backend
-delegates to: the shared payload (the synthesis plan) is spooled **once per
-cluster lifetime per object** and shipped to each worker once; each shard
-task — carrying its own pre-spawned seed children — is assigned to the next
-idle live worker.  A worker that dies (connection EOF), stalls past its
-heartbeat liveness window, or exceeds ``task_timeout`` is evicted and its
-unfinished shards are requeued *unchanged* — seed-preserving reassignment,
-bounded by the backend's :class:`~repro.reliability.RetryPolicy` budget —
-so a recovered release is bit-identical to a fault-free one.  A task
-function that raises is deterministic and fails the release with a
+:meth:`imap_tasks` is the release primitive of every multi-process engine
+backend — ``process`` on a :meth:`private` cluster, ``fleet`` on the active
+one: results in task order, at most ``window`` shards leased ahead of the
+consumer, each result a shared-memory descriptor imported on the
+dispatcher, several releases in flight at once (oldest first).  A worker
+that dies (connection EOF), stalls past its heartbeat liveness window, or
+exceeds ``task_timeout`` loses its leases and its unfinished shards are
+requeued *unchanged*, leasable again after the
+:class:`~repro.reliability.RetryPolicy` backoff and bounded per shard by
+its budget, so a recovered release is bit-identical to a fault-free one.
+A task function that raises fails the release with a
 :class:`~repro.reliability.ShardTaskError` carrying the worker-side
-traceback, exactly like the single-node pools.
+traceback.
 
 Entering the context installs the cluster as the process-wide *current
 cluster* so ``synth.sample(..., backend="fleet")`` finds it::
@@ -37,6 +43,8 @@ cluster* so ``synth.sample(..., backend="fleet")`` finds it::
 
 from __future__ import annotations
 
+import itertools
+import math
 import multiprocessing
 import os
 import pickle
@@ -44,10 +52,11 @@ import shutil
 import socket
 import tempfile
 import threading
-import time
 from collections import deque
 from multiprocessing.connection import Listener, wait
+from multiprocessing.util import abstract_sockets_supported
 
+from repro.engine.shm import import_result, release_result, sweep_orphan_segments
 from repro.fleet.messaging import (
     MSG_ASSIGN,
     MSG_COMPLETE,
@@ -56,11 +65,13 @@ from repro.fleet.messaging import (
     MSG_REGISTER,
     MSG_SHUTDOWN,
     MSG_WELCOME,
+    SHARED_INHERITED,
     Envelope,
     EnvelopeError,
     decode_envelope,
     encode_envelope,
-    pack_task,
+    pack_value,
+    unpack_value,
 )
 from repro.fleet.queue import ShardQueue
 from repro.fleet.registry import WorkerRegistry
@@ -69,6 +80,10 @@ from repro.reliability import RetryPolicy, ShardTaskError
 
 #: The active cluster ``get_backend("fleet")`` resolves against.
 _CURRENT: "LocalCluster | None" = None
+
+#: How long a waiting consumer sleeps between checks that the dispatcher is
+#: still running (it is woken at once whenever its release changes).
+_POLL_S = 0.5
 
 
 def current_cluster() -> "LocalCluster | None":
@@ -81,29 +96,37 @@ class FleetError(RuntimeError):
 
 
 class _Release:
-    """One ``run_tasks`` call in flight: tasks, queue, results, outcome."""
+    """One ``imap_tasks`` call in flight: tasks, queue, results, outcome.
 
-    def __init__(
-        self,
-        seq: int,
-        fn,
-        tasks: list[tuple],
-        shared_path: str | None,
-        task_timeout: float | None,
-        retry: RetryPolicy,
-    ) -> None:
+    The dispatcher thread owns every field but ``consumed``, which only the
+    consuming generator writes; ``cond`` guards the hand-over of ``results``
+    and ``error``.
+    """
+
+    def __init__(self, seq, fn, tasks, shared, window, task_timeout, retry) -> None:
         self.seq = seq
-        self.fn_module = fn.__module__
-        self.fn_name = fn.__qualname__
-        self.packed = [pack_task(task) for task in tasks]
-        self.shared_path = shared_path
+        self.fn = fn
+        self.packed = [pack_value(task) for task in tasks]
+        self.shared = shared
+        self.window = window
         self.task_timeout = task_timeout
         self.retry = retry
         self.queue = ShardQueue(len(tasks))
-        self.results: list = [None] * len(tasks)
-        self.lease_started: dict[int, float] = {}
+        #: Imported results not yet handed to the consumer.
+        self.results: dict[int, object] = {}
+        #: Results the consumer has taken; leases stay below this + window.
+        self.consumed = 0
         self.error: BaseException | None = None
-        self.done = threading.Event()
+        #: The consumer is gone (finished, failed or abandoned the stream).
+        self.retired = False
+        #: Set once the release is retired and none of its shards still runs.
+        self.reaped = threading.Event()
+        self.cond = threading.Condition()
+
+    @property
+    def open(self) -> bool:
+        """Whether the release still leases shards and accepts results."""
+        return self.error is None and not self.retired
 
 
 class LocalCluster:
@@ -134,39 +157,77 @@ class LocalCluster:
         self.task_timeout = task_timeout
         self._n_initial = int(workers)
         self._serving_root = serving_root
+        #: The payload workers start with, whether a lost worker is killed
+        #: and replaced, and how workers start (all but the last set by
+        #: :meth:`private`, which also picks the caller's start method).
+        self._inherited = None
+        self._owned = False
+        self._context = (
+            multiprocessing.get_context("fork")
+            if "fork" in multiprocessing.get_all_start_methods()
+            else multiprocessing.get_context()
+        )
         self._authkey = os.urandom(16)
-        self._listener = Listener(("127.0.0.1", 0), authkey=self._authkey)
+        #: Directory for pickled shared payloads, made on first need.
+        self.spool: str | None = None
+        # An abstract socket needs no path, so no TMPDIR is too deep for it.
+        if abstract_sockets_supported:
+            address = f"\0repro-fleet-{os.urandom(8).hex()}"
+        else:  # pragma: no cover - non-Linux host
+            address = os.path.join(self._spool_dir(), "coordinator.sock")
+        self._listener = Listener(address, family="AF_UNIX", authkey=self._authkey)
         self.address = self._listener.address
         self.registry = WorkerRegistry(
             heartbeat_interval=heartbeat_interval, liveness_factor=liveness_factor
         )
-        self.spool = tempfile.mkdtemp(prefix="repro-fleet-")
         self._registry_lock = threading.Lock()
-        self._release_lock = threading.Lock()
+        self._spool_lock = threading.Lock()
         self._wake_r, self._wake_w = multiprocessing.Pipe(duplex=False)
-        self._inbox: deque = deque()  # ("join", conn, envelope) | ("release", r)
+        self._inbox: deque = deque()  # ("join", conn, envelope) | (kind, release)
         self._conns: dict = {}  # conn -> worker_id
         self._worker_conns: dict[str, object] = {}
-        self._active: _Release | None = None
+        #: seq -> release, oldest first: the releases the dispatcher serves.
+        self._releases: dict[int, _Release] = {}
         self._running = True
         self._seq = 0
-        self._release_seq = 0
+        self._release_seq = itertools.count(1)
         self._next_worker = 0
         self._procs: list = []
+        self._worker_procs: dict[str, object] = {}
+        #: Workers sent ``shutdown`` at teardown.
+        self._told: set[str] = set()
         #: id(shared) -> (strong ref, spool path): each payload ships once.
         self._shared_paths: dict[int, tuple] = {}
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._dispatch_thread = threading.Thread(target=self._dispatch_loop, daemon=True)
-        self._accept_thread.start()
-        self._dispatch_thread.start()
+
+    @classmethod
+    def private(cls, workers: int, shared=None, task_timeout=None, retry=None) -> "LocalCluster":
+        """A running cluster owned by one caller, as a process pool is.
+
+        Its ``workers`` start now with the caller's configured start method
+        (:func:`multiprocessing.get_context`) and carry ``shared``: under
+        fork they inherit it, so that payload is never pickled; under spawn
+        or forkserver it is pickled once per worker, as a pool initializer
+        would.  A worker that dies or overruns ``task_timeout`` is killed
+        and replaced, so the cluster keeps its size across faults.  Only EOF
+        and ``task_timeout`` detect loss — there is no heartbeat expiry.
+        The cluster is not installed as the current one; the caller must
+        :meth:`close` it.
+        """
+        cluster = cls(workers, liveness_factor=math.inf, task_timeout=task_timeout, retry=retry)
+        cluster._inherited = shared
+        cluster._owned = True
+        cluster._context = multiprocessing.get_context()
+        cluster._start()
+        return cluster
 
     # -------------------------------------------------------------- lifecycle
     def __enter__(self) -> "LocalCluster":
         global _CURRENT
         self._previous = _CURRENT
         _CURRENT = self
-        for _ in range(self._n_initial):
-            self.spawn_worker()
+        self._start()
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -174,29 +235,32 @@ class LocalCluster:
         _CURRENT = self._previous
         self.close()
 
-    def spawn_worker(self, worker_id: str | None = None) -> str:
-        """Fork one more fleet member; returns its worker id."""
-        if worker_id is None:
-            worker_id = f"w{self._next_worker}"
+    def _start(self) -> None:
+        # Workers start before the threads, so no thread of ours is running
+        # when they fork; they queue on the listener until accepted.
+        for _ in range(self._n_initial):
+            self.spawn_worker()
+        self._accept_thread.start()
+        self._dispatch_thread.start()
+
+    def spawn_worker(self) -> str:
+        """Start one more fleet member; returns its worker id."""
+        worker_id = f"w{self._next_worker}"
         self._next_worker += 1
-        ctx = (
-            multiprocessing.get_context("fork")
-            if "fork" in multiprocessing.get_all_start_methods()
-            else multiprocessing.get_context()
-        )
-        proc = ctx.Process(
+        proc = self._context.Process(
             target=worker_main,
             kwargs=dict(
                 address=self.address,
                 authkey=self._authkey,
                 worker_id=worker_id,
-                spool=self.spool,
                 serving_root=self._serving_root,
+                inherited=self._inherited,
             ),
             daemon=True,
         )
         proc.start()
         self._procs.append(proc)
+        self._worker_procs[worker_id] = proc
         return worker_id
 
     def close(self) -> None:
@@ -208,57 +272,72 @@ class LocalCluster:
         # Closing the listener does not wake a thread blocked in accept();
         # a throw-away connection does, and it then sees ``_running`` unset.
         try:
-            socket.create_connection(self.address, timeout=1.0).close()
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as probe:
+                probe.settimeout(1.0)
+                probe.connect(self.address)
         except OSError:  # pragma: no cover - listener already gone
             pass
         try:
             self._listener.close()
         except OSError:  # pragma: no cover - already closed
             pass
-        self._dispatch_thread.join(timeout=5.0)
-        self._accept_thread.join(timeout=5.0)
-        for conn in list(self._conns):
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        for proc in self._procs:
-            proc.join(timeout=2.0)
+        for thread in (self._dispatch_thread, self._accept_thread):
+            if thread.ident is not None:  # started
+                thread.join(timeout=5.0)
+        for conn in self._conns:
+            conn.close()
+        self._wake_r.close()
+        self._wake_w.close()
+        # A worker told to shut down exits by itself; one that never
+        # registered (or was dropped) would wait for a coordinator that is
+        # gone, so it is terminated at once.
+        for worker_id, proc in self._worker_procs.items():
+            if worker_id in self._told:
+                proc.join(timeout=2.0)
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=1.0)
-        shutil.rmtree(self.spool, ignore_errors=True)
+        sweep_orphan_segments()
+        with self._spool_lock:
+            if self.spool is not None:
+                shutil.rmtree(self.spool, ignore_errors=True)
 
     # ---------------------------------------------------------------- helpers
     def _wake(self) -> None:
         try:
             self._wake_w.send_bytes(b"x")
-        except (OSError, ValueError):  # pragma: no cover - torn down
+        except OSError:  # pragma: no cover - torn down
             pass
+
+    def _post(self, kind: str, *items) -> None:
+        self._inbox.append((kind, *items))
+        self._wake()
 
     def _send(self, conn, type_: str, payload: dict | None = None) -> None:
         self._seq += 1
-        conn.send_bytes(
-            encode_envelope(
-                Envelope(
-                    type=type_, sender="coordinator", seq=self._seq, payload=payload or {}
-                )
-            )
-        )
+        envelope = Envelope(type_, "coordinator", self._seq, payload or {})
+        conn.send_bytes(encode_envelope(envelope))
 
-    def _spool_shared(self, shared) -> str | None:
-        """Spool a shared payload once per object; reuse the path after."""
+    def _spool_dir(self) -> str:
+        if self.spool is None:
+            self.spool = tempfile.mkdtemp(prefix="repro-fleet-")
+        return self.spool
+
+    def _shared_ref(self, shared) -> str | None:
+        """How ``assign`` names ``shared``: inherited, or spooled once per object."""
         if shared is None:
             return None
-        key = id(shared)
-        cached = self._shared_paths.get(key)
-        if cached is not None and cached[0] is shared:
-            return cached[1]
-        path = os.path.join(self.spool, f"shared-{len(self._shared_paths)}.pkl")
-        with open(path, "wb") as fh:
-            pickle.dump(shared, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        self._shared_paths[key] = (shared, path)
-        return path
+        if shared is self._inherited:
+            return SHARED_INHERITED
+        with self._spool_lock:
+            cached = self._shared_paths.get(id(shared))
+            if cached is not None and cached[0] is shared:
+                return cached[1]
+            path = os.path.join(self._spool_dir(), f"shared-{len(self._shared_paths)}.pkl")
+            with open(path, "wb") as fh:
+                pickle.dump(shared, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            self._shared_paths[id(shared)] = (shared, path)
+            return path
 
     # ------------------------------------------------------------ accept loop
     def _accept_loop(self) -> None:
@@ -278,43 +357,55 @@ class LocalCluster:
             if envelope.type != MSG_REGISTER:
                 conn.close()
                 continue
-            self._inbox.append(("join", conn, envelope))
-            self._wake()
+            self._post("join", conn, envelope)
 
     # --------------------------------------------------------- dispatcher loop
     def _dispatch_loop(self) -> None:
         tick = self.registry.heartbeat_interval / 2.0
-        while self._running:
+        try:
+            while self._running:
+                self._drain_inbox()
+                self._expire_overdue()
+                self._check_task_timeouts()
+                self._check_capacity()
+                self._assign_pending()
+                # Wake when the next backed-off shard becomes leasable.
+                timeout = min(
+                    [tick, *(release.queue.held_for() for release in self._releases.values())]
+                )
+                for obj in wait([self._wake_r, *self._conns], timeout=timeout):
+                    if obj is self._wake_r:
+                        while self._wake_r.poll():
+                            self._wake_r.recv_bytes()
+                    elif obj in self._conns:  # not dropped earlier this turn
+                        self._receive(obj)
+        finally:
+            # Teardown: tell every worker to exit, fail what is still open.
             self._drain_inbox()
-            self._expire_overdue()
-            self._check_task_timeouts()
-            self._check_capacity()
-            self._assign_pending()
-            ready = wait([self._wake_r, *self._conns], timeout=tick)
-            for obj in ready:
-                if obj is self._wake_r:
-                    try:
-                        self._wake_r.recv_bytes()
-                    except (EOFError, OSError):  # pragma: no cover
-                        pass
-                    continue
-                self._receive(obj)
-        # Teardown: tell every worker to exit.
-        for conn in list(self._conns):
-            try:
-                self._send(conn, MSG_SHUTDOWN)
-            except (OSError, ValueError):
-                pass
+            for conn, worker_id in list(self._conns.items()):
+                try:
+                    self._send(conn, MSG_SHUTDOWN)
+                    self._told.add(worker_id)
+                except (OSError, ValueError):
+                    pass
+            for release in list(self._releases.values()):
+                self._finish(release, FleetError("cluster is closed"))
+                release.reaped.set()
+            self._releases.clear()
 
     def _drain_inbox(self) -> None:
         while self._inbox:
             kind, *rest = self._inbox.popleft()
             if kind == "join":
-                conn, envelope = rest
-                self._admit(conn, envelope)
-            elif kind == "release":
-                (release,) = rest
-                self._active = release
+                self._admit(*rest)
+                continue
+            (release,) = rest
+            if kind == "release":
+                self._releases[release.seq] = release
+            else:  # "retire": the consumer is gone
+                release.retired = True
+                release.queue.cancel()
+                self._reap(release)
 
     def _admit(self, conn, envelope: Envelope) -> None:
         worker_id = envelope.sender
@@ -331,17 +422,11 @@ class LocalCluster:
             self._drop_conn(stale, evict=False)
         self._conns[conn] = worker_id
         self._worker_conns[worker_id] = conn
+        welcome = {"worker_id": worker_id, "heartbeat_interval": self.registry.heartbeat_interval}
         try:
-            self._send(
-                conn,
-                MSG_WELCOME,
-                {
-                    "worker_id": worker_id,
-                    "heartbeat_interval": self.registry.heartbeat_interval,
-                },
-            )
+            self._send(conn, MSG_WELCOME, welcome)
         except (OSError, ValueError):
-            self._worker_loss(conn)
+            self._lose(worker_id)
 
     def _drop_conn(self, conn, evict: bool = True) -> None:
         worker_id = self._conns.pop(conn, None)
@@ -356,32 +441,42 @@ class LocalCluster:
                 self.registry.evict(worker_id)
 
     # ---------------------------------------------------------- fault handling
-    def _worker_loss(self, conn) -> None:
-        """A dead/hung member: evict it and requeue its shards, seeds intact."""
-        worker_id = self._conns.get(conn)
-        self._drop_conn(conn, evict=True)
-        if worker_id is not None:
-            self._requeue_lost(worker_id)
+    def _lose(self, worker_id: str) -> None:
+        """A dead or overdue member: evict it, requeue its shards, seeds intact.
+
+        An owned cluster kills the process and forks a replacement, so its
+        size survives the fault; any segment the dead worker exported but
+        never handed over is swept.
+        """
+        conn = self._worker_conns.get(worker_id)
+        if conn is not None:
+            self._drop_conn(conn, evict=True)
+        proc = self._worker_procs.pop(worker_id, None) if self._owned else None
+        if proc is not None:
+            proc.kill()
+            proc.join(timeout=1.0)
+            if self._running:
+                self.spawn_worker()
+        self._requeue_lost(worker_id)
+        sweep_orphan_segments()
 
     def _requeue_lost(self, worker_id: str) -> None:
-        release = self._active
-        if release is None:
-            return
-        for index in release.queue.release_worker(worker_id):
-            release.lease_started.pop(index, None)
-            retries = release.queue.attempts[index] - 1 + 1  # runs lost so far
-            if not release.retry.retryable(retries):
-                self._finish(
-                    release,
-                    error=ShardTaskError(
-                        f"task {index} failed after {release.queue.attempts[index]} "
-                        f"attempt(s) (transient fault: worker {worker_id!r} lost)",
-                        index=index,
-                        attempts=release.queue.attempts[index],
-                        transient=True,
-                    ),
-                )
-                return
+        for release in list(self._releases.values()):
+            for index in release.queue.release_worker(worker_id):
+                if release.open:
+                    self._check_retry(release, index, f"worker {worker_id!r} lost")
+            if not release.open:
+                release.queue.cancel()
+                self._reap(release)
+
+    def _check_retry(self, release: _Release, index: int, cause: str) -> None:
+        """Back a requeued shard off, or fail the release once its budget is spent."""
+        attempts = release.queue.attempts[index]
+        if release.retry.retryable(attempts):
+            release.queue.hold(index, release.retry.delay(attempts))
+        else:
+            message = f"task {index} failed after {attempts} attempt(s) (transient fault: {cause})"
+            self._finish(release, ShardTaskError(message, index, attempts, transient=True))
 
     def _expire_overdue(self) -> None:
         with self._registry_lock:
@@ -396,56 +491,56 @@ class LocalCluster:
             self._requeue_lost(worker_id)
 
     def _check_task_timeouts(self) -> None:
-        release = self._active
-        if release is None or release.task_timeout is None:
-            return
-        now = time.monotonic()
-        for index, started in list(release.lease_started.items()):
-            if now - started <= release.task_timeout:
-                continue
-            holder = release.queue.lease_holders().get(index)
-            conn = self._worker_conns.get(holder) if holder else None
-            if conn is not None:
-                self._worker_loss(conn)
-            else:  # pragma: no cover - lease without a connection
-                self._requeue_lost(holder)
+        overdue = set()
+        for release in self._releases.values():
+            if release.task_timeout is not None:
+                overdue |= release.queue.overdue(release.task_timeout)
+        for worker_id in overdue:
+            self._lose(worker_id)
 
     def _check_capacity(self) -> None:
-        release = self._active
-        if release is None or release.done.is_set():
+        if not any(release.open for release in self._releases.values()):
             return
         with self._registry_lock:
             alive = self.registry.alive()
         if alive or any(proc.is_alive() for proc in self._procs):
             return
-        self._finish(
-            release,
-            error=FleetError(
-                "no live fleet workers remain and none are starting; "
-                f"{release.queue.pending + release.queue.leased} shard(s) unfinished"
-            ),
-        )
+        for release in list(self._releases.values()):
+            unfinished = release.queue.pending + release.queue.leased
+            self._finish(
+                release,
+                FleetError(
+                    "no live fleet workers remain and none are starting; "
+                    f"{unfinished} shard(s) unfinished"
+                ),
+            )
 
     # ------------------------------------------------------------- scheduling
     def _assign_pending(self) -> None:
-        release = self._active
-        if release is None or release.done.is_set():
-            return
-        busy = set(release.queue.lease_holders().values())
+        """Lease one shard to every idle live worker, oldest release first."""
+        busy = {
+            holder
+            for release in self._releases.values()
+            for holder in release.queue.lease_holders().values()
+        }
         with self._registry_lock:
             alive = self.registry.alive()
         for record in alive:
-            if not release.queue.pending:
-                break
-            if record.worker_id in busy:
-                continue
             conn = self._worker_conns.get(record.worker_id)
-            if conn is None:
+            if record.worker_id in busy or conn is None:
                 continue
-            index = release.queue.lease(record.worker_id)
-            if index is None:
-                break
-            release.lease_started[index] = time.monotonic()
+            for release in self._releases.values():
+                index = (
+                    release.queue.lease(
+                        record.worker_id, limit=release.consumed + release.window
+                    )
+                    if release.open
+                    else None
+                )
+                if index is not None:
+                    break
+            else:
+                return  # nothing is leasable right now
             try:
                 self._send(
                     conn,
@@ -453,142 +548,164 @@ class LocalCluster:
                     {
                         "release": release.seq,
                         "index": index,
-                        "fn_module": release.fn_module,
-                        "fn_name": release.fn_name,
-                        "shared_path": release.shared_path,
+                        "fn_module": release.fn.__module__,
+                        "fn_name": release.fn.__qualname__,
+                        "shared": release.shared,
                         "task": release.packed[index],
                     },
                 )
             except (OSError, ValueError):
-                self._worker_loss(conn)
+                self._lose(record.worker_id)
                 return
-            busy.add(record.worker_id)
 
     def _receive(self, conn) -> None:
+        worker_id = self._conns[conn]
         try:
             envelope = decode_envelope(conn.recv_bytes())
         except (EOFError, OSError, EnvelopeError):
-            self._worker_loss(conn)
+            self._lose(worker_id)
             return
-        worker_id = self._conns.get(conn)
         if envelope.type == MSG_HEARTBEAT:
             with self._registry_lock:
                 self.registry.heartbeat(worker_id)
         elif envelope.type == MSG_COMPLETE:
             self._on_complete(worker_id, envelope.payload)
         elif envelope.type == MSG_FAILED:
-            self._on_failed(envelope.payload)
+            self._on_failed(worker_id, envelope.payload)
 
     def _on_complete(self, worker_id: str, payload: dict) -> None:
-        release = self._active
-        path = payload.get("path")
+        raw = unpack_value(payload["result"])
+        release = self._releases.get(int(payload.get("release", -1)))
         index = int(payload.get("index", -1))
-        stale = (
-            release is None
-            or release.done.is_set()
-            or int(payload.get("release", -1)) != release.seq
-            or not release.queue.complete(index, worker_id)
-        )
-        if stale:
+        if release is None or not release.queue.complete(index, worker_id):
             # A reassigned shard's original runner reported late; the retried
             # copy is bit-identical, so the duplicate is simply discarded.
-            if path:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
+            release_result(raw)
+            return
+        if not release.open:
+            release_result(raw)
+            self._reap(release)
             return
         try:
-            with open(path, "rb") as fh:
-                release.results[index] = pickle.load(fh)
-            os.unlink(path)
-        except (OSError, pickle.UnpicklingError) as exc:
-            # The spooled result vanished or is torn (worker died mid-spool
-            # rename would normally surface as a lost worker instead): treat
-            # as a transient loss of just this shard.
-            release.queue._done.discard(index)
-            release.queue._pending.appendleft(index)
-            retries = release.queue.attempts[index]
-            if not release.retry.retryable(retries):
-                self._finish(
-                    release,
-                    error=ShardTaskError(
-                        f"task {index} result unreadable after "
-                        f"{release.queue.attempts[index]} attempt(s): {exc}",
-                        index=index,
-                        attempts=release.queue.attempts[index],
-                        transient=True,
-                    ),
-                )
+            result = import_result(raw)
+        except FileNotFoundError as exc:
+            # The segment vanished between export and import: a transient
+            # loss of this shard alone.
+            release.queue.requeue(index)
+            self._check_retry(release, index, f"result segment vanished: {exc}")
             return
-        release.lease_started.pop(index, None)
-        if release.queue.done:
-            self._finish(release)
+        with release.cond:
+            release.results[index] = result
+            release.cond.notify_all()
 
-    def _on_failed(self, payload: dict) -> None:
-        release = self._active
-        if release is None or int(payload.get("release", -1)) != release.seq:
-            return
+    def _on_failed(self, worker_id: str, payload: dict) -> None:
+        release = self._releases.get(int(payload.get("release", -1)))
         index = int(payload.get("index", -1))
-        self._finish(
-            release,
-            error=ShardTaskError(
-                f"task {index} failed deterministically on a fleet worker "
-                f"({payload.get('error', 'unknown error')})",
+        if release is None or not release.queue.complete(index, worker_id):
+            return
+        if release.open:
+            attempts = release.queue.attempts[index]
+            error = ShardTaskError(
+                f"task {index} failed after {attempts} attempt(s) "
+                f"(failure: {payload.get('error', 'unknown error')})",
                 index=index,
-                attempts=release.queue.attempts.get(index, 1),
+                attempts=attempts,
                 transient=False,
                 remote_traceback=payload.get("traceback"),
-            ),
-        )
+            )
+            try:
+                error.__cause__ = unpack_value(payload["exception"])
+            except Exception:  # absent, or it does not unpickle here
+                pass
+            self._finish(release, error)
+        self._reap(release)
 
-    def _finish(self, release: _Release, error: BaseException | None = None) -> None:
-        if release.done.is_set():
-            return
-        release.error = error
-        if self._active is release:
-            self._active = None
-        release.done.set()
+    def _finish(self, release: _Release, error: BaseException) -> None:
+        """Fail ``release`` (first error wins) and wake its consumer."""
+        if release.error is None:
+            release.error = error
+            release.queue.cancel()
+        with release.cond:
+            release.cond.notify_all()
+
+    def _reap(self, release: _Release) -> None:
+        """Forget a retired release once none of its shards still runs."""
+        if release.retired and not release.queue.leased:
+            self._releases.pop(release.seq, None)
+            release.reaped.set()
 
     # ------------------------------------------------------------ release API
-    def run_tasks(
+    def imap_tasks(
         self,
         fn,
         tasks: list[tuple],
         shared=None,
+        window: int | None = None,
         task_timeout: float | None = None,
         retry: "RetryPolicy | None" = None,
-    ) -> list:
-        """Run one release across the fleet; results in task order.
+    ):
+        """Run one release across the fleet; yield results in task order.
 
-        Same contract as :meth:`repro.engine.backends.Backend.run_tasks`:
-        ``fn`` must be module-level and every task tuple picklable.
-        ``task_timeout``/``retry`` override the cluster defaults for this
-        release only.  Raises :class:`~repro.reliability.ShardTaskError`
-        (deterministic task failure, or a shard out of transient-retry
-        budget) or :class:`FleetError` (no live workers).
+        Same contract as :meth:`repro.engine.backends.Backend.imap_tasks`,
+        with at most ``window`` shards (default: all) leased ahead of the
+        consumer; ``task_timeout``/``retry`` override the cluster defaults
+        for this release.  Raises :class:`~repro.reliability.ShardTaskError`
+        or :class:`FleetError` (no live workers, cluster closed).  When the
+        consumer stops early, or a shard fails, nothing more is leased and
+        the generator returns once every running shard has been reaped.
         """
         tasks = list(tasks)
         if not tasks:
-            return []
+            return
         if not self._running:
             raise FleetError("cluster is closed")
-        with self._release_lock:
-            self._release_seq += 1
-            release = _Release(
-                seq=self._release_seq,
-                fn=fn,
-                tasks=tasks,
-                shared_path=self._spool_shared(shared),
-                task_timeout=self.task_timeout if task_timeout is None else task_timeout,
-                retry=self.retry if retry is None else retry,
-            )
-            self._inbox.append(("release", release))
-            self._wake()
-            release.done.wait()
-        if release.error is not None:
-            raise release.error
-        return release.results
+        if self._dispatch_thread.ident is None:
+            raise FleetError("cluster is not started: enter its context first")
+        release = _Release(
+            seq=next(self._release_seq),
+            fn=fn,
+            tasks=tasks,
+            shared=self._shared_ref(shared),
+            window=len(tasks) if window is None else max(1, int(window)),
+            task_timeout=self.task_timeout if task_timeout is None else task_timeout,
+            retry=self.retry if retry is None else retry,
+        )
+        self._post("release", release)
+        try:
+            for index in range(len(tasks)):
+                yield self._take(release, index)
+        finally:
+            self._retire(release)
+
+    def _take(self, release: _Release, index: int):
+        """Wait for result ``index`` of ``release`` and hand it over."""
+        with release.cond:
+            while index not in release.results and release.error is None:
+                if not self._dispatch_thread.is_alive():
+                    raise FleetError("cluster is closed")
+                release.cond.wait(_POLL_S)
+            if release.error is not None:
+                raise release.error
+            result = release.results.pop(index)
+        release.consumed = index + 1
+        if release.queue.pending:
+            self._wake()  # the window moved: more shards may be leased
+        return result
+
+    def _retire(self, release: _Release) -> None:
+        self._post("retire", release)
+        if release.consumed < len(release.packed):
+            # Stopped early: reap the shards still running, so their
+            # segments are released before the caller moves on.
+            while not release.reaped.wait(_POLL_S):
+                if not self._dispatch_thread.is_alive():
+                    break
+        with release.cond:
+            release.results.clear()
+
+    def run_tasks(self, fn, tasks: list[tuple], shared=None, **overrides) -> list:
+        """:meth:`imap_tasks` with every task in the window, as a list."""
+        return list(self.imap_tasks(fn, tasks, shared=shared, **overrides))
 
     # --------------------------------------------------------------- queries
     def serving_urls(self) -> list[str]:
@@ -603,7 +720,9 @@ class LocalCluster:
     def stats(self) -> dict:
         with self._registry_lock:
             registry = self.registry.stats()
-        active = self._active
+        active = next(
+            (release for release in list(self._releases.values()) if release.open), None
+        )
         return {
             "registry": registry,
             "active_release": None

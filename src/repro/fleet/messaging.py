@@ -4,18 +4,23 @@ Every message the coordinator and its workers exchange is one
 :class:`Envelope` — a flat, versioned JSON object sent with
 ``Connection.send_bytes`` over a :mod:`multiprocessing.connection` channel
 (which already gives us length-prefixed framing and an HMAC-authenticated
-handshake via ``authkey``).  Keeping the control plane pure JSON makes the
-protocol inspectable and forward-portable to a socket transport; the two
-payloads that are *not* JSON-shaped ride alongside it:
+handshake via ``authkey``).  ``LocalCluster`` forks every worker on its own
+host, so the channel is an ``AF_UNIX`` socket; the envelopes themselves are
+transport-agnostic.  Keeping the control plane pure JSON makes the
+protocol inspectable; the values that are *not* JSON-shaped are pickled
+and base64-embedded (:func:`pack_value`), and none of them is bulky:
 
 - **task arguments** (a few hundred bytes: the shard size, its pre-spawned
-  ``SeedSequence``-child generators, the kernel name) are pickled and
-  base64-embedded in the ``assign`` envelope;
-- **bulk payloads** (the pickled :class:`~repro.engine.SynthesisPlan` shipped
-  once per release, and each shard's decoded result table) travel through a
-  coordinator-owned *spool directory* on the shared filesystem — envelopes
-  carry only the path.  ``LocalCluster`` is same-host, so the spool is the
-  zero-config analogue of the object store a multi-host deployment would use.
+  ``SeedSequence``-child generators, the kernel name) ride in ``assign``;
+- **results** ride in ``complete`` as the worker's
+  :func:`~repro.engine.shm.export_result` form: a shard's decoded table is a
+  shared-memory descriptor (segment name, slot offsets, dictionaries), and
+  only values under :data:`~repro.engine.shm.SHM_MIN_BYTES` travel whole;
+- **the shared payload** (the :class:`~repro.engine.SynthesisPlan`, or a
+  fit's encoded matrix) never rides an envelope.  A worker forked while
+  it was bound (``LocalCluster.private``) inherits it, and ``assign`` says
+  ``"shared": "inherited"``; otherwise it is pickled once into the
+  coordinator's spool directory and ``assign`` carries the path.
 
 Determinism contract: an ``assign`` envelope never *chooses* randomness —
 the task tuple carries the shard's own ``SeedSequence`` children, fixed when
@@ -37,9 +42,11 @@ type           direction  payload
 ``welcome``    c -> w     ``worker_id`` echo, ``heartbeat_interval``
 ``heartbeat``  w -> c     (empty)
 ``assign``     c -> w     ``release``, ``index``, ``fn_module``, ``fn_name``,
-                          ``shared_path``, ``task`` (base64 pickle)
-``complete``   w -> c     ``release``, ``index``, ``path`` (spooled result)
-``failed``     w -> c     ``release``, ``index``, ``error``, ``traceback``
+                          ``shared`` (``null``, ``"inherited"`` or a spool
+                          path), ``task`` (packed)
+``complete``   w -> c     ``release``, ``index``, ``result`` (packed export)
+``failed``     w -> c     ``release``, ``index``, ``error``, ``traceback``,
+                          ``exception`` (packed, when it pickles)
 ``shutdown``   c -> w     (empty)
 =============  =========  ====================================================
 """
@@ -75,6 +82,9 @@ MESSAGE_TYPES = (
     MSG_FAILED,
     MSG_SHUTDOWN,
 )
+
+#: ``assign``'s ``shared`` value for the payload a worker inherited at fork.
+SHARED_INHERITED = "inherited"
 
 #: Worker roles a ``register`` envelope may announce.
 ROLE_SAMPLER = "sampler"
@@ -171,13 +181,13 @@ def seed_from_spec(spec: dict) -> np.random.SeedSequence:
 
 
 # ----------------------------------------------------------- binary embeds
-def pack_task(task: tuple) -> str:
-    """Base64-embed one (small) task argument tuple for an assign envelope."""
-    return base64.b64encode(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)).decode(
+def pack_value(value) -> str:
+    """Base64-embed one small picklable value (task, result, exception)."""
+    return base64.b64encode(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)).decode(
         "ascii"
     )
 
 
-def unpack_task(packed: str) -> tuple:
-    """Inverse of :func:`pack_task`."""
+def unpack_value(packed: str):
+    """Inverse of :func:`pack_value`."""
     return pickle.loads(base64.b64decode(packed.encode("ascii")))

@@ -22,7 +22,6 @@ every replica) and are returned as-is without penalising the replica.
 
 from __future__ import annotations
 
-import http.client
 import json
 import threading
 import urllib.parse
@@ -90,6 +89,8 @@ class ReplicatedQueryClient:
         return self._replicas[start:] + self._replicas[:start]
 
     def _one_request(self, replica: _Replica, method, path, body, headers):
+        import http.client  # with ssl behind it; every process pool loads this package
+
         conn = http.client.HTTPConnection(
             replica.host, replica.port, timeout=self.timeout
         )
@@ -106,6 +107,7 @@ class ReplicatedQueryClient:
         Raises :class:`NoReplicaAvailableError` when no replica produced a
         non-5xx response (each attempt's error is listed).
         """
+        import http.client
         body = None
         headers = {}
         if payload is not None:

@@ -5,13 +5,14 @@ runs in each subprocess (and what a multi-host deployment would run per
 node).  The runtime is two threads over one authenticated
 :mod:`multiprocessing.connection` channel:
 
-- the **main loop** receives ``assign`` envelopes, executes
-  ``fn(shared, *task)`` exactly like any engine backend worker would — the
-  task tuple carries the shard's own pre-spawned seed children, so *who*
-  runs it cannot change the output — spools the pickled result, and reports
-  ``complete`` (or ``failed`` with the traceback for deterministic errors:
-  a task function raising would raise again on any worker, so it is
-  reported, not retried);
+- the **main loop** receives ``assign`` envelopes and executes
+  ``fn(shared, *task)`` — the task tuple carries the shard's own
+  pre-spawned seed children, so *who* runs it cannot change the output.  It
+  parks the result in shared memory (:func:`~repro.engine.shm.export_result`)
+  and reports ``complete`` with the descriptor, or ``failed`` with the
+  traceback (and the exception itself, when it pickles) for deterministic
+  errors: a task function raising would raise again on any worker, so it is
+  reported, not retried;
 - the **heartbeat thread** sends one ``heartbeat`` envelope per interval
   (the interval is dictated by the coordinator's ``welcome``).  It passes
   the ``SITE_FLEET_HEARTBEAT`` fault site first, so the chaos suite can
@@ -40,6 +41,7 @@ import time
 import traceback
 from multiprocessing.connection import Client
 
+from repro.engine.shm import export_result, release_result
 from repro.fleet.messaging import (
     MSG_ASSIGN,
     MSG_COMPLETE,
@@ -50,12 +52,19 @@ from repro.fleet.messaging import (
     MSG_WELCOME,
     ROLE_SAMPLER,
     ROLE_SERVING,
+    SHARED_INHERITED,
     Envelope,
     decode_envelope,
     encode_envelope,
-    unpack_task,
+    pack_value,
+    unpack_value,
 )
-from repro.reliability.faults import SITE_FLEET_HEARTBEAT, maybe_fire
+from repro.reliability.faults import (
+    KIND_DROP_SHM,
+    SITE_FLEET_HEARTBEAT,
+    SITE_SHM_EXPORT,
+    maybe_fire,
+)
 
 #: Reconnect attempts after a lost coordinator connection before giving up.
 RECONNECT_ATTEMPTS = 3
@@ -65,11 +74,11 @@ RECONNECT_DELAY = 0.05
 class _WorkerRuntime:
     """State of one worker process: connection, caches, heartbeat."""
 
-    def __init__(self, address, authkey: bytes, worker_id: str, spool: str) -> None:
+    def __init__(self, address, authkey: bytes, worker_id: str, inherited=None) -> None:
         self.address = address
         self.authkey = authkey
         self.worker_id = worker_id
-        self.spool = spool
+        self.inherited = inherited  # the payload it was forked with
         self.conn = None
         self.heartbeat_interval = 0.5
         self._send_lock = threading.Lock()
@@ -79,7 +88,6 @@ class _WorkerRuntime:
         #: (and unpickles) once per worker, not once per shard.
         self._shared_cache: dict[str, object] = {}
         self._register_payload: dict = {"pid": os.getpid(), "role": ROLE_SAMPLER}
-        self._result_seq = 0
 
     # ------------------------------------------------------------- transport
     def send(self, type_: str, payload: dict | None = None) -> None:
@@ -132,52 +140,52 @@ class _WorkerRuntime:
                 continue
 
     # ------------------------------------------------------------- execution
-    def _shared(self, path: str | None):
-        if path is None:
+    def _shared(self, ref: str | None):
+        if ref is None:
             return None
-        if path not in self._shared_cache:
-            with open(path, "rb") as fh:
-                self._shared_cache[path] = pickle.load(fh)
-        return self._shared_cache[path]
-
-    def _spool_result(self, release: int, index: int, result) -> str:
-        """Pickle a shard result into the spool; unique name per attempt."""
-        self._result_seq += 1
-        name = f"result-{self.worker_id}-{release}-{index}-{self._result_seq}.pkl"
-        path = os.path.join(self.spool, name)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
-        return path
+        if ref == SHARED_INHERITED:
+            return self.inherited
+        if ref not in self._shared_cache:
+            with open(ref, "rb") as fh:
+                self._shared_cache[ref] = pickle.load(fh)
+        return self._shared_cache[ref]
 
     def handle_assign(self, envelope: Envelope) -> None:
         payload = envelope.payload
-        release = int(payload["release"])
-        index = int(payload["index"])
+        reply = {"release": int(payload["release"]), "index": int(payload["index"])}
         try:
             module = importlib.import_module(payload["fn_module"])
             fn = getattr(module, payload["fn_name"])
-            shared = self._shared(payload.get("shared_path"))
-            task = unpack_task(payload["task"])
-            result = fn(shared, *task)
-            path = self._spool_result(release, index, result)
+            task = unpack_value(payload["task"])
+            out = export_result(fn(self._shared(payload.get("shared")), *task))
         except BaseException as exc:  # noqa: BLE001 - reported, not retried
-            self.send(
-                MSG_FAILED,
-                {
-                    "release": release,
-                    "index": index,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "traceback": traceback.format_exc(),
-                },
-            )
+            reply["error"] = f"{type(exc).__name__}: {exc}"
+            reply["traceback"] = traceback.format_exc()
+            try:
+                reply["exception"] = pack_value(exc)
+            except Exception:  # an unpicklable exception travels as text only
+                pass
+            self.send(MSG_FAILED, reply)
             return
-        self.send(MSG_COMPLETE, {"release": release, "index": index, "path": path})
+        # Chaos hook: a ``drop_shm`` fault simulates the segment vanishing
+        # between this export and the coordinator's import — the descriptor
+        # still travels, but the import raises FileNotFoundError (the real
+        # symptom), which the coordinator treats as a transient loss.
+        spec = maybe_fire(SITE_SHM_EXPORT)
+        if spec is not None and spec.kind == KIND_DROP_SHM:
+            release_result(out)
+        try:
+            self.send(MSG_COMPLETE, {**reply, "result": pack_value(out)})
+        except BaseException:
+            release_result(out)  # nobody will import it
+            raise
 
     # ------------------------------------------------------------- main loop
     def run(self) -> None:
-        self.connect()
+        try:
+            self.connect()
+        except (OSError, EOFError):
+            return  # the coordinator closed before this worker registered
         beat = threading.Thread(target=self.heartbeat_loop, daemon=True)
         beat.start()
         try:
@@ -231,11 +239,11 @@ def worker_main(
     address,
     authkey: bytes,
     worker_id: str,
-    spool: str,
     serving_root=None,
+    inherited=None,
 ) -> None:
     """Entry point of one fleet worker process."""
-    runtime = _WorkerRuntime(address, authkey, worker_id, spool)
+    runtime = _WorkerRuntime(address, authkey, worker_id, inherited)
     if serving_root is not None:
         _start_serving(runtime, serving_root)
     runtime.run()

@@ -31,7 +31,6 @@ from repro.reliability.errors import (
     FaultError,
     ReliabilityError,
     ShardTaskError,
-    remote_traceback_of,
 )
 from repro.reliability.faults import (
     FAULT_KINDS,
@@ -90,5 +89,4 @@ __all__ = [
     "installed",
     "maybe_fire",
     "reliability_seed",
-    "remote_traceback_of",
 ]

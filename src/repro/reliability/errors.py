@@ -18,10 +18,12 @@ class ReliabilityError(RuntimeError):
 class FaultError(ReliabilityError):
     """An *injected* fault fired (see :mod:`repro.reliability.faults`).
 
-    Raised by ``kind="error"`` fault specs at their trigger point.  The
-    execution layer treats it as transient — exactly like a real worker
-    fault — so chaos tests exercise the same retry paths production faults
-    take.
+    Raised by ``kind="error"`` fault specs at their trigger point.  Raised
+    inside a task it is a deterministic failure on every backend, like any
+    exception a task raises: the release fails with a
+    :class:`ShardTaskError` (``transient=False``) and nothing is retried.
+    Transient faults — the retry paths — are injected with
+    ``kill_worker``, ``delay`` or ``drop_shm``.
     """
 
 
@@ -71,20 +73,3 @@ class ShardTaskError(ReliabilityError):
         self.attempts = int(attempts)
         self.transient = bool(transient)
         self.remote_traceback = remote_traceback
-
-
-def remote_traceback_of(exc: BaseException) -> str | None:
-    """The worker-side traceback text attached to a pool exception, if any.
-
-    ``concurrent.futures`` chains a ``_RemoteTraceback`` (whose ``str`` is
-    the formatted worker traceback) onto exceptions re-raised in the parent;
-    this digs it out without depending on the private class.
-    """
-    seen = set()
-    node = exc
-    while node is not None and id(node) not in seen:
-        seen.add(id(node))
-        if type(node).__name__ == "_RemoteTraceback":
-            return str(node)
-        node = node.__cause__ or node.__context__
-    return None

@@ -94,15 +94,6 @@ class RetryPolicy:
             base *= 1.0 + self.jitter * float(self._rng.random())
         return base
 
-    def sleep(self, attempt: int, deadline: "Deadline | None" = None) -> None:
-        """Sleep the backoff for ``attempt``, clamped to ``deadline``."""
-        pause = self.delay(attempt)
-        if deadline is not None:
-            deadline.check(f"retry backoff (attempt {attempt})")
-            pause = min(pause, deadline.remaining())
-        if pause > 0:
-            time.sleep(pause)
-
 
 class Deadline:
     """An absolute expiry on the monotonic clock, propagated across layers.

@@ -8,22 +8,32 @@ same ceiling it dumps every thread's stack to the real stderr and exits the
 process, so a hang still fails loudly with the diagnostic that matters.
 
 The leak census (:func:`leak_census`, autouse) fails any test that leaves
-behind a new ``/dev/shm`` segment of this process's engine pools or a live
-``multiprocessing`` child.
+behind a new ``/dev/shm`` segment of this process's engine pools, a live
+``multiprocessing`` child, a live thread it started (daemon threads count:
+a cluster's accept and dispatch threads are daemons) or a ``repro-fleet-*``
+spool directory.
 """
 
 from __future__ import annotations
 
 import faulthandler
 import gc
+import glob
 import importlib.util
 import multiprocessing
 import os
+import tempfile
+import threading
+import time
 
 import pytest
 
 #: Per-test ceiling in seconds; matches the ``timeout`` ini key.
 HANG_CEILING_S = 300
+
+#: How long threads a test started may take to finish after it returns
+#: (a server's ``shutdown()`` returns before its thread has exited).
+THREAD_GRACE_S = 2.0
 
 _dump_file = None
 
@@ -68,15 +78,30 @@ def _live_children() -> set:
     return {proc.pid for proc in multiprocessing.active_children()}
 
 
+def _spool_dirs() -> set:
+    """Fleet spool directories (``LocalCluster.spool``) in the temp dir."""
+    return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-fleet-*")))
+
+
+def _threads_outliving(before: set) -> list:
+    """Threads started since ``before`` that stay alive past the grace period."""
+    deadline = time.monotonic() + THREAD_GRACE_S
+    started = set(threading.enumerate()) - before
+    for thread in started:
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    return sorted(thread.name for thread in started if thread.is_alive())
+
+
 @pytest.fixture(autouse=True)
 def leak_census():
-    """Fail a test that leaks shm segments or ``multiprocessing`` children.
+    """Fail a test that leaks shm segments, children, threads or spool dirs.
 
     Imported shard tables unlink their segment when collected, so a leak
     candidate triggers one ``gc.collect()`` before it counts; clean tests
     pay two directory scans and no collection.
     """
     segments, children = _own_segments(), _live_children()
+    threads, spools = set(threading.enumerate()), _spool_dirs()
     yield
     leaked = _own_segments() - segments
     spawned = _live_children() - children
@@ -86,3 +111,7 @@ def leak_census():
         spawned = _live_children() - children
     assert not leaked, f"test leaked shm segments: {sorted(leaked)}"
     assert not spawned, f"test left multiprocessing children alive: {sorted(spawned)}"
+    running = _threads_outliving(threads)
+    assert not running, f"test left threads running: {running}"
+    spooled = _spool_dirs() - spools
+    assert not spooled, f"test left fleet spool dirs behind: {sorted(spooled)}"

@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 from repro import NetDPSyn, SynthesisConfig, load_dataset
-from repro.engine import ALL_BACKENDS, BACKENDS, get_backend
+from repro.engine import ALL_BACKENDS, BACKENDS, ClusterBackend, get_backend
 from repro.fleet import (
     FLEET_SCHEMA_VERSION,
     Envelope,
@@ -226,6 +226,34 @@ class TestShardQueue:
         assert queue.attempts[0] == 2 and queue.attempts[3] == 0
         assert queue.max_attempts() == 2
 
+    def test_window_limit_requeue_and_cancel(self):
+        queue = ShardQueue(4)
+        assert queue.lease("a", limit=1) == 0
+        assert queue.lease("b", limit=1) is None  # shard 1 is past the window
+        assert queue.complete(0, "a")
+        # A result lost after completion runs again, ahead of the window.
+        queue.requeue(0)
+        assert not queue.done and queue.lease("b", limit=1) == 0
+        assert queue.attempts[0] == 2
+        queue.cancel()
+        assert queue.pending == 0 and queue.lease("a") is None
+        assert queue.leased == 1  # the running shard still reports
+
+    def test_held_shard_is_skipped_until_its_backoff_ends(self):
+        queue = ShardQueue(3)
+        assert queue.lease("a") == 0
+        assert queue.release_worker("a") == [0]
+        assert queue.held_for() == float("inf")
+        queue.hold(0, 60.0)
+        assert 59.0 < queue.held_for() <= 60.0
+        # The held shard leads the queue but does not block the next one.
+        assert queue.lease("b", limit=2) == 1
+        assert queue.lease("c", limit=2) is None
+        queue.hold(0, 0.0)
+        assert queue.held_for() == float("inf")
+        assert queue.lease("c", limit=2) == 0
+        assert queue.attempts[0] == 2
+
 
 # ------------------------------------------------------- multi-worker release
 class TestFleetRelease:
@@ -283,6 +311,41 @@ class TestFleetRelease:
             assert out == [7 * i for i in range(8)]
             # Same payload object again: spooled once, results still right.
             assert cluster.run_tasks(_mul_task, [(3,)], shared=7) == [21]
+
+    def test_spool_dir_exists_only_for_a_pickled_payload(self):
+        with LocalCluster(workers=1) as cluster:
+            assert cluster.run_tasks(_echo_task, [(1,)]) == [1]
+            assert cluster.spool is None
+            assert cluster.run_tasks(_mul_task, [(3,)], shared=7) == [21]
+            spool = cluster.spool
+            assert os.path.isdir(spool)
+        assert not os.path.exists(spool)
+        # A private cluster's workers start with the payload: no spool.
+        payload = [5]
+        cluster = LocalCluster.private(1, shared=payload)
+        try:
+            backend = ClusterBackend("fleet", cluster=cluster)
+            assert backend.run_tasks(_mul_task, [(2,)], shared=payload) == [[5, 5]]
+            assert cluster.spool is None
+        finally:
+            cluster.close()
+
+    def test_private_cluster_honours_the_configured_start_method(self):
+        if "spawn" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no spawn start method")
+        previous = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("spawn", force=True)
+        try:
+            cluster = LocalCluster.private(2, shared=7)
+        finally:
+            multiprocessing.set_start_method(previous, force=True)
+        try:
+            assert cluster.run_tasks(_mul_task, [(i,) for i in range(4)], shared=7) == [
+                0, 7, 14, 21
+            ]
+            assert {type(proc).__name__ for proc in cluster._procs} == {"SpawnProcess"}
+        finally:
+            cluster.close()
 
 
 def _raise_task(shared, index):

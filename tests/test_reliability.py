@@ -3,7 +3,7 @@
 The reliability contract under test:
 
 - **Engine recovery is bit-identical.**  A killed worker, a vanished shm
-  segment, or an injected transient error resubmits only the failed shards
+  segment, or an overdue shard resubmits only the failed shards
   on their original ``SeedSequence`` children, so the recovered run's
   content digest equals the fault-free run's — for ``sample()`` and for
   ``sample_stream()`` mid-stream, on per-call and persistent process pools.
@@ -28,15 +28,23 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from http.client import HTTPConnection
 from pathlib import Path
 
 import pytest
 
 from repro import NetDPSyn, SynthesisConfig, load_dataset
-from repro.engine import ShardTaskError, get_backend
+from repro.engine import (
+    EngineConfig,
+    ShardTaskError,
+    execute_plan_decoded,
+    get_backend,
+)
+from repro.fleet import LocalCluster
 from repro.reliability import (
     KIND_CORRUPT_MODEL,
+    KIND_DELAY,
     KIND_DROP_SHM,
     KIND_ERROR,
     KIND_KILL,
@@ -308,6 +316,25 @@ class TestShardAttribution:
         assert error.index == 1
         assert error.attempts == 2
 
+    @fork_only
+    @pytest.mark.parametrize("backend", ["process", "fleet"])
+    def test_requeued_shard_waits_out_the_backoff(self, backend):
+        class Recording(RetryPolicy):
+            def delay(self, attempt):
+                attempts.append(attempt)
+                return super().delay(attempt)
+
+        attempts = []
+        policy = Recording(max_retries=2, base_delay=0.4, jitter=0.0)
+        # Inject first: fleet workers inherit the injector when they fork.
+        with inject(FaultSpec(kind=KIND_KILL, site=SITE_SHARD, index=1)), _runtime(backend):
+            runner = get_backend(backend, 2, retry=policy)
+            started = time.monotonic()
+            assert runner.run_tasks(_chaos_task, [(0,), (1,), (2,)]) == [0, 2, 4]
+            elapsed = time.monotonic() - started
+        assert attempts == [1]
+        assert elapsed >= 0.4
+
 
 # --------------------------------------------------- digest-identical chaos
 def _session(fitted, backend):
@@ -337,6 +364,16 @@ class TestRecoveryDigestIdentity:
         assert table.content_digest() == baseline
         assert _shm_segments() == before
 
+    def test_persistent_pool_replaces_a_lost_worker(self, fitted, baseline):
+        # One worker: without a replacement the first kill would leave the
+        # pool empty and the release would fail.
+        with inject(FaultSpec(kind=KIND_KILL, site=SITE_SHARD, index=2)) as injector:
+            with fitted.pool(backend="process", max_workers=1):
+                first = fitted.sample(N_SAMPLE, rng=123, shards=4)
+                second = fitted.sample(N_SAMPLE, rng=123, shards=4)
+            assert injector.fired(KIND_KILL) == 1
+        assert first.content_digest() == second.content_digest() == baseline
+
     def test_dropped_shm_segment_sample(self, fitted, baseline):
         before = _shm_segments()
         with inject(FaultSpec(kind=KIND_DROP_SHM, site=SITE_SHM_EXPORT)) as injector:
@@ -365,6 +402,53 @@ class TestRecoveryDigestIdentity:
             assert injector.fired(KIND_KILL) == 1
         assert faulted == clean
         assert _shm_segments() == before
+
+
+def _runtime(backend):
+    """``fleet`` needs an active cluster; ``process`` makes its own."""
+    if backend == "fleet":
+        return LocalCluster(workers=2)
+    return contextlib.nullcontext()
+
+
+#: A stall far past the timeout below, so the overdue shard is never waited on.
+STALL_S = 3.0
+TIMEOUT_S = 0.5
+
+
+@fork_only
+class TestTaskTimeout:
+    """``EngineConfig.task_timeout``: an overdue shard re-runs on its seeds."""
+
+    def _run(self, fitted, backend, **engine):
+        config = EngineConfig(backend=backend, shards=4, task_timeout=TIMEOUT_S, **engine)
+        return execute_plan_decoded(fitted.plan(), config, n=N_SAMPLE, rng=123).table
+
+    @pytest.mark.parametrize("backend", ["process", "fleet"])
+    def test_overdue_shard_reruns_digest_identical(self, fitted, backend):
+        baseline = fitted.sample(N_SAMPLE, rng=123, shards=4, backend="serial")
+        children = set(multiprocessing.active_children())
+        stall = FaultSpec(kind=KIND_DELAY, site=SITE_SHARD, index=1, delay_seconds=STALL_S)
+        with inject(stall) as injector:
+            with _runtime(backend):
+                started = time.monotonic()
+                table = self._run(fitted, backend)
+                elapsed = time.monotonic() - started
+            assert injector.fired(KIND_DELAY) == 1
+        assert elapsed < STALL_S
+        assert table.content_digest() == baseline.content_digest()
+        assert set(multiprocessing.active_children()) <= children
+
+    @pytest.mark.parametrize("backend", ["process", "fleet"])
+    def test_no_retries_fails_transient(self, fitted, backend):
+        stall = FaultSpec(kind=KIND_DELAY, site=SITE_SHARD, index=1, delay_seconds=STALL_S)
+        with inject(stall):
+            with _runtime(backend):
+                with pytest.raises(ShardTaskError) as excinfo:
+                    self._run(fitted, backend, max_task_retries=0)
+        assert excinfo.value.transient is True
+        assert excinfo.value.index == 1
+        assert excinfo.value.attempts == 1
 
 
 # ------------------------------------------------------------ service chaos

@@ -1,6 +1,9 @@
 """Streaming engine tests: sharded decode, chunked sampling, sinks, shm pool."""
 
 import contextlib
+import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,14 +21,15 @@ from repro.data.sinks import (
 from repro.data.table import TraceTable
 from repro.engine import (
     BACKENDS,
+    ClusterBackend,
     EngineConfig,
-    ProcessBackend,
     execute_plan_decoded,
     get_backend,
 )
 from repro.engine.executor import _merge_errors
 from repro.engine.plan import ShardResult
 from repro.engine.shm import export_result, import_result
+from repro.fleet import LocalCluster
 from repro.utils.memory import peak_rss_bytes
 
 #: Backends exercised by the stream digest-equality tests.  ``shared`` (the
@@ -282,7 +286,8 @@ class TestSharedBackend:
     def test_registered(self):
         # "shared" is an accepted spelling of the one process backend.
         assert "shared" not in BACKENDS
-        assert type(get_backend("shared")) is ProcessBackend
+        assert type(get_backend("shared")) is ClusterBackend
+        assert get_backend("shared").name == "process"
         assert EngineConfig(backend="shared").backend == "process"
         assert EngineConfig().override(backend="shared").backend == "process"
         with pytest.raises(ValueError, match="backend must be one of"):
@@ -349,15 +354,15 @@ class TestSharedBackend:
     def test_shared_spelling_pool_serves_sample_to(self, fitted, tmp_path, monkeypatch):
         # The release benchmark opens its pool as backend="shared" and then
         # calls sample_to without a backend: every call must run on that one
-        # pool, never on a per-call pool.
+        # pool (a private cluster), never on a per-call one.
         pools = []
-        make_pool = ProcessBackend._make_pool
+        make_cluster = ClusterBackend._make_cluster
 
         def counting(self, workers, shared):
             pools.append(workers)
-            return make_pool(self, workers, shared)
+            return make_cluster(self, workers, shared)
 
-        monkeypatch.setattr(ProcessBackend, "_make_pool", counting)
+        monkeypatch.setattr(ClusterBackend, "_make_cluster", counting)
         expected = fitted.sample(700, rng=9, shards=4, backend="serial")
         with fitted.pool(backend="shared", max_workers=2):
             for _ in range(2):
@@ -366,12 +371,75 @@ class TestSharedBackend:
                 assert digest(got) == digest(expected)
         assert pools == [2]
 
+    @pytest.mark.parametrize("backend", ["process", "fleet"])
+    def test_interleaved_streams_on_one_pool(self, fitted, backend):
+        # A second release starts while the first stream is suspended on
+        # the same workers; neither may stall the other or change a byte.
+        want = {
+            "a": digest(fitted.sample(1200, rng=3, shards=4, backend="serial")),
+            "b": digest(fitted.sample(900, rng=4, shards=3, backend="serial")),
+        }
+        if backend == "fleet":
+            runtime = LocalCluster(workers=2)
+        else:
+            runtime = fitted.pool(backend=backend, max_workers=2)
+        parts = {"a": [], "b": []}
+        with runtime:
+            streams = {
+                "a": fitted.sample_stream(1200, chunk=200, rng=3, shards=4, backend=backend),
+                "b": fitted.sample_stream(900, chunk=200, rng=4, shards=3, backend=backend),
+            }
+            for a, b in itertools.zip_longest(streams["a"], streams["b"]):
+                for key, part in (("a", a), ("b", b)):
+                    if part is not None:
+                        parts[key].append(part)
+        got = {key: digest(TraceTable.concat_all(chunks)) for key, chunks in parts.items()}
+        assert got == want
+
+    def test_concurrent_streams_from_threads(self, fitted):
+        # Stress: consumers on several threads share one pool's dispatcher
+        # (more workers than cores, a short switch interval); a lost wakeup
+        # or a result handed to the wrong release would change a digest or
+        # hang past the join timeout.
+        seeds = (11, 12, 13)
+        want = {s: digest(fitted.sample(900, rng=s, shards=3, backend="serial")) for s in seeds}
+        got = {}
+
+        def consume(seed):
+            parts = list(fitted.sample_stream(900, chunk=150, rng=seed, shards=3))
+            got[seed] = digest(TraceTable.concat_all(parts))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with fitted.pool(backend="process", max_workers=3):
+                threads = [threading.Thread(target=consume, args=(s,)) for s in seeds]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
     def test_abandoned_stream_leaks_no_shm_segments(self, fitted):
         before = _shm_segments()
         stream = fitted.sample_stream(1200, chunk=100, rng=3, shards=4, backend="process")
         next(stream)
         stream.close()
         assert _shm_segments() == before
+
+    def test_abandoned_stream_on_open_pool_is_reaped(self, fitted):
+        # Closing the stream returns only after the shards it left running
+        # have reported: the open pool keeps nothing of it in flight.
+        before = _shm_segments()
+        with fitted.pool(backend="process", max_workers=2) as pool:
+            stream = fitted.sample_stream(6000, chunk=500, rng=3, shards=6)
+            next(stream)
+            stream.close()
+            assert not pool._pool._releases
+            assert _shm_segments() == before
 
     def test_failed_task_leaks_no_shm_segments(self):
         before = _shm_segments()
@@ -451,14 +519,18 @@ class TestArenaDescriptorTransport:
         import subprocess
         from multiprocessing import shared_memory
 
-        from repro.engine.shm import _unregister, sweep_orphan_segments
+        from repro.engine.shm import (
+            _proc_start_token,
+            _unregister,
+            sweep_orphan_segments,
+        )
 
         me = os.getpid()
         proc = subprocess.Popen(["true"])
         proc.wait()  # reaped: its pid no longer exists
         names = {
-            "live": f"nds{me:x}-{me:x}-aaa1",
-            "dead": f"nds{me:x}-{proc.pid:x}-aaa1",
+            "live": f"nds{me:x}-{me:x}-{_proc_start_token(me)}-1",
+            "dead": f"nds{me:x}-{proc.pid:x}-aaa1-1",
         }
         for name in names.values():
             seg = shared_memory.SharedMemory(name=name, create=True, size=1024)
