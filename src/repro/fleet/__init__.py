@@ -4,9 +4,10 @@ Synthesis in this codebase is *fit once, sample forever*: the fitted model
 is a frozen set of noisy marginals, and sampling is pure post-processing —
 free under DP and embarrassingly parallel.  This package turns that into a
 fleet: a coordinator (:class:`LocalCluster`) registers workers over an
-authenticated :mod:`multiprocessing.connection` channel with heartbeats and
-monotonic liveness expiry (:class:`WorkerRegistry`), fans one release's
-shard tasks across them (:class:`ShardQueue` — deterministic
+authenticated :mod:`multiprocessing.connection` channel — every message a
+pickled ``(type, payload)`` tuple (:mod:`repro.fleet.messaging`) — with
+heartbeats and monotonic liveness expiry (:class:`WorkerRegistry`), fans
+one release's shard tasks across them (:class:`ShardQueue` — deterministic
 ``SeedSequence`` shard assignment, so a multi-node release is digest-equal
 to single-node), and fronts replicated HTTP query workers with round-robin
 dispatch and per-replica circuit breakers
@@ -21,21 +22,11 @@ Failure handling reuses :mod:`repro.reliability` wholesale: a worker killed
 mid-release (or mid-heartbeat) is expired and its unfinished shards re-run
 on their original seed children, bounded by the backend's
 :class:`~repro.reliability.RetryPolicy` — see ``docs/fleet.md`` for the
-protocol, envelope schema, determinism contract, and failure matrix.
+protocol, message types, determinism contract, and failure matrix.
 """
 
 from repro.fleet.cluster import FleetError, LocalCluster, current_cluster
-from repro.fleet.messaging import (
-    FLEET_SCHEMA_VERSION,
-    MESSAGE_TYPES,
-    Envelope,
-    EnvelopeError,
-    decode_envelope,
-    encode_envelope,
-    seed_from_spec,
-    seed_spec,
-)
-from repro.fleet.queue import ShardQueue, release_seed_specs
+from repro.fleet.queue import ShardQueue
 from repro.fleet.registry import (
     STATE_ALIVE,
     STATE_EVICTED,
@@ -47,13 +38,9 @@ from repro.fleet.serving import NoReplicaAvailableError, ReplicatedQueryClient
 from repro.fleet.worker import worker_main
 
 __all__ = [
-    "FLEET_SCHEMA_VERSION",
-    "MESSAGE_TYPES",
     "STATE_ALIVE",
     "STATE_EVICTED",
     "STATE_EXPIRED",
-    "Envelope",
-    "EnvelopeError",
     "FleetError",
     "LocalCluster",
     "NoReplicaAvailableError",
@@ -62,10 +49,5 @@ __all__ = [
     "WorkerRecord",
     "WorkerRegistry",
     "current_cluster",
-    "decode_envelope",
-    "encode_envelope",
-    "release_seed_specs",
-    "seed_from_spec",
-    "seed_spec",
     "worker_main",
 ]

@@ -66,12 +66,6 @@ from repro.fleet.messaging import (
     MSG_SHUTDOWN,
     MSG_WELCOME,
     SHARED_INHERITED,
-    Envelope,
-    EnvelopeError,
-    decode_envelope,
-    encode_envelope,
-    pack_value,
-    unpack_value,
 )
 from repro.fleet.queue import ShardQueue
 from repro.fleet.registry import WorkerRegistry
@@ -95,6 +89,18 @@ class FleetError(RuntimeError):
     """A fleet-level protocol or capacity failure."""
 
 
+def _recv(conn) -> tuple[str, dict]:
+    """Read one ``(type, payload)`` message; raise if the frame is anything else.
+
+    Unpickling a malformed frame can raise any exception, so callers treat
+    every ``Exception`` as a bad or lost peer.
+    """
+    type_, payload = conn.recv()
+    if not isinstance(type_, str) or not isinstance(payload, dict):
+        raise ValueError(f"not a fleet message: {type(type_).__name__}")
+    return type_, payload
+
+
 class _Release:
     """One ``imap_tasks`` call in flight: tasks, queue, results, outcome.
 
@@ -106,7 +112,7 @@ class _Release:
     def __init__(self, seq, fn, tasks, shared, window, task_timeout, retry) -> None:
         self.seq = seq
         self.fn = fn
-        self.packed = [pack_value(task) for task in tasks]
+        self.packed = [pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL) for task in tasks]
         self.shared = shared
         self.window = window
         self.task_timeout = task_timeout
@@ -183,13 +189,12 @@ class LocalCluster:
         self._registry_lock = threading.Lock()
         self._spool_lock = threading.Lock()
         self._wake_r, self._wake_w = multiprocessing.Pipe(duplex=False)
-        self._inbox: deque = deque()  # ("join", conn, envelope) | (kind, release)
+        self._inbox: deque = deque()  # ("join", conn, payload) | (kind, release)
         self._conns: dict = {}  # conn -> worker_id
         self._worker_conns: dict[str, object] = {}
         #: seq -> release, oldest first: the releases the dispatcher serves.
         self._releases: dict[int, _Release] = {}
         self._running = True
-        self._seq = 0
         self._release_seq = itertools.count(1)
         self._next_worker = 0
         self._procs: list = []
@@ -314,9 +319,7 @@ class LocalCluster:
         self._wake()
 
     def _send(self, conn, type_: str, payload: dict | None = None) -> None:
-        self._seq += 1
-        envelope = Envelope(type_, "coordinator", self._seq, payload or {})
-        conn.send_bytes(encode_envelope(envelope))
+        conn.send((type_, payload or {}))
 
     def _spool_dir(self) -> str:
         if self.spool is None:
@@ -350,14 +353,14 @@ class LocalCluster:
                     return
                 continue
             try:
-                envelope = decode_envelope(conn.recv_bytes())
-            except (EOFError, OSError, EnvelopeError):
+                type_, payload = _recv(conn)
+                if type_ != MSG_REGISTER or not isinstance(payload["worker_id"], str):
+                    raise ValueError(f"first frame must register, got {type_!r}")
+                payload["pid"] = int(payload["pid"])
+            except Exception:  # EOF, or a frame that is not a register message
                 conn.close()
                 continue
-            if envelope.type != MSG_REGISTER:
-                conn.close()
-                continue
-            self._post("join", conn, envelope)
+            self._post("join", conn, payload)
 
     # --------------------------------------------------------- dispatcher loop
     def _dispatch_loop(self) -> None:
@@ -407,24 +410,22 @@ class LocalCluster:
                 release.queue.cancel()
                 self._reap(release)
 
-    def _admit(self, conn, envelope: Envelope) -> None:
-        worker_id = envelope.sender
-        payload = envelope.payload
+    def _admit(self, conn, payload: dict) -> None:
+        worker_id = payload["worker_id"]
         with self._registry_lock:
             self.registry.register(
                 worker_id,
-                pid=int(payload.get("pid", 0)),
-                role=str(payload.get("role", "sampler")),
-                meta={k: v for k, v in payload.items() if k not in ("pid", "role")},
+                pid=payload["pid"],
+                meta={k: v for k, v in payload.items() if k not in ("worker_id", "pid")},
             )
         stale = self._worker_conns.pop(worker_id, None)
         if stale is not None:
             self._drop_conn(stale, evict=False)
         self._conns[conn] = worker_id
         self._worker_conns[worker_id] = conn
-        welcome = {"worker_id": worker_id, "heartbeat_interval": self.registry.heartbeat_interval}
         try:
-            self._send(conn, MSG_WELCOME, welcome)
+            interval = self.registry.heartbeat_interval
+            self._send(conn, MSG_WELCOME, {"heartbeat_interval": interval})
         except (OSError, ValueError):
             self._lose(worker_id)
 
@@ -561,22 +562,22 @@ class LocalCluster:
     def _receive(self, conn) -> None:
         worker_id = self._conns[conn]
         try:
-            envelope = decode_envelope(conn.recv_bytes())
-        except (EOFError, OSError, EnvelopeError):
+            type_, payload = _recv(conn)
+        except Exception:  # EOF, or a frame that is not a fleet message
             self._lose(worker_id)
             return
-        if envelope.type == MSG_HEARTBEAT:
+        if type_ == MSG_HEARTBEAT:
             with self._registry_lock:
                 self.registry.heartbeat(worker_id)
-        elif envelope.type == MSG_COMPLETE:
-            self._on_complete(worker_id, envelope.payload)
-        elif envelope.type == MSG_FAILED:
-            self._on_failed(worker_id, envelope.payload)
+        elif type_ == MSG_COMPLETE:
+            self._on_complete(worker_id, payload)
+        elif type_ == MSG_FAILED:
+            self._on_failed(worker_id, payload)
 
     def _on_complete(self, worker_id: str, payload: dict) -> None:
-        raw = unpack_value(payload["result"])
-        release = self._releases.get(int(payload.get("release", -1)))
-        index = int(payload.get("index", -1))
+        raw = payload["result"]
+        release = self._releases.get(payload["release"])
+        index = payload["index"]
         if release is None or not release.queue.complete(index, worker_id):
             # A reassigned shard's original runner reported late; the retried
             # copy is bit-identical, so the duplicate is simply discarded.
@@ -599,22 +600,22 @@ class LocalCluster:
             release.cond.notify_all()
 
     def _on_failed(self, worker_id: str, payload: dict) -> None:
-        release = self._releases.get(int(payload.get("release", -1)))
-        index = int(payload.get("index", -1))
+        release = self._releases.get(payload["release"])
+        index = payload["index"]
         if release is None or not release.queue.complete(index, worker_id):
             return
         if release.open:
             attempts = release.queue.attempts[index]
             error = ShardTaskError(
                 f"task {index} failed after {attempts} attempt(s) "
-                f"(failure: {payload.get('error', 'unknown error')})",
+                f"(failure: {payload['error']})",
                 index=index,
                 attempts=attempts,
                 transient=False,
-                remote_traceback=payload.get("traceback"),
+                remote_traceback=payload["traceback"],
             )
             try:
-                error.__cause__ = unpack_value(payload["exception"])
+                error.__cause__ = pickle.loads(payload["exception"])
             except Exception:  # absent, or it does not unpickle here
                 pass
             self._finish(release, error)

@@ -8,14 +8,12 @@ decides *where* a shard runs, never *what* it computes, which is the whole
 digest-equality argument:
 
 - **Deterministic assignment.**  A shard's seeds are a function of the
-  release's root ``SeedSequence`` and the shard index alone
-  (:func:`release_seed_specs` publishes exactly that mapping), so scheduling
+  release's root ``SeedSequence`` and the shard index alone, so scheduling
   order, worker count, and worker identity are all invisible to the output.
 - **Seed-preserving reassignment.**  :meth:`ShardQueue.release_worker`
   returns a dead worker's unfinished shards to the pending queue *unchanged*
-  — the retried shard re-runs on its original seed children, exactly like
-  the single-node engine recovery (PR 8), so a release that survives a
-  worker kill is bit-identical to a fault-free one.
+  — the retried shard re-runs on its original seed children, so a release
+  that survives a worker kill is bit-identical to a fault-free one.
 
 The queue is plain bookkeeping (pending deque, leases, done set); the
 coordinator's dispatcher thread is its only caller, so it needs no lock.
@@ -26,25 +24,6 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-
-import numpy as np
-
-from repro.fleet.messaging import seed_spec
-
-
-def release_seed_specs(root: np.random.SeedSequence, shards: int) -> list[dict]:
-    """The published seed assignment of one release: shard -> spec pair.
-
-    Mirrors the engine's per-shard stream derivation (GUM child ``i``,
-    decode child ``shards + i``) as wire-auditable ``(entropy, spawn_key)``
-    specs.  Reconstructing generators from these specs yields bit-identical
-    streams to the coordinator's own spawn.
-    """
-    children = root.spawn(2 * shards)
-    return [
-        {"gum": seed_spec(children[i]), "decode": seed_spec(children[shards + i])}
-        for i in range(shards)
-    ]
 
 
 class ShardQueue:

@@ -33,7 +33,6 @@ class WorkerRecord:
 
     worker_id: str
     pid: int
-    role: str = "sampler"
     meta: dict = field(default_factory=dict)
     state: str = STATE_ALIVE
     registered_at: float = 0.0
@@ -69,7 +68,7 @@ class WorkerRegistry:
         return self.heartbeat_interval * self.liveness_factor
 
     # ------------------------------------------------------------ membership
-    def register(self, worker_id: str, pid: int, role: str = "sampler", meta=None):
+    def register(self, worker_id: str, pid: int, meta=None):
         """Admit (or re-admit) a worker; returns its record.
 
         Registering an id that already exists resets it to alive with a
@@ -81,7 +80,6 @@ class WorkerRegistry:
             record = WorkerRecord(
                 worker_id=worker_id,
                 pid=int(pid),
-                role=role,
                 meta=dict(meta or {}),
                 registered_at=now,
                 last_heartbeat=now,
@@ -89,7 +87,6 @@ class WorkerRegistry:
             self._workers[worker_id] = record
         else:
             record.pid = int(pid)
-            record.role = role
             record.meta = dict(meta or {})
             record.state = STATE_ALIVE
             record.last_heartbeat = now
@@ -133,13 +130,9 @@ class WorkerRegistry:
     def get(self, worker_id: str) -> WorkerRecord | None:
         return self._workers.get(worker_id)
 
-    def alive(self, role: str | None = None) -> list[WorkerRecord]:
-        """Live members, registration order (optionally one role only)."""
-        return [
-            record
-            for record in self._workers.values()
-            if record.state == STATE_ALIVE and (role is None or record.role == role)
-        ]
+    def alive(self) -> list[WorkerRecord]:
+        """Live members, registration order."""
+        return [record for record in self._workers.values() if record.state == STATE_ALIVE]
 
     def stats(self) -> dict:
         by_state: dict[str, int] = {}

@@ -1,19 +1,19 @@
 """Fleet worker: connect, register, heartbeat, execute shards, serve queries.
 
 :func:`worker_main` is the entry point :class:`~repro.fleet.cluster.LocalCluster`
-runs in each subprocess (and what a multi-host deployment would run per
-node).  The runtime is two threads over one authenticated
-:mod:`multiprocessing.connection` channel:
+runs in each subprocess.  The runtime is two threads over one authenticated
+:mod:`multiprocessing.connection` channel, exchanging pickled
+``(type, payload)`` messages (:mod:`repro.fleet.messaging`):
 
-- the **main loop** receives ``assign`` envelopes and executes
+- the **main loop** receives ``assign`` messages and executes
   ``fn(shared, *task)`` — the task tuple carries the shard's own
   pre-spawned seed children, so *who* runs it cannot change the output.  It
   parks the result in shared memory (:func:`~repro.engine.shm.export_result`)
   and reports ``complete`` with the descriptor, or ``failed`` with the
   traceback (and the exception itself, when it pickles) for deterministic
-  errors: a task function raising would raise again on any worker, so it is
-  reported, not retried;
-- the **heartbeat thread** sends one ``heartbeat`` envelope per interval
+  errors: a task function raising, or returning a result that does not
+  pickle, would do so again on any worker, so it is reported, not retried;
+- the **heartbeat thread** sends one ``heartbeat`` message per interval
   (the interval is dictated by the coordinator's ``welcome``).  It passes
   the ``SITE_FLEET_HEARTBEAT`` fault site first, so the chaos suite can
   kill a worker mid-heartbeat as easily as mid-shard.
@@ -50,14 +50,7 @@ from repro.fleet.messaging import (
     MSG_REGISTER,
     MSG_SHUTDOWN,
     MSG_WELCOME,
-    ROLE_SAMPLER,
-    ROLE_SERVING,
     SHARED_INHERITED,
-    Envelope,
-    decode_envelope,
-    encode_envelope,
-    pack_value,
-    unpack_value,
 )
 from repro.reliability.faults import (
     KIND_DROP_SHM,
@@ -77,42 +70,29 @@ class _WorkerRuntime:
     def __init__(self, address, authkey: bytes, worker_id: str, inherited=None) -> None:
         self.address = address
         self.authkey = authkey
-        self.worker_id = worker_id
         self.inherited = inherited  # the payload it was forked with
         self.conn = None
         self.heartbeat_interval = 0.5
         self._send_lock = threading.Lock()
-        self._seq = 0
         self._stop = threading.Event()
         #: spool path -> unpickled shared payload; a release's plan ships
         #: (and unpickles) once per worker, not once per shard.
         self._shared_cache: dict[str, object] = {}
-        self._register_payload: dict = {"pid": os.getpid(), "role": ROLE_SAMPLER}
+        self._register_payload: dict = {"worker_id": worker_id, "pid": os.getpid()}
 
     # ------------------------------------------------------------- transport
     def send(self, type_: str, payload: dict | None = None) -> None:
         with self._send_lock:
-            self._seq += 1
-            frame = encode_envelope(
-                Envelope(
-                    type=type_,
-                    sender=self.worker_id,
-                    seq=self._seq,
-                    payload=payload or {},
-                )
-            )
-            self.conn.send_bytes(frame)
+            self.conn.send((type_, payload or {}))
 
     def connect(self) -> None:
         """Dial the coordinator, register, and adopt its heartbeat interval."""
         self.conn = Client(self.address, authkey=self.authkey)
         self.send(MSG_REGISTER, self._register_payload)
-        welcome = decode_envelope(self.conn.recv_bytes())
-        if welcome.type != MSG_WELCOME:
-            raise RuntimeError(f"expected welcome, got {welcome.type!r}")
-        self.heartbeat_interval = float(
-            welcome.payload.get("heartbeat_interval", self.heartbeat_interval)
-        )
+        type_, payload = self.conn.recv()
+        if type_ != MSG_WELCOME:
+            raise RuntimeError(f"expected welcome, got {type_!r}")
+        self.heartbeat_interval = float(payload["heartbeat_interval"])
 
     def reconnect(self) -> bool:
         """Re-dial and re-register after a lost connection."""
@@ -150,22 +130,28 @@ class _WorkerRuntime:
                 self._shared_cache[ref] = pickle.load(fh)
         return self._shared_cache[ref]
 
-    def handle_assign(self, envelope: Envelope) -> None:
-        payload = envelope.payload
-        reply = {"release": int(payload["release"]), "index": int(payload["index"])}
+    def fail(self, reply: dict, exc: BaseException) -> None:
+        """Report a deterministic failure of the shard ``reply`` names."""
+        reply = {
+            **reply,
+            "error": f"{type(exc).__name__}: {exc}",
+            "traceback": "".join(traceback.format_exception(exc)),
+        }
+        try:
+            reply["exception"] = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:  # an unpicklable exception travels as text only
+            pass
+        self.send(MSG_FAILED, reply)
+
+    def handle_assign(self, payload: dict) -> None:
+        reply = {"release": payload["release"], "index": payload["index"]}
         try:
             module = importlib.import_module(payload["fn_module"])
             fn = getattr(module, payload["fn_name"])
-            task = unpack_value(payload["task"])
-            out = export_result(fn(self._shared(payload.get("shared")), *task))
+            task = pickle.loads(payload["task"])
+            out = export_result(fn(self._shared(payload["shared"]), *task))
         except BaseException as exc:  # noqa: BLE001 - reported, not retried
-            reply["error"] = f"{type(exc).__name__}: {exc}"
-            reply["traceback"] = traceback.format_exc()
-            try:
-                reply["exception"] = pack_value(exc)
-            except Exception:  # an unpicklable exception travels as text only
-                pass
-            self.send(MSG_FAILED, reply)
+            self.fail(reply, exc)
             return
         # Chaos hook: a ``drop_shm`` fault simulates the segment vanishing
         # between this export and the coordinator's import — the descriptor
@@ -175,10 +161,13 @@ class _WorkerRuntime:
         if spec is not None and spec.kind == KIND_DROP_SHM:
             release_result(out)
         try:
-            self.send(MSG_COMPLETE, {**reply, "result": pack_value(out)})
-        except BaseException:
+            self.send(MSG_COMPLETE, {**reply, "result": out})
+        except (EOFError, OSError):
             release_result(out)  # nobody will import it
             raise
+        except Exception as exc:  # the result does not pickle, on any worker
+            release_result(out)
+            self.fail(reply, exc)
 
     # ------------------------------------------------------------- main loop
     def run(self) -> None:
@@ -191,16 +180,16 @@ class _WorkerRuntime:
         try:
             while True:
                 try:
-                    envelope = decode_envelope(self.conn.recv_bytes())
+                    type_, payload = self.conn.recv()
                 except (EOFError, OSError):
                     if not self.reconnect():
                         break
                     continue
-                if envelope.type == MSG_SHUTDOWN:
+                if type_ == MSG_SHUTDOWN:
                     break
-                if envelope.type == MSG_ASSIGN:
+                if type_ == MSG_ASSIGN:
                     try:
-                        self.handle_assign(envelope)
+                        self.handle_assign(payload)
                     except (EOFError, OSError):
                         # The coordinator dropped us mid-task (e.g. we were
                         # expired during a stall and the result report hit a
@@ -208,8 +197,6 @@ class _WorkerRuntime:
                         # reconnect and re-register rather than die.
                         if not self.reconnect():
                             break
-                # Anything else (a future coordinator speaking a newer minor
-                # dialect) is ignored rather than fatal.
         finally:
             self._stop.set()
             try:
@@ -231,7 +218,6 @@ def _start_serving(runtime: _WorkerRuntime, serving_root) -> None:
     service = QueryService(ModelRegistry(serving_root))
     server, _thread = serve_in_thread(service)
     host, port = server.server_address[:2]
-    runtime._register_payload["role"] = ROLE_SERVING
     runtime._register_payload["url"] = f"http://{host}:{port}"
 
 

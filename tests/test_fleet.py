@@ -29,27 +29,19 @@ import os
 import signal
 import threading
 import time
+from multiprocessing.connection import Client
 
-import numpy as np
 import pytest
 
 from repro import NetDPSyn, SynthesisConfig, load_dataset
 from repro.engine import ALL_BACKENDS, BACKENDS, ClusterBackend, get_backend
 from repro.fleet import (
-    FLEET_SCHEMA_VERSION,
-    Envelope,
-    EnvelopeError,
     FleetError,
     LocalCluster,
     ReplicatedQueryClient,
     ShardQueue,
     WorkerRegistry,
     current_cluster,
-    decode_envelope,
-    encode_envelope,
-    release_seed_specs,
-    seed_from_spec,
-    seed_spec,
 )
 from repro.fleet.registry import STATE_ALIVE, STATE_EVICTED, STATE_EXPIRED
 from repro.reliability import (
@@ -87,50 +79,6 @@ def _fleet_digest(fitted, **cluster_kwargs):
     with LocalCluster(**cluster_kwargs):
         table = fitted.sample(N_SAMPLE, rng=123, shards=6, backend="fleet")
     return table.content_digest()
-
-
-# ------------------------------------------------------------------ messaging
-class TestEnvelope:
-    def test_round_trip(self):
-        env = Envelope(type="assign", sender="w0", seq=3, payload={"index": 1})
-        assert decode_envelope(encode_envelope(env)) == env
-
-    def test_rejects_foreign_schema_version(self):
-        import json
-
-        frame = json.loads(encode_envelope(Envelope(type="heartbeat", sender="w0")))
-        frame["version"] = FLEET_SCHEMA_VERSION + 1
-        with pytest.raises(EnvelopeError, match="schema version"):
-            decode_envelope(json.dumps(frame).encode())
-
-    def test_rejects_unknown_type_and_garbage(self):
-        with pytest.raises(EnvelopeError):
-            Envelope(type="gossip", sender="w0")
-        with pytest.raises(EnvelopeError):
-            decode_envelope(b"{not json")
-        with pytest.raises(EnvelopeError):
-            decode_envelope(b'["a", "list"]')
-
-    def test_seed_spec_round_trip_is_bit_identical(self):
-        root = np.random.SeedSequence(42, spawn_key=(7,))
-        rebuilt = seed_from_spec(seed_spec(root))
-        a = np.random.default_rng(root).integers(0, 1 << 30, 64)
-        b = np.random.default_rng(rebuilt).integers(0, 1 << 30, 64)
-        assert (a == b).all()
-
-    def test_release_seed_specs_match_engine_derivation(self):
-        # The published assignment must mirror the engine's: GUM child i,
-        # decode child shards + i, from one 2*shards spawn.
-        shards = 4
-        specs = release_seed_specs(np.random.SeedSequence(99), shards)
-        children = np.random.SeedSequence(99).spawn(2 * shards)
-        assert len(specs) == shards
-        for i, spec in enumerate(specs):
-            assert seed_from_spec(spec["gum"]).spawn_key == children[i].spawn_key
-            assert (
-                seed_from_spec(spec["decode"]).spawn_key
-                == children[shards + i].spawn_key
-            )
 
 
 # ------------------------------------------------------------------- registry
@@ -185,13 +133,6 @@ class TestRegistry:
         assert registry.get("w0").state == STATE_EVICTED
         assert not registry.heartbeat("w0")
         assert registry.alive() == []
-
-    def test_alive_filters_by_role(self):
-        registry = WorkerRegistry()
-        registry.register("w0", pid=1, role="sampler")
-        registry.register("w1", pid=2, role="serving", meta={"url": "http://x"})
-        assert [r.worker_id for r in registry.alive()] == ["w0", "w1"]
-        assert [r.worker_id for r in registry.alive(role="serving")] == ["w1"]
 
 
 # ----------------------------------------------------------------- work-queue
@@ -304,6 +245,37 @@ class TestFleetRelease:
         assert not cluster._accept_thread.is_alive()
         # Every worker left on the shutdown message: none was SIGTERMed.
         assert [proc.exitcode for proc in cluster._procs] == [0] * workers
+
+    def test_malformed_frames_drop_only_their_connection(self):
+        with LocalCluster(workers=1) as cluster:
+            # A first frame that is not a register message, or is not a
+            # pickled (type, payload) pair at all, is dropped at the door.
+            for frame in (("heartbeat", {}), ["register"], ("register", {"pid": 1})):
+                with Client(cluster.address, authkey=cluster._authkey) as conn:
+                    conn.send(frame)
+                    with pytest.raises((EOFError, OSError)):
+                        conn.recv()
+            with Client(cluster.address, authkey=cluster._authkey) as conn:
+                conn.send_bytes(b"junk")
+                with pytest.raises((EOFError, OSError)):
+                    conn.recv()
+            # A registered peer that then sends junk is a lost worker.
+            with Client(cluster.address, authkey=cluster._authkey) as conn:
+                conn.send(("register", {"worker_id": "intruder", "pid": os.getpid()}))
+                assert conn.recv()[0] == "welcome"
+                conn.send_bytes(b"junk")
+                with pytest.raises((EOFError, OSError)):
+                    conn.recv()
+            # The dispatcher survived both: the cluster still runs releases,
+            # and it evicted the intruder before it took this one.
+            assert cluster.run_tasks(_echo_task, [(i,) for i in range(4)]) == [0, 1, 2, 3]
+            assert cluster.registry.get("intruder").state == STATE_EVICTED
+
+    def test_unpicklable_task_raises_in_the_caller(self):
+        with LocalCluster(workers=1) as cluster:
+            with pytest.raises(TypeError, match="pickle"):
+                cluster.run_tasks(_echo_task, [(threading.Lock(),)])
+            assert cluster.run_tasks(_echo_task, [(1,)]) == [1]
 
     def test_generic_tasks_and_shared_payload(self):
         with LocalCluster(workers=2) as cluster:

@@ -28,6 +28,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from http.client import HTTPConnection
 from pathlib import Path
@@ -272,6 +273,10 @@ def _boom_task(shared, seed):
     return seed
 
 
+def _lock_task(shared, seed):
+    return threading.Lock()
+
+
 class TestShardAttribution:
     def test_process_wraps_failures_in_shard_task_error(self):
         runner = get_backend("process", 2)
@@ -334,6 +339,29 @@ class TestShardAttribution:
             elapsed = time.monotonic() - started
         assert attempts == [1]
         assert elapsed >= 0.4
+
+    @pytest.mark.parametrize("backend", ["process", "fleet"])
+    def test_unpicklable_result_fails_deterministically(self, backend, monkeypatch):
+        # A result that cannot pickle would not pickle on any worker: the
+        # shard fails once, attributed, and no worker is lost or replaced.
+        forked = []
+        spawn = LocalCluster.spawn_worker
+
+        def counting_spawn(cluster):
+            forked.append(spawn(cluster))
+            return forked[-1]
+
+        monkeypatch.setattr(LocalCluster, "spawn_worker", counting_spawn)
+        with _runtime(backend):
+            runner = get_backend(backend, 2, retry=2)
+            with pytest.raises(ShardTaskError) as excinfo:
+                runner.run_tasks(_lock_task, [(0,), (1,)])
+        error = excinfo.value
+        assert error.transient is False
+        assert error.attempts == 1
+        assert "cannot pickle" in (error.remote_traceback or "")
+        assert isinstance(error.__cause__, TypeError)
+        assert len(forked) == 2
 
 
 # --------------------------------------------------- digest-identical chaos
@@ -695,16 +723,17 @@ def test_cli_sigterm_drains_and_exits_zero(tmp_path):
         text=True,
         env=env,
     )
-    try:
-        line = proc.stdout.readline()  # blocks until the server announces itself
-        assert "serving" in line
-        proc.send_signal(signal.SIGTERM)
-        returncode = proc.wait(timeout=20)
-    finally:
-        if proc.poll() is None:  # pragma: no cover - hang guard
-            proc.kill()
-            proc.wait()
-    rest = proc.stdout.read()
+    with proc:  # closes the stdout pipe on the way out
+        try:
+            line = proc.stdout.readline()  # blocks until the server announces itself
+            assert "serving" in line
+            proc.send_signal(signal.SIGTERM)
+            returncode = proc.wait(timeout=20)
+        finally:
+            if proc.poll() is None:  # pragma: no cover - hang guard
+                proc.kill()
+                proc.wait()
+        rest = proc.stdout.read()
     assert returncode == 0, rest
     assert "draining" in rest
     assert "shutdown clean" in rest

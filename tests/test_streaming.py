@@ -260,7 +260,8 @@ class TestSampleTo:
 
     def test_format_inference_and_errors(self, fitted, tmp_path, ton):
         schema = ton.schema
-        assert open_sink(tmp_path / "x.ndjson", schema).format == "jsonl"
+        with open_sink(tmp_path / "x.ndjson", schema) as sink:
+            assert sink.format == "jsonl"
         assert isinstance(open_sink(tmp_path / "x.bin", schema, "null"), NullSink)
         with pytest.raises(ValueError, match="cannot infer sink format"):
             open_sink(tmp_path / "x.bin", schema)
