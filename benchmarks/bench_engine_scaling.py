@@ -24,13 +24,13 @@ gates still run).
 Runnable standalone: ``python benchmarks/bench_engine_scaling.py [out.json]``.
 """
 
-import json
 import os
-import sys
 
-from conftest import SMOKE, attach, fmt
+from conftest import SMOKE, _env_int, attach, best_of, dump, fit_ton, fmt
 
-from repro.experiments import engine_scaling
+from repro.core import NetDPSyn, SynthesisConfig
+from repro.datasets import load_dataset
+from repro.experiments.goldens import PRE_REFACTOR_GOLDEN
 from repro.experiments.runner import ExperimentScale
 
 #: Full-scale default: the ToN-style 50k-record workload of the acceptance
@@ -41,12 +41,87 @@ DEFAULT_RECORDS = 2_000 if SMOKE else 50_000
 #: speedup assertion is skipped (the numbers are still recorded).
 FULL_SCALE_THRESHOLD = 20_000
 
+#: (backend, shards) grid, in column order; every row runs the ``auto`` kernel.
+GRID = (
+    ("serial", 1),
+    ("process", 1),
+    ("serial", 2),
+    ("process", 2),
+    ("process", 4),
+)
 
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
-        return default
+#: Kernels timed on the single-shard serial configuration (the kernel
+#: dimension of the benchmark).
+TIMED_KERNELS = ("fused", "reference")
+
+
+def verify_bit_identity() -> dict:
+    """Check the engine's serial path against the pre-engine golden digest.
+
+    Runs the exact workload the golden was captured on (ton n=2500 seed=31,
+    eps=2.0, 15 GUM iterations, fit rng=7, ``sample(2000, rng=123)``).
+    """
+    table = load_dataset("ton", n_records=2500, seed=31)
+    config = SynthesisConfig(epsilon=2.0)
+    config.gum.iterations = 15
+    synthesizer = NetDPSyn(config, rng=7).fit(table)
+    digest = synthesizer.sample(2000, rng=123).content_digest()
+    return {
+        "digest": digest,
+        "golden": PRE_REFACTOR_GOLDEN,
+        "matches": digest == PRE_REFACTOR_GOLDEN,
+    }
+
+
+def measure(scale: ExperimentScale, repetitions: int) -> dict:
+    """Time the sampling phase for every grid row and every timed kernel.
+
+    A row's time is the engine's own sampling-phase instrumentation
+    (:attr:`GumResult.seconds`: initialization + GUM across all shards, best
+    of ``repetitions``); decoding is identical in every configuration and
+    excluded.  ``n_synthesized`` equals the fit size.
+    """
+    n = scale.n_records
+    synthesizer = fit_ton(scale)
+
+    def time_config(shards: int, backend: str, kernel: str | None) -> dict:
+        seconds, digests = best_of(
+            repetitions,
+            lambda: synthesizer.sample(
+                n, rng=scale.seed + 101, shards=shards, backend=backend, kernel=kernel
+            ).content_digest(),
+            seconds=lambda _: synthesizer.gum_result.seconds,
+        )
+        return {
+            "backend": backend,
+            "shards": shards,
+            "kernel": synthesizer.gum_result.kernel,
+            "seconds": seconds,
+            "records_per_second": n / seconds if seconds > 0 else float("inf"),
+            "digest": digests[-1],
+        }
+
+    rows = {
+        f"{backend}-{shards}": time_config(shards, backend, None) for backend, shards in GRID
+    }
+    baseline = rows["serial-1"]["seconds"]
+    for row in rows.values():
+        row["speedup_vs_serial"] = baseline / row["seconds"] if row["seconds"] > 0 else None
+
+    kernel_rows = {kernel: time_config(1, "serial", kernel) for kernel in TIMED_KERNELS}
+    reference = kernel_rows["reference"]["seconds"]
+    for row in kernel_rows.values():
+        row["speedup_vs_reference"] = reference / row["seconds"] if row["seconds"] > 0 else None
+
+    return {
+        "n_records_fit": scale.n_records,
+        "n_synthesized": n,
+        "gum_iterations": scale.gum_iterations,
+        "repetitions": repetitions,
+        "rows": rows,
+        "kernel_rows": kernel_rows,
+        "bit_identity": verify_bit_identity(),
+    }
 
 
 def engine_scale() -> ExperimentScale:
@@ -58,7 +133,7 @@ def engine_scale() -> ExperimentScale:
 
 def run_and_check(scale: ExperimentScale) -> dict:
     repetitions = 1 if SMOKE else _env_int("REPRO_BENCH_ENGINE_REPS", 1)
-    result = engine_scaling.run(scale, repetitions=repetitions)
+    result = measure(scale, repetitions)
     rows = result["rows"]
 
     for key, row in rows.items():
@@ -117,12 +192,4 @@ def test_engine_scaling(benchmark):
 
 
 if __name__ == "__main__":
-    payload = run_and_check(engine_scale())
-    out_path = sys.argv[1] if len(sys.argv) > 1 else None
-    text = json.dumps(payload, indent=2, default=float)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {out_path}")
-    else:
-        print(text)
+    dump(run_and_check(engine_scale()))

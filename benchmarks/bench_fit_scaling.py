@@ -23,12 +23,15 @@ the speedup gate — parallel overhead dominates at toy sizes.
 Runnable standalone: ``python benchmarks/bench_fit_scaling.py [out.json]``.
 """
 
-import json
-import sys
+import os
+import tempfile
 
-from conftest import SMOKE, _env_int, attach, fmt
+from conftest import SMOKE, _env_int, attach, dump, fmt
 
-from repro.experiments import fit_scaling
+from repro.core import NetDPSyn, SynthesisConfig
+from repro.datasets import load_dataset
+from repro.engine import EngineConfig
+from repro.experiments.goldens import FIT_GOLDEN, published_digest
 from repro.experiments.runner import ExperimentScale
 
 #: Full-scale default: wide-workload fit at 1M records (the paper's largest
@@ -38,6 +41,96 @@ DEFAULT_RECORDS = 2_000 if SMOKE else 1_000_000
 #: Below this many fit records, executor overhead dominates the marginal
 #: phase and the speedup assertion is skipped (numbers still recorded).
 FULL_SCALE_THRESHOLD = 500_000
+
+#: (row key, backend, workers) grid; backend ``None`` is the inline serial
+#: path (``fit_engine=None``: the batched cell-code kernel in-process), the
+#: baseline every speedup is measured against.
+GRID = (
+    ("serial", None, None),
+    ("process-2", "process", 2),
+    ("process-4", "process", 4),
+)
+
+
+def verify_fit_identity() -> dict:
+    """Check the staged pipeline against the pre-refactor fit golden digest.
+
+    Runs the exact workload the golden was captured on (ton n=2500 seed=31,
+    eps=2.0, fit rng=7) on the serial path.
+    """
+    table = load_dataset("ton", n_records=2500, seed=31)
+    config = SynthesisConfig(epsilon=2.0)
+    config.gum.iterations = 15
+    synthesizer = NetDPSyn(config, rng=7).fit(table)
+    digest = published_digest(synthesizer.published)
+    return {"digest": digest, "golden": FIT_GOLDEN, "matches": digest == FIT_GOLDEN}
+
+
+def verify_save_load_identity(synthesizer: NetDPSyn, n: int = 500, seed: int = 9) -> dict:
+    """Round-trip ``synthesizer`` through save/load; compare fixed-rng samples."""
+    fd, path = tempfile.mkstemp(suffix=".ndpsyn")
+    os.close(fd)
+    try:
+        synthesizer.save(path)
+        loaded = NetDPSyn.load(path)
+        original = synthesizer.sample(n, rng=seed).content_digest()
+        restored = loaded.sample(n, rng=seed).content_digest()
+    finally:
+        os.unlink(path)
+    return {"original": original, "restored": restored, "matches": original == restored}
+
+
+def measure(scale: ExperimentScale, repetitions: int) -> dict:
+    """Fit the ToN workload under every executor in :data:`GRID`; time the stages.
+
+    Each row keeps the fit with the fastest marginal phase (selection +
+    publish stage wall clock, from ``synth.fit_report``) over
+    ``repetitions``.  Every fit uses the same seed, so the published digests
+    must all be identical.
+    """
+    table = load_dataset("ton", n_records=scale.n_records, seed=scale.seed)
+    rows = {}
+    for key, backend, workers in GRID:
+        engine = None if backend is None else EngineConfig(backend=backend, max_workers=workers)
+        fits = []
+        for _ in range(max(repetitions, 1)):
+            config = SynthesisConfig(epsilon=scale.epsilon, delta=scale.delta, fit_engine=engine)
+            config.gum.iterations = scale.gum_iterations
+            last_fit = NetDPSyn(config, rng=scale.seed + 1).fit(table)
+            report = last_fit.fit_report
+            fits.append(
+                {
+                    "marginal_seconds": report.stage_seconds["selection"]
+                    + report.stage_seconds["publish"],
+                    "fit_seconds": report.total_seconds,
+                    "fit_report": report.as_dict(),
+                }
+            )
+        best = min(fits, key=lambda fit: fit["marginal_seconds"])
+        rows[key] = {
+            "backend": backend,
+            "workers": workers,
+            "marginal_seconds": best["marginal_seconds"],
+            "fit_seconds": best["fit_seconds"],
+            "digest": published_digest(last_fit.published),
+            "fit_report": best["fit_report"],
+        }
+
+    baseline = rows["serial"]
+    for row in rows.values():
+        row["marginal_speedup"] = baseline["marginal_seconds"] / row["marginal_seconds"]
+        row["fit_speedup"] = baseline["fit_seconds"] / row["fit_seconds"]
+
+    return {
+        "dataset": "ton",
+        "n_records": scale.n_records,
+        "n_attributes": len(last_fit.encoder.schema.names),
+        "n_pairs": last_fit.fit_report.n_pairs,
+        "repetitions": repetitions,
+        "rows": rows,
+        "fit_identity": verify_fit_identity(),
+        "save_load": verify_save_load_identity(last_fit),
+    }
 
 
 def fit_scale() -> ExperimentScale:
@@ -49,7 +142,7 @@ def fit_scale() -> ExperimentScale:
 
 def run_and_check(scale: ExperimentScale) -> dict:
     repetitions = 1 if SMOKE else _env_int("REPRO_BENCH_FIT_REPS", 3)
-    result = fit_scaling.run(scale, repetitions=repetitions)
+    result = measure(scale, repetitions)
     rows = result["rows"]
 
     for key, row in rows.items():
@@ -90,12 +183,4 @@ def test_fit_scaling(benchmark):
 
 
 if __name__ == "__main__":
-    payload = run_and_check(fit_scale())
-    out_path = sys.argv[1] if len(sys.argv) > 1 else None
-    text = json.dumps(payload, indent=2, default=float)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {out_path}")
-    else:
-        print(text)
+    dump(run_and_check(fit_scale()))

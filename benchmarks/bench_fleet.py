@@ -14,6 +14,11 @@ first and gates both:
 - ``fleet.local4.records_per_second`` is gated against the committed
   baseline by ``compare_baselines.py``.
 
+The cluster is *warmed* before timing (one small release ships the pickled
+plan to every worker), so the timed rows measure the steady-state release
+path — the fleet's unit of work — not one-time plan shipment, matching how
+the process backends are measured against a warm ``open()``-ed pool.
+
 Smoke mode (REPRO_BENCH_SMOKE=1, used by CI) shrinks the workload and skips
 the perf gate — worker startup and plan shipment dominate at toy sizes —
 while still exercising the full coordinator/worker protocol end to end.
@@ -21,14 +26,12 @@ while still exercising the full coordinator/worker protocol end to end.
 Runnable standalone: ``python benchmarks/bench_fleet.py [out.json]``.
 """
 
-import json
 import os
-import sys
 
-from conftest import SMOKE, attach, fmt
+from conftest import SMOKE, _env_int, attach, best_of, dump, fit_ton, fmt
 
-from repro.experiments import fleet
 from repro.experiments.runner import ExperimentScale
+from repro.fleet import LocalCluster
 
 #: Full-scale default mirrors the stream bench's release workload; smoke
 #: drops to 2k so CI stays fast.
@@ -41,12 +44,77 @@ FULL_SCALE_THRESHOLD = 10_000
 #: Minimum 4-worker speedup over serial at full scale.
 SPEEDUP_GATE = 1.5
 
+#: Worker counts for the scaling rows; the gate reads the 4-worker row.
+WORKERS = (2, 4)
 
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
-        return default
+#: Shards per release: enough to keep every 4-worker slot busy twice over.
+SHARDS = 8
+
+
+def measure(scale: ExperimentScale, repetitions: int) -> dict:
+    """Fleet release throughput vs the serial baseline at the same shard count.
+
+    ``n_synthesized`` equals the fit size.  Every fleet release, at every
+    worker count and repetition, must reproduce the serial digest.
+    """
+    n = scale.n_records
+    synthesizer = fit_ton(scale)
+    seed = scale.seed + 101
+
+    def release(backend: str):
+        return synthesizer.sample(n, rng=seed, shards=SHARDS, backend=backend)
+
+    serial_seconds, traces = best_of(repetitions, lambda: release("serial"))
+    (serial_digest,) = {trace.content_digest() for trace in traces}  # reps must agree
+    del traces
+    rows = {
+        "serial-1": {
+            "backend": "serial",
+            "workers": 1,
+            "shards": SHARDS,
+            "seconds": serial_seconds,
+            "records_per_second": n / serial_seconds if serial_seconds > 0 else None,
+            "bit_identical": True,
+        }
+    }
+
+    for count in WORKERS:
+        with LocalCluster(workers=count):
+            # Warm the fleet: ships the pickled plan to every worker once.
+            synthesizer.sample(min(n, 1000), rng=seed + 1, shards=count, backend="fleet")
+            seconds, traces = best_of(repetitions, lambda: release("fleet"))
+        digests = {trace.content_digest() for trace in traces}
+        del traces
+        assert digests == {serial_digest}, (
+            f"fleet release at {count} workers diverged from serial: "
+            f"{digests} != {serial_digest}"
+        )
+        rows[f"local{count}"] = {
+            "backend": "fleet",
+            "workers": count,
+            "shards": SHARDS,
+            "seconds": seconds,
+            "records_per_second": n / seconds if seconds > 0 else None,
+            "speedup_vs_serial": serial_seconds / seconds if seconds > 0 else None,
+            "bit_identical": True,
+        }
+
+    gate_row = rows[f"local{max(WORKERS)}"]
+    return {
+        "n_records_fit": scale.n_records,
+        "n_synthesized": n,
+        "shards": SHARDS,
+        "repetitions": repetitions,
+        "serial_digest": serial_digest,
+        "rows": rows,
+        "bit_identical": True,  # every fleet release is asserted above
+        "measure": {
+            "records_per_second": gate_row["records_per_second"],
+            "speedup_vs_serial": gate_row["speedup_vs_serial"],
+            "workers": gate_row["workers"],
+        },
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def fleet_scale() -> ExperimentScale:
@@ -58,7 +126,7 @@ def fleet_scale() -> ExperimentScale:
 
 def run_and_check(scale: ExperimentScale) -> dict:
     repetitions = 1 if SMOKE else _env_int("REPRO_BENCH_FLEET_REPS", 2)
-    result = fleet.run_release(scale, repetitions=repetitions)
+    result = measure(scale, repetitions)
 
     for key, row in result["rows"].items():
         speedup = row.get("speedup_vs_serial")
@@ -68,8 +136,8 @@ def run_and_check(scale: ExperimentScale) -> dict:
             f"workers={row['workers']}  speedup={fmt(speedup)}"
         )
 
-    # Digest identity holds at every scale: the experiment asserts each
-    # fleet release against the serial digest, and reports the conjunction.
+    # Digest identity holds at every scale: measure() asserts each fleet
+    # release against the serial digest.
     assert result["bit_identical"], result["rows"]
 
     if result["n_synthesized"] >= FULL_SCALE_THRESHOLD:
@@ -95,12 +163,4 @@ def test_fleet_release(benchmark):
 
 
 if __name__ == "__main__":
-    payload = run_and_check(fleet_scale())
-    out_path = sys.argv[1] if len(sys.argv) > 1 else None
-    text = json.dumps(payload, indent=2, default=float)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {out_path}")
-    else:
-        print(text)
+    dump(run_and_check(fleet_scale()))

@@ -17,15 +17,11 @@ from repro.data.table import TraceTable
 
 
 def write_csv(table: TraceTable, path: str | Path) -> None:
-    """Write ``table`` to ``path`` as CSV with a header row."""
-    path = Path(path)
-    names = table.schema.names
-    cols = [table.column(n) for n in names]
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(names)
-        for i in range(table.n_records):
-            writer.writerow([_render(col[i]) for col in cols])
+    """Write ``table`` to ``path`` as CSV with a header row (one :class:`CsvSink` chunk)."""
+    from repro.data.sinks import CsvSink  # sinks imports this module's parser
+
+    with CsvSink(path, table.schema) as sink:
+        sink.write(table)
 
 
 def read_csv(path: str | Path, schema: Schema) -> TraceTable:
@@ -42,15 +38,6 @@ def read_csv(path: str | Path, schema: Schema) -> TraceTable:
         raw = [row[j] for row in rows]
         columns[name] = _parse_column(raw, schema[name])
     return TraceTable(schema, columns)
-
-
-def _render(value) -> str:
-    """Render one cell for CSV output."""
-    if isinstance(value, (np.floating, float)):
-        return repr(float(value))
-    if isinstance(value, (np.integer, int)):
-        return str(int(value))
-    return str(value)
 
 
 def _parse_column(raw: list, spec) -> np.ndarray:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.data.io import _parse_column, _render
+from repro.data.io import _parse_column
 from repro.data.schema import Schema
 from repro.data.table import TraceTable
 
@@ -85,6 +85,15 @@ class TraceSink(abc.ABC):
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _render(value) -> str:
+    """Render one cell for CSV output (``repr`` floats round-trip bit-exactly)."""
+    if isinstance(value, (np.floating, float)):
+        return repr(float(value))
+    if isinstance(value, (np.integer, int)):
+        return str(int(value))
+    return str(value)
 
 
 class CsvSink(TraceSink):

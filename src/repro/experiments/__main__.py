@@ -7,7 +7,10 @@ Usage::
     python -m repro.experiments all --records 4000
 
 Results print as an indented summary; benchmarks under ``benchmarks/``
-wrap the same functions with pytest-benchmark and shape assertions.
+wrap the same functions with pytest-benchmark and shape assertions.  The
+performance benchmarks (engine, fit, stream, serving, HTTP, reliability,
+fleet) are not paper artifacts and have no id here: run them as
+``python benchmarks/bench_<name>.py [out.json]``.
 """
 
 from __future__ import annotations
@@ -19,15 +22,8 @@ import sys
 from repro.experiments import (
     ablations,
     appg_mia,
-    engine_scaling,
     fig2_sketch,
-    fit_scaling,
-    fleet,
-    http_serving,
     privacy,
-    reliability,
-    serving,
-    stream_throughput,
     fig3_classification,
     fig4_netml,
     fig5_fig6_attributes,
@@ -58,13 +54,6 @@ EXPERIMENTS = {
     "fig8": lambda s: fig8_gum_vs_gummi.run(s),
     "appg": lambda s: appg_mia.run(s),
     "privacy": lambda s: privacy.run(s),
-    "enginescale": lambda s: engine_scaling.run(s),
-    "fitscale": lambda s: fit_scaling.run(s),
-    "streamscale": lambda s: stream_throughput.run(s),
-    "serve": lambda s: serving.run(s),
-    "servehttp": lambda s: http_serving.run(s),
-    "reliability": lambda s: reliability.run(s),
-    "fleet": lambda s: fleet.run(s),
     "ablations": lambda s: {
         "allocation": ablations.run_allocation(s),
         "binning": ablations.run_binning_threshold(s),

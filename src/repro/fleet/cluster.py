@@ -52,6 +52,7 @@ import shutil
 import socket
 import tempfile
 import threading
+import traceback
 from collections import deque
 from multiprocessing.connection import Listener, wait
 from multiprocessing.util import abstract_sockets_supported
@@ -78,6 +79,12 @@ _CURRENT: "LocalCluster | None" = None
 #: How long a waiting consumer sleeps between checks that the dispatcher is
 #: still running (it is woken at once whenever its release changes).
 _POLL_S = 0.5
+
+#: How long the accept loop waits for a new connection's register frame.  A
+#: worker sends it as soon as its handshake completes; a peer that stays
+#: silent this long (the default liveness window, 4 missed 0.25 s
+#: heartbeats) is dropped, so it cannot hold up the next registration.
+_REGISTER_TIMEOUT_S = 1.0
 
 
 def current_cluster() -> "LocalCluster | None":
@@ -353,11 +360,13 @@ class LocalCluster:
                     return
                 continue
             try:
+                if not conn.poll(_REGISTER_TIMEOUT_S):
+                    raise TimeoutError("no register frame")
                 type_, payload = _recv(conn)
                 if type_ != MSG_REGISTER or not isinstance(payload["worker_id"], str):
                     raise ValueError(f"first frame must register, got {type_!r}")
                 payload["pid"] = int(payload["pid"])
-            except Exception:  # EOF, or a frame that is not a register message
+            except Exception:  # silence, EOF, or a frame that is not a register message
                 conn.close()
                 continue
             self._post("join", conn, payload)
@@ -575,7 +584,19 @@ class LocalCluster:
             self._on_failed(worker_id, payload)
 
     def _on_complete(self, worker_id: str, payload: dict) -> None:
-        raw = payload["result"]
+        try:
+            raw = pickle.loads(payload["result"])
+        except Exception as exc:  # it would fail to load from any worker
+            # Segments the result names cannot be released without loading
+            # it; close() sweeps them once the worker is gone.
+            self._fail_shard(
+                worker_id,
+                payload,
+                f"result does not unpickle: {type(exc).__name__}: {exc}",
+                "".join(traceback.format_exception(exc)),
+                exc,
+            )
+            return
         release = self._releases.get(payload["release"])
         index = payload["index"]
         if release is None or not release.queue.complete(index, worker_id):
@@ -600,25 +621,29 @@ class LocalCluster:
             release.cond.notify_all()
 
     def _on_failed(self, worker_id: str, payload: dict) -> None:
+        try:
+            cause = pickle.loads(payload["exception"])
+        except Exception:  # absent, or it does not unpickle here
+            cause = None
+        self._fail_shard(worker_id, payload, payload["error"], payload["traceback"], cause)
+
+    def _fail_shard(self, worker_id, payload, error, remote_traceback, cause) -> None:
+        """Fail the release for a deterministic error of the shard ``payload`` names."""
         release = self._releases.get(payload["release"])
         index = payload["index"]
         if release is None or not release.queue.complete(index, worker_id):
             return
         if release.open:
             attempts = release.queue.attempts[index]
-            error = ShardTaskError(
-                f"task {index} failed after {attempts} attempt(s) "
-                f"(failure: {payload['error']})",
+            shard_error = ShardTaskError(
+                f"task {index} failed after {attempts} attempt(s) (failure: {error})",
                 index=index,
                 attempts=attempts,
                 transient=False,
-                remote_traceback=payload["traceback"],
+                remote_traceback=remote_traceback,
             )
-            try:
-                error.__cause__ = pickle.loads(payload["exception"])
-            except Exception:  # absent, or it does not unpickle here
-                pass
-            self._finish(release, error)
+            shard_error.__cause__ = cause
+            self._finish(release, shard_error)
         self._reap(release)
 
     def _finish(self, release: _Release, error: BaseException) -> None:

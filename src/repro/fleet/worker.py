@@ -9,7 +9,9 @@ runs in each subprocess.  The runtime is two threads over one authenticated
   ``fn(shared, *task)`` — the task tuple carries the shard's own
   pre-spawned seed children, so *who* runs it cannot change the output.  It
   parks the result in shared memory (:func:`~repro.engine.shm.export_result`)
-  and reports ``complete`` with the descriptor, or ``failed`` with the
+  and reports ``complete`` with the descriptor pickled to bytes of its own
+  (so the coordinator can tell a result that does not load from a lost
+  worker), or ``failed`` with the
   traceback (and the exception itself, when it pickles) for deterministic
   errors: a task function raising, or returning a result that does not
   pickle, would do so again on any worker, so it is reported, not retried;
@@ -161,13 +163,16 @@ class _WorkerRuntime:
         if spec is not None and spec.kind == KIND_DROP_SHM:
             release_result(out)
         try:
-            self.send(MSG_COMPLETE, {**reply, "result": out})
-        except (EOFError, OSError):
-            release_result(out)  # nobody will import it
-            raise
+            result = pickle.dumps(out, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:  # the result does not pickle, on any worker
             release_result(out)
             self.fail(reply, exc)
+            return
+        try:
+            self.send(MSG_COMPLETE, {**reply, "result": result})
+        except (EOFError, OSError):
+            release_result(out)  # nobody will import it
+            raise
 
     # ------------------------------------------------------------- main loop
     def run(self) -> None:

@@ -10,7 +10,7 @@ def peak_rss_bytes() -> int:
 
     ``getrusage`` reports the high-water mark since process start (kilobytes
     on Linux, bytes on macOS), so bounded-memory claims are probed from a
-    fresh subprocess — see ``repro.experiments.stream_throughput``.  Returns
+    fresh subprocess — see ``benchmarks/bench_stream_throughput.py``.  Returns
     0 on platforms without :mod:`resource`.
     """
     try:

@@ -1,5 +1,6 @@
 """Tests for the experiments CLI and end-to-end CSV workflows."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -21,12 +22,14 @@ class TestCli:
         assert "unknown" in capsys.readouterr().err
 
     def test_registry_covers_every_paper_artifact(self):
+        # Paper artifacts plus the privacy sweep and ablations, nothing else:
+        # the performance benchmarks run from benchmarks/bench_<name>.py.
         expected = {
             "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
             "tab1", "tab2", "tab3", "tab4", "tab5", "tab6", "tab7",
-            "appg", "ablations",
+            "appg", "ablations", "privacy",
         }
-        assert expected <= set(EXPERIMENTS)
+        assert set(EXPERIMENTS) == expected
 
     def test_tab5_runs_and_prints_json(self, capsys):
         assert main(["tab5", "--records", "400"]) == 0
@@ -68,3 +71,28 @@ class TestCsvWorkflow:
         from repro.netml import build_flows
 
         assert len(build_flows(loaded)) == len(build_flows(raw))
+
+
+class TestSinkBytes:
+    """Pinned SHA-256 of small writer outputs: a byte-identity oracle for sinks."""
+
+    #: file name -> SHA-256 of its bytes, captured before ``write_csv`` began
+    #: delegating to ``CsvSink``.
+    PINNED = {
+        "write_csv.csv": "ea2b4635714c410fde2073547cdab3afb860d5137d75acf5e221732558954e38",
+        "sample_to.csv": "0973e42835e5d4e066d43f1037979b64db19c268c5aa4c7c30f6794c747a5574",
+        "sample_to.jsonl": "eac96c2bb9708f517a7d10116ad28faab4a63832d6723887f921b8ec9d069444",
+    }
+
+    def test_writer_output_bytes_are_pinned(self, tmp_path):
+        config = SynthesisConfig(epsilon=2.0)
+        config.gum.iterations = 5
+        synth = NetDPSyn(config, rng=5).fit(load_dataset("ton", n_records=800, seed=21))
+        write_csv(synth.sample(300, rng=2), tmp_path / "write_csv.csv")
+        synth.sample_to(tmp_path / "sample_to.csv", n=300, chunk=128, rng=2)
+        synth.sample_to(tmp_path / "sample_to.jsonl", n=300, chunk=128, rng=2)
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.PINNED
+        }
+        assert digests == self.PINNED

@@ -16,7 +16,7 @@ from repro.engine import (
     get_backend,
     shard_sizes,
 )
-from repro.experiments.engine_scaling import PRE_REFACTOR_GOLDEN
+from repro.experiments.goldens import PRE_REFACTOR_GOLDEN
 from repro.synthesis.decode import decode_records
 from repro.synthesis.gum import run_gum
 from repro.synthesis.initialization import marginal_initialization

@@ -271,6 +271,19 @@ class TestFleetRelease:
             assert cluster.run_tasks(_echo_task, [(i,) for i in range(4)]) == [0, 1, 2, 3]
             assert cluster.registry.get("intruder").state == STATE_EVICTED
 
+    def test_silent_peer_does_not_block_registration(self):
+        # An authenticated peer that never sends its register frame is
+        # dropped after a bounded wait (1 s), so a worker queued behind it
+        # still joins; the slack covers the worker's own start-up.
+        with LocalCluster(workers=0) as cluster:
+            with Client(cluster.address, authkey=cluster._authkey):
+                started = time.monotonic()
+                cluster.spawn_worker()
+                while not cluster.registry.alive():
+                    assert time.monotonic() - started < 5.0, "worker never registered"
+                    time.sleep(0.02)
+            assert cluster.run_tasks(_echo_task, [(i,) for i in range(4)]) == [0, 1, 2, 3]
+
     def test_unpicklable_task_raises_in_the_caller(self):
         with LocalCluster(workers=1) as cluster:
             with pytest.raises(TypeError, match="pickle"):

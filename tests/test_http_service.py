@@ -17,7 +17,7 @@ from http.client import HTTPConnection
 import pytest
 
 from repro import NetDPSyn, SynthesisConfig, load_dataset
-from repro.experiments.serving import _categorical_values, uncovered_pairs
+from repro.experiments.http_serving import _categorical_values, uncovered_pairs
 from repro.serving import (
     AnswerCache,
     ApiKeyAuth,

@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro import NetDPSyn, SynthesisConfig, load_dataset
-from repro.experiments.fit_scaling import published_digest
+from repro.experiments.goldens import published_digest
 from repro.io.model import MODEL_MAGIC, MODEL_VERSION, load_model, save_model
 
 

@@ -9,7 +9,7 @@ from repro import NetDPSyn, SynthesisConfig, load_dataset
 from repro.core.synthesizer import smallest_marginal_index
 from repro.dp.mechanisms import gaussian_mechanism
 from repro.engine import BACKENDS, EngineConfig, get_backend, scatter_map
-from repro.experiments.fit_scaling import FIT_GOLDEN, published_digest
+from repro.experiments.goldens import FIT_GOLDEN, published_digest
 from repro.marginals.compute import compute_marginal, exact_count_payload
 from repro.marginals.indif import (
     INDIF_SENSITIVITY,

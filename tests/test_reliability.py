@@ -277,6 +277,21 @@ def _lock_task(shared, seed):
     return threading.Lock()
 
 
+def _refuse_to_load():
+    raise ValueError("refuses to unpickle")
+
+
+class _Unloadable:
+    """Pickles fine; loading it raises."""
+
+    def __reduce__(self):
+        return (_refuse_to_load, ())
+
+
+def _unloadable_task(shared, seed):
+    return _Unloadable()
+
+
 class TestShardAttribution:
     def test_process_wraps_failures_in_shard_task_error(self):
         runner = get_backend("process", 2)
@@ -340,10 +355,25 @@ class TestShardAttribution:
         assert attempts == [1]
         assert elapsed >= 0.4
 
-    @pytest.mark.parametrize("backend", ["process", "fleet"])
-    def test_unpicklable_result_fails_deterministically(self, backend, monkeypatch):
-        # A result that cannot pickle would not pickle on any worker: the
-        # shard fails once, attributed, and no worker is lost or replaced.
+    @pytest.mark.parametrize(
+        "backend, task, cause, text",
+        [
+            pytest.param("process", _lock_task, TypeError, "cannot pickle", id="process"),
+            pytest.param("fleet", _lock_task, TypeError, "cannot pickle", id="fleet"),
+            pytest.param(
+                "process", _unloadable_task, ValueError, "refuses to unpickle", id="process-loads"
+            ),
+            pytest.param(
+                "fleet", _unloadable_task, ValueError, "refuses to unpickle", id="fleet-loads"
+            ),
+        ],
+    )
+    def test_unpicklable_result_fails_deterministically(
+        self, backend, task, cause, text, monkeypatch
+    ):
+        # A result that cannot pickle, or pickles but cannot load, would do
+        # so from any worker: the shard fails once, attributed, and no
+        # worker is lost or replaced.
         forked = []
         spawn = LocalCluster.spawn_worker
 
@@ -355,12 +385,12 @@ class TestShardAttribution:
         with _runtime(backend):
             runner = get_backend(backend, 2, retry=2)
             with pytest.raises(ShardTaskError) as excinfo:
-                runner.run_tasks(_lock_task, [(0,), (1,)])
+                runner.run_tasks(task, [(0,), (1,)])
         error = excinfo.value
         assert error.transient is False
         assert error.attempts == 1
-        assert "cannot pickle" in (error.remote_traceback or "")
-        assert isinstance(error.__cause__, TypeError)
+        assert text in (error.remote_traceback or "")
+        assert isinstance(error.__cause__, cause)
         assert len(forked) == 2
 
 

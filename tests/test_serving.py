@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import NetDPSyn, SynthesisConfig, load_dataset
-from repro.experiments.serving import covered_pairs, uncovered_pairs
+from repro.experiments.http_serving import covered_pairs, uncovered_pairs
 from repro.serving import (
     PROVENANCE_MARGINAL,
     PROVENANCE_SAMPLE,
