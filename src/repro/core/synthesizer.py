@@ -54,9 +54,9 @@ from repro.engine import (
     SynthesisPlan,
     execute_plan_decoded,
     execute_plan_stream,
-    get_backend,
 )
 from repro.engine.backends import default_workers
+from repro.engine.executor import backend_for
 from repro.pipeline import FitContext, FitPipeline, FitReport
 from repro.utils.memory import peak_rss_bytes
 from repro.utils.rng import ensure_rng, make_seed_sequence
@@ -72,13 +72,7 @@ def _fit_executor(engine: EngineConfig | None):
     if engine is None:
         return None, None, None
     workers = engine.max_workers or default_workers()
-    backend = get_backend(
-        engine.backend,
-        max_workers=workers,
-        task_timeout=engine.task_timeout,
-        retry=engine.max_task_retries,
-    )
-    return backend, engine.backend, workers
+    return backend_for(engine, workers), engine.backend, workers
 
 
 @dataclass(frozen=True)
@@ -381,15 +375,7 @@ class NetDPSyn:
         ...     for day in range(30):
         ...         synth.sample_to(f"day-{day}.csv", n=1_000_000)
         """
-        engine = self.config.engine
-        name = backend or engine.backend
-        workers = max_workers if max_workers is not None else engine.max_workers
-        pool = get_backend(
-            name,
-            workers,
-            task_timeout=engine.task_timeout,
-            retry=engine.max_task_retries,
-        )
+        pool = backend_for(self.config.engine.override(backend=backend), max_workers)
         pool.open(self.plan())
         self._session_backend = pool
         try:

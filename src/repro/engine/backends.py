@@ -81,11 +81,7 @@ class Backend(abc.ABC):
     ) -> None:
         self.max_workers = max_workers
         self.task_timeout = task_timeout
-        if retry is None:
-            retry = RetryPolicy()
-        elif not isinstance(retry, RetryPolicy):
-            retry = RetryPolicy(max_retries=int(retry))
-        self.retry = retry
+        self.retry = RetryPolicy.coerce(retry)
 
     @abc.abstractmethod
     def imap_tasks(self, fn, tasks: list[tuple], shared=None, window: int | None = None):

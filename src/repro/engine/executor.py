@@ -94,11 +94,14 @@ def resolve_run_kernel(plan: SynthesisPlan, config: EngineConfig) -> str:
     return get_kernel(name).name
 
 
-def backend_for(config: EngineConfig) -> Backend:
-    """A fresh backend instance configured by ``config``."""
+def backend_for(config: EngineConfig, max_workers: int | None = None) -> Backend:
+    """A fresh backend instance configured by ``config``.
+
+    ``max_workers``, when given, replaces ``config.max_workers``.
+    """
     return get_backend(
         config.backend,
-        config.max_workers,
+        config.max_workers if max_workers is None else max_workers,
         task_timeout=config.task_timeout,
         retry=config.max_task_retries,
     )

@@ -162,11 +162,7 @@ class LocalCluster:
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
-        if retry is None:
-            retry = RetryPolicy()
-        elif not isinstance(retry, RetryPolicy):
-            retry = RetryPolicy(max_retries=int(retry))
-        self.retry = retry
+        self.retry = RetryPolicy.coerce(retry)
         self.task_timeout = task_timeout
         self._n_initial = int(workers)
         self._serving_root = serving_root

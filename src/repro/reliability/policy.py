@@ -83,6 +83,16 @@ class RetryPolicy:
             np.random.SeedSequence(seed) if seed is not None else None
         )
 
+    @classmethod
+    def coerce(cls, retry: "RetryPolicy | int | None") -> "RetryPolicy":
+        """``retry`` as a policy: ``None`` is the default policy, an int its
+        ``max_retries``, and a policy is returned as is."""
+        if retry is None:
+            return cls()
+        if isinstance(retry, RetryPolicy):
+            return retry
+        return cls(max_retries=int(retry))
+
     def retryable(self, attempt: int) -> bool:
         """Whether a failure on attempt ``attempt`` (1-based) may be retried."""
         return attempt <= self.max_retries

@@ -452,7 +452,7 @@ class QueryService:
         self._engine_faults = 0
 
     # -------------------------------------------------------------- plumbing
-    def _authorize(self, api_key: str | None, cost: float = 1.0) -> Tenant:
+    def _authorize(self, api_key: str | None, cost: float) -> Tenant:
         tenant = self.authenticator.authenticate(api_key)
         if tenant.rate is not None:
             with self._buckets_lock:
@@ -571,52 +571,8 @@ class QueryService:
         api_key: str | None = None,
         deadline: Deadline | None = None,
     ) -> QueryAnswer:
-        """Answer one query: auth -> cache -> admission -> guarded execution."""
-        deadline = self._deadline(deadline)
-        try:
-            return self._query(model, query, prefer, api_key, deadline)
-        except DeadlineExceeded as exc:
-            with self._inflight_lock:
-                self._deadline_hits += 1
-            raise RequestDeadlineExceeded(str(exc)) from None
-
-    def _query(self, model, query, prefer, api_key, deadline) -> QueryAnswer:
-        self._authorize(api_key)
-        prefer = Prefer.coerce(prefer if prefer is not None else self.config.default_prefer)
-        engine, (model_key, generation) = self._lease(model)
-        cacheable = self.config.cache_answers and generation is not None
-        cache_key = (model_key, generation, prefer, query)
-        if cacheable:
-            # Cache hits are exempt from shedding, deadlines, and the
-            # breaker: they hold no engine resources and finish instantly.
-            hit = self.cache.get(cache_key)
-            if hit is not None:
-                return hit
-        # Validate up front: failures (unknown attrs, uncovered
-        # prefer="marginal", categorical histogram) surface on the calling
-        # request, never inside a shared batch.
-        try:
-            engine.validate(query, prefer)
-        except (KeyError, LookupError, ValueError) as exc:
-            raise error_from_exception(exc) from None
-        with self._admit():
-            if deadline is not None:
-                deadline.check("query admission")
-            if not self.breaker.allow():
-                answer = self._degraded_answer(engine, query, prefer)
-            elif self.config.micro_batch:
-                answer = self.batcher.submit(
-                    (model_key, generation, prefer), engine, prefer, query, deadline=deadline
-                )
-            else:
-                answer = self._run_guarded(engine, [query], prefer)[0]
-        if cacheable:
-            # Cache before the final deadline check: the answer is correct
-            # even when late, and the client's retry then hits the cache.
-            self.cache.put(cache_key, answer)
-        if deadline is not None:
-            deadline.check("answer delivery")
-        return answer
+        """Answer one query: a client batch of one (see :meth:`query_batch`)."""
+        return self.query_batch(model, [query], prefer, api_key, deadline)[0]
 
     def query_batch(
         self,
@@ -626,49 +582,68 @@ class QueryService:
         api_key: str | None = None,
         deadline: Deadline | None = None,
     ) -> list:
-        """Answer a client-assembled batch in one grouped execution.
+        """Answer a client-assembled batch: auth -> cache -> validation ->
+        admission -> guarded execution.
 
         Charged as ``len(queries)`` requests against the tenant's quota.
-        Cached answers are reused; only the misses run (in one
-        ``run_batch``), and their answers backfill the cache.
+        Cached answers are reused; only the misses run, and their answers
+        backfill the cache.  A lone miss joins the micro-batcher (when on),
+        so concurrent single requests share one grouped execution; several
+        misses already are one, and run in one ``run_batch``.
         """
         deadline = self._deadline(deadline)
         try:
-            return self._query_batch(model, queries, prefer, api_key, deadline)
+            return self._answer(model, list(queries), prefer, api_key, deadline)
         except DeadlineExceeded as exc:
             with self._inflight_lock:
                 self._deadline_hits += 1
             raise RequestDeadlineExceeded(str(exc)) from None
 
-    def _query_batch(self, model, queries, prefer, api_key, deadline) -> list:
-        queries = list(queries)
+    def _answer(self, model, queries: list, prefer, api_key, deadline) -> list:
         self._authorize(api_key, cost=max(1.0, float(len(queries))))
         prefer = Prefer.coerce(prefer if prefer is not None else self.config.default_prefer)
         engine, (model_key, generation) = self._lease(model)
         cacheable = self.config.cache_answers and generation is not None
-        answers: list = [None] * len(queries)
+        answers: list = []
         misses = []
         for i, query in enumerate(queries):
-            hit = self.cache.get((model_key, generation, prefer, query)) if cacheable else None
-            if hit is not None:
-                answers[i] = hit
-            else:
+            # Cache hits are exempt from shedding, deadlines, and the
+            # breaker: they hold no engine resources and finish instantly.
+            answer = self.cache.get((model_key, generation, prefer, query)) if cacheable else None
+            if answer is None:
                 misses.append(i)
-        if misses:
-            miss_queries = [queries[i] for i in misses]
-            with self._admit():
-                if deadline is not None:
-                    deadline.check("batch admission")
-                if not self.breaker.allow():
-                    fresh = [self._degraded_answer(engine, q, prefer) for q in miss_queries]
-                else:
-                    fresh = self._run_guarded(engine, miss_queries, prefer)
-            for i, answer in zip(misses, fresh):
-                answers[i] = answer
-                if cacheable:
-                    self.cache.put((model_key, generation, prefer, queries[i]), answer)
+            answers.append(answer)
+        if not misses:
+            return answers
+        pending = [queries[i] for i in misses]
+        # Validate up front: failures (unknown attrs, uncovered
+        # prefer="marginal", categorical histogram) surface on the calling
+        # request, never inside a shared batch.
+        try:
+            for query in pending:
+                engine.validate(query, prefer)
+        except (KeyError, LookupError, ValueError) as exc:
+            raise error_from_exception(exc) from None
+        with self._admit():
+            if deadline is not None:
+                deadline.check("query admission")
+            if not self.breaker.allow():
+                fresh = [self._degraded_answer(engine, query, prefer) for query in pending]
+            elif self.config.micro_batch and len(pending) == 1:
+                group = (model_key, generation, prefer)
+                fresh = [
+                    self.batcher.submit(group, engine, prefer, pending[0], deadline=deadline)
+                ]
+            else:
+                fresh = self._run_guarded(engine, pending, prefer)
+        for i, answer in zip(misses, fresh):
+            answers[i] = answer
+            if cacheable:
+                # Cache before the final deadline check: the answer is
+                # correct even when late, and the client's retry then hits.
+                self.cache.put((model_key, generation, prefer, queries[i]), answer)
         if deadline is not None:
-            deadline.check("batch delivery")
+            deadline.check("answer delivery")
         return answers
 
     # ------------------------------------------------------------- wire level

@@ -7,8 +7,7 @@ The GUM record-update hot path is expressed as a :class:`GumKernel`:
 - ``fused`` — whole-step numpy passes over a fused (records x marginals)
   code arena: radix-sorted grouping, cell bounds from the cached counts, a
   single bounds-broadcast duplication draw, and a touched-key count patch
-  for every marginal at once, with compiled twins when numba is present
-  (:mod:`~repro.synthesis.kernels.fused`).
+  for every marginal at once (:mod:`~repro.synthesis.kernels.fused`).
 
 Both kernels consume the random stream identically and produce bit-identical
 output (the parity suite proves it against the pinned golden digests), so
@@ -17,7 +16,7 @@ kernel choice — ``EngineConfig(kernel=...)``, where ``auto`` means
 """
 
 from repro.synthesis.kernels.base import GumKernel, _MarginalState
-from repro.synthesis.kernels.fused import FusedKernel, numba_available
+from repro.synthesis.kernels.fused import FusedKernel
 from repro.synthesis.kernels.reference import ReferenceKernel
 
 #: Every name ``EngineConfig(kernel=...)`` and :func:`get_kernel` accept.
@@ -42,6 +41,5 @@ __all__ = [
     "GumKernel",
     "ReferenceKernel",
     "get_kernel",
-    "numba_available",
     "_MarginalState",
 ]

@@ -42,13 +42,6 @@ under-full cells, the two cell sets are disjoint (``excess > 0`` vs
 ``deficit > 0``), so no source row is ever written within a step and the
 freed slots partition exactly.
 
-**Optional numba accelerator.** When numba imports, the grouping becomes a
-compiled O(n + cells) stable counting sort and the count patch a
-per-marginal ``@njit(nogil=True)`` loop.  The compiled functions' pure-Python
-twins (:func:`_group_rows_py`, :func:`_patch_rows_py`) are the source of
-truth — the njit wrapper is applied to them at first use and cached on disk
-— so the parity tests verify the logic even on hosts without numba.
-
 On the 50k-record ToN workload the kernel runs >= 3x faster than
 ``reference`` single-core (the gate in ``benchmarks/bench_engine_scaling.py``).
 """
@@ -57,90 +50,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.marginals.compute import cell_codes
 from repro.synthesis.kernels.base import GumKernel
 
 #: Largest marginal size (cells) that still groups via uint16 radix sort.
 RADIX_MAX_CELLS = int(np.iinfo(np.uint16).max)
-
-#: Cached result of the one real ``import numba`` probe (None = not probed).
-_NUMBA_OK: bool | None = None
-
-
-def numba_available() -> bool:
-    """Whether numba actually imports (probed once, result cached).
-
-    A real import, not ``find_spec``: an installed-but-broken numba (e.g. a
-    numba/numpy ABI mismatch) must leave the kernel on its numpy path rather
-    than pass the probe and then crash on the first compiled call mid-run.
-    """
-    global _NUMBA_OK
-    if _NUMBA_OK is None:
-        try:
-            import numba  # noqa: F401
-
-            _NUMBA_OK = True
-        except Exception:
-            _NUMBA_OK = False
-    return _NUMBA_OK
-
-
-def _patch_rows_py(data, rows, axes, strides, codes, counts):
-    """Re-code ``rows`` of ``data`` for one marginal and patch its counts.
-
-    ``codes`` is the marginal's strided column view of the ``(n, M)`` code
-    arena, written in place.  For each rewritten row, the new flat cell code
-    is the stride-weighted sum of the row's values on the marginal's axes
-    (exactly ``ravel_multi_index`` for in-domain values), the old code's
-    count decremented, the new one incremented.  Integer deltas on float64
-    counts are exact, so the cached counts stay equal to a fresh
-    ``bincount``.
-    """
-    for i in range(rows.shape[0]):
-        r = rows[i]
-        new = 0
-        for j in range(axes.shape[0]):
-            new += np.int64(data[r, axes[j]]) * strides[j]
-        old = codes[r]
-        counts[old] -= 1.0
-        counts[new] += 1.0
-        codes[r] = new
-
-
-def _group_rows_py(codes, perm, size):
-    """Stable counting sort of ``perm`` by ``codes[perm]``.
-
-    The loop twin of ``perm[argsort(codes[perm], kind="stable")]``: returns
-    the row indices grouped by cell (within-cell order following ``perm``)
-    — bit-identical to the numpy grouping, in ``O(n + size)`` instead of
-    ``O(n log n)``.
-    """
-    n = perm.shape[0]
-    counts = np.zeros(size + 1, dtype=np.int64)
-    for i in range(n):
-        counts[codes[perm[i]] + 1] += 1
-    for c in range(size):
-        counts[c + 1] += counts[c]
-    rows_by_cell = np.empty(n, dtype=perm.dtype)
-    cursor = counts[:size].copy()
-    for i in range(n):
-        r = perm[i]
-        c = codes[r]
-        rows_by_cell[cursor[c]] = r
-        cursor[c] += 1
-    return rows_by_cell
-
-
-#: Lazily compiled njit twins (filled on first use).
-_JIT = {}
-
-
-def _compiled(name, py_fn):
-    fn = _JIT.get(name)
-    if fn is None:
-        import numba
-
-        fn = _JIT[name] = numba.njit(nogil=True, cache=True)(py_fn)
-    return fn
 
 
 def _strides_for(shape: tuple) -> np.ndarray:
@@ -149,18 +63,6 @@ def _strides_for(shape: tuple) -> np.ndarray:
     for j in range(len(shape) - 2, -1, -1):
         strides[j] = strides[j + 1] * shape[j + 1]
     return strides
-
-
-def _cell_codes(data: np.ndarray, shape: tuple) -> np.ndarray:
-    """Flat cell index of every row (``ravel_multi_index`` over a row block).
-
-    Local twin of :func:`repro.marginals.compute.cell_codes` — kernels must
-    stay importable from :mod:`repro.engine.config` without dragging in the
-    marginals package (whose init imports the engine backends back).
-    """
-    if data.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.ravel_multi_index(tuple(data.T), shape)
 
 
 def _segment_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -203,7 +105,7 @@ class FusedKernel(GumKernel):
         strides = np.zeros((n_attrs, m), dtype=np.float64)
         for k, state in enumerate(states):
             state.codes = codes[:, k]
-            state.codes[...] = _cell_codes(data[:, state.axes], state.shape)
+            state.codes[...] = cell_codes(data[:, state.axes], state.shape)
             view = counts[offsets[k] : offsets[k] + sizes[k]]
             view[...] = np.bincount(state.codes, minlength=int(sizes[k]))
             state.counts = view
@@ -212,12 +114,6 @@ class FusedKernel(GumKernel):
         self._counts = counts
         self._offsets = offsets
         self._strides = strides
-        self._jit = numba_available()
-        if self._jit:
-            self._axes = [
-                np.ascontiguousarray(state.axes, dtype=np.int64) for state in states
-            ]
-            self._int_strides = [_strides_for(state.shape) for state in states]
 
     def step(self, data, states, k, alpha, config, rng):
         state = states[k]
@@ -298,9 +194,6 @@ class FusedKernel(GumKernel):
         Any stable grouping is bit-equivalent to the reference's
         ``argsort(codes[perm], kind="stable")``.
         """
-        if self._jit:
-            group = _compiled("group_rows", _group_rows_py)
-            return group(codes, perm, np.int64(size))
         cp = codes[perm]
         if size <= RADIX_MAX_CELLS:
             # uint16 keys take numpy's O(n) radix path; in-range casting is
@@ -322,12 +215,6 @@ class FusedKernel(GumKernel):
 
     def _apply_updates(self, data, states, freed):
         """Patch every marginal's cached codes/counts for the rewritten rows."""
-        if self._jit:
-            patch = _compiled("patch_rows", _patch_rows_py)
-            rows = np.ascontiguousarray(freed, dtype=np.int64)
-            for state, axes, strides in zip(states, self._axes, self._int_strides):
-                patch(data, rows, axes, strides, state.codes, state.counts)
-            return
         # One matmul re-codes the freed rows for every marginal: exact,
         # because every product and partial sum is an integer < 2^53.
         new_codes = (data[freed].astype(np.float64) @ self._strides).astype(np.int64)

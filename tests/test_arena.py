@@ -18,7 +18,6 @@ from repro.data.arena import (
     SLOT_DICT,
     SLOT_PICKLE,
     SLOT_RAW,
-    TableArena,
     copy_stats,
     plan_layout,
 )

@@ -243,6 +243,17 @@ def test_query_batch_reuses_cache_and_matches_run_batch(
     assert service.cache.stats()["hits"] == 1  # the pre-populated entry
 
 
+def test_query_batch_backfills_cache(model_dir, workload):
+    """Every answer a batch computes is cached: the repeat is all hits."""
+    service = _service(model_dir, micro_batch=False, cache_answers=True)
+    first = service.query_batch("ton", workload)
+    assert service.cache.stats()["hits"] == 0
+    second = service.query_batch("ton", workload)
+    assert service.cache.stats()["hits"] == len(workload)
+    for got, want in zip(second, first):
+        assert answers_equal(got, want)
+
+
 def test_validation_errors_surface_on_caller_not_batch(model_dir):
     service = _service(model_dir, cache_answers=False)
     with pytest.raises(QueryValidationError):
@@ -393,6 +404,54 @@ def test_http_batch_endpoint(served, direct_engine, workload):
     assert len(payload["answers"]) == len(workload)
     for wire, query in zip(payload["answers"], workload):
         assert answers_equal(answer_from_wire(wire), direct_engine.run(query))
+
+
+def test_http_batch_charges_quota_per_query(model_dir, workload):
+    """A batch of ``k`` queries costs ``k`` tokens; the next request is 429."""
+    burst = len(workload)
+    service = QueryService(
+        ModelRegistry(model_dir),
+        ServiceConfig(micro_batch=False, engine_options=ENGINE_OPTIONS),
+        authenticator=ApiKeyAuth(
+            [Tenant(name="batcher", api_key="bk", rate=0.001, burst=burst)]
+        ),
+    )
+    server, _thread = serve_in_thread(service)
+    conn = HTTPConnection(*server.server_address[:2])
+    headers = {API_KEY_HEADER: "bk"}
+    try:
+        status, payload, _ = _post(
+            conn,
+            "/v1/models/ton/batch",
+            {"queries": [query_to_wire(q) for q in workload]},
+            headers=headers,
+        )
+        assert status == 200, payload
+        assert len(payload["answers"]) == burst
+        status, payload, response = _post(
+            conn, "/v1/models/ton/query", {"query": query_to_wire(count())}, headers=headers
+        )
+        assert status == 429 and payload["error"]["code"] == "quota_exceeded"
+        assert float(response.headers["Retry-After"]) > 0
+    finally:
+        conn.close()
+        server.shutdown()
+        server.server_close()
+
+
+def test_http_batch_bad_query_is_typed_400_without_breaker_failure(served):
+    _server, service, conn = served
+    for bad in (marginal("nonexistent"), histogram("proto", bins=4)):
+        status, payload, _ = _post(
+            conn,
+            "/v1/models/ton/batch",
+            {"queries": [query_to_wire(count()), query_to_wire(bad)]},
+        )
+        assert status == 400, payload
+        assert payload["error"]["code"] == "invalid_query"
+    breaker = service.breaker.stats()
+    assert breaker["state"] == "closed" and breaker["failures"] == 0
+    assert service.stats()["reliability"]["engine_faults"] == 0
 
 
 def test_http_error_matrix(served):

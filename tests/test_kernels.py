@@ -4,9 +4,9 @@ Three contracts are enforced here:
 
 1. **Parity** — every kernel name, on every backend, for every shard count,
    produces a trace digest identical to the reference kernel's.
-2. **Selection** — ``auto`` means ``fused`` whether or not numba imports,
-   and any other name (including the retired ``vectorized``/``numba``) is
-   rejected everywhere (``get_kernel``, ``EngineConfig``, ``run_gum``).
+2. **Selection** — ``auto`` means ``fused``, and any other name (including
+   the retired ``vectorized``/``numba``) is rejected everywhere
+   (``get_kernel``, ``EngineConfig``, ``run_gum``).
 3. **Persistence** — ``EngineConfig.override`` and model ``save``/``load``
    round-trip the ``kernel`` field, and a model saved with a retired kernel
    name (or none at all) still loads and samples byte-identically.
@@ -33,12 +33,7 @@ from repro.synthesis.kernels import (
     _MarginalState,
     get_kernel,
 )
-from repro.synthesis.kernels import fused as fused_mod
-from repro.synthesis.kernels.fused import (
-    _group_rows_py,
-    _patch_rows_py,
-    _strides_for,
-)
+from repro.synthesis.kernels.fused import _strides_for
 
 
 def fresh_cache(data, axes, shape):
@@ -93,8 +88,7 @@ class TestKernelParity:
 
 
 class TestRegistry:
-    def test_always_available_kernels(self, monkeypatch):
-        monkeypatch.setattr(fused_mod, "numba_available", lambda: False)
+    def test_always_available_kernels(self):
         for name in ("fused", "reference"):
             assert get_kernel(name).name == name
 
@@ -104,15 +98,6 @@ class TestRegistry:
         assert resolve_run_kernel(fitted.plan(), EngineConfig()) == "fused"
         pinned = EngineConfig(kernel="reference")
         assert resolve_run_kernel(fitted.plan(), pinned) == "reference"
-
-    def test_numba_unavailability_does_not_change_auto(self, monkeypatch):
-        """Without numba, ``fused`` runs its numpy path — same kernel name."""
-        monkeypatch.setattr(fused_mod, "numba_available", lambda: False)
-        kernel = get_kernel("auto")
-        assert kernel.name == "fused"
-        data = np.zeros((4, 1), dtype=np.int32)
-        kernel.prepare(data, [_MarginalState(np.array([0]), (2,), np.zeros(2))])
-        assert kernel._jit is False
 
     def test_unknown_kernel_rejected_everywhere(self):
         for name in ("vectorized", "numba", "magic"):
@@ -179,55 +164,6 @@ class TestRunGumKernelSelection:
             run_gum(data, targets, attrs, domain, GumConfig(), rng=1, kernel="magic")
 
 
-class TestNumbaTwins:
-    """The njit sources are plain Python: parity is provable without numba."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-    def test_group_rows_matches_stable_argsort(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 500))
-        size = int(rng.integers(1, 60))
-        codes = rng.integers(0, size, size=n)
-        perm = rng.permutation(n)
-        order = np.argsort(codes[perm], kind="stable")
-        assert np.array_equal(_group_rows_py(codes, perm, size), perm[order])
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-    def test_patch_rows_matches_marginal_state(self, seed):
-        """The njit patch steps each marginal's strided ``codes[:, k]``
-        column of the kernel's row-major ``(n, M)`` arena in place."""
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 300))
-        specs = [(np.array([0, 2], dtype=np.int64), (5, 3)),
-                 (np.array([1], dtype=np.int64), (4,))]
-        domain = np.array([5, 4, 3, 3])
-        data = rng.integers(0, domain, size=(n, 4)).astype(np.int32)
-        arena = np.empty((n, len(specs)), dtype=np.int64)
-        counts = []
-        for k, (axes, shape) in enumerate(specs):
-            arena[:, k], fresh_counts = fresh_cache(data, axes, shape)
-            counts.append(fresh_counts)
-
-        rows = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
-        data[rows] = rng.integers(0, domain, size=(len(rows), 4))
-        for k, (axes, shape) in enumerate(specs):
-            column = arena[:, k]
-            assert column.strides == (arena.strides[0],)
-            _patch_rows_py(data, rows, axes, _strides_for(shape), column, counts[k])
-            want_codes, want_counts = fresh_cache(data, axes, shape)
-            assert np.array_equal(arena[:, k], want_codes)
-            assert np.array_equal(counts[k], want_counts)
-
-    def test_strides_match_ravel(self):
-        shape = (7, 3, 5)
-        strides = _strides_for(shape)
-        idx = np.array([[6, 2, 4], [0, 0, 0], [3, 1, 2]])
-        expected = np.ravel_multi_index(tuple(idx.T), shape)
-        assert np.array_equal(idx @ strides, expected)
-
-
 class TestFusedKernel:
     """The fused kernel's three single-pass tricks, each pinned to its twin.
 
@@ -265,7 +201,6 @@ class TestFusedKernel:
         codes = rng.integers(0, size, size=n)
         perm = rng.permutation(n)
         kernel = FusedKernel()
-        kernel._jit = False
         order = np.argsort(codes[perm], kind="stable")
         assert np.array_equal(kernel._group_rows(codes, perm, size), perm[order])
 
@@ -299,9 +234,15 @@ class TestFusedKernel:
         codes = rng.integers(0, size, size=400)
         perm = rng.permutation(400)
         kernel = FusedKernel()
-        kernel._jit = False
         order = np.argsort(codes[perm], kind="stable")
         assert np.array_equal(kernel._group_rows(codes, perm, size), perm[order])
+
+    def test_strides_match_ravel(self):
+        shape = (7, 3, 5)
+        strides = _strides_for(shape)
+        idx = np.array([[6, 2, 4], [0, 0, 0], [3, 1, 2]])
+        expected = np.ravel_multi_index(tuple(idx.T), shape)
+        assert np.array_equal(idx @ strides, expected)
 
     def _states(self, data):
         specs = [
@@ -336,7 +277,6 @@ class TestFusedKernel:
 
         kernel = FusedKernel()
         kernel.prepare(data, states)
-        kernel._jit = False  # pin the numpy fusion even on numba hosts
         for state in states:
             codes, counts = fresh_cache(data, state.axes, state.shape)
             assert np.array_equal(state.codes, codes)

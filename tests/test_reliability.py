@@ -69,11 +69,13 @@ from repro.serving import (
     ModelUnavailable,
     Prefer,
     QueryService,
+    QueryValidationError,
     RequestDeadlineExceeded,
     ServiceConfig,
     ServiceOverloaded,
     answers_equal,
     count,
+    marginal,
     topk,
 )
 from repro.serving.http import DEADLINE_HEADER, serve_in_thread
@@ -546,6 +548,33 @@ class TestServiceReliability:
             with pytest.raises(EngineFaultError):
                 service.query("ton", count())
         assert answers_equal(service.query("ton", topk("dstport", k=5)), healthy)
+
+    def test_open_breaker_degrades_client_batches(self, model_dir):
+        """A client batch meets the breaker like single queries do: the
+        marginal path still answers, sample-path work gets the 503."""
+        service = _service(
+            model_dir, micro_batch=False, cache_answers=False, breaker_failures=1,
+            breaker_reset=60.0,
+        )
+        batch = [count(), topk("dstport", k=5)]
+        healthy = service.query_batch("ton", batch)
+        with inject(FaultSpec(kind=KIND_ERROR, site=SITE_QUERY)):
+            with pytest.raises(EngineFaultError):
+                service.query_batch("ton", batch)
+        assert service.breaker.state == "open"
+        degraded = service.query_batch("ton", batch)
+        assert [a.provenance for a in degraded] == ["marginal", "marginal"]
+        for got, want in zip(degraded, healthy):
+            assert answers_equal(got, want)
+        with pytest.raises(CircuitOpen) as excinfo:
+            service.query_batch("ton", batch, prefer=Prefer.SAMPLE)
+        assert excinfo.value.http_status == 503
+        assert excinfo.value.code == "circuit_open"
+        with pytest.raises(QueryValidationError):  # typed, even with the breaker open
+            service.query_batch("ton", [count(), marginal("nonexistent")])
+        reliability = service.stats()["reliability"]
+        assert reliability["degraded_answers"] == len(batch)
+        assert reliability["engine_faults"] == 1
 
     def test_breaker_recovers_through_half_open_probe(self, model_dir):
         service = _service(model_dir, micro_batch=False, cache_answers=False)
