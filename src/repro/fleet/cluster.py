@@ -6,8 +6,9 @@ protocol (:mod:`repro.fleet.messaging`):
 - a :class:`multiprocessing.connection.Listener` on an ``AF_UNIX`` socket
   with an HMAC ``authkey`` — every worker is forked on this host, and a
   local socket has none of the small-write stalls of loopback TCP;
-- a :class:`~repro.fleet.registry.WorkerRegistry` driven by worker
-  heartbeats, with monotonic liveness expiry;
+- the registered workers, one :class:`WorkerRecord` per live id
+  (:meth:`LocalCluster.workers`); a second ``register`` under a live id is
+  refused;
 - a single **dispatcher thread** that owns all connection I/O and all
   mutable release state (multiplexed via ``connection.wait``), so the
   scheduler needs no locking discipline beyond the hand-off queues at its
@@ -24,14 +25,18 @@ protocol (:mod:`repro.fleet.messaging`):
 backend — ``process`` on a :meth:`private` cluster, ``fleet`` on the active
 one: results in task order, at most ``window`` shards leased ahead of the
 consumer, each result a shared-memory descriptor imported on the
-dispatcher, several releases in flight at once (oldest first).  A worker
-that dies (connection EOF), stalls past its heartbeat liveness window, or
-exceeds ``task_timeout`` loses its leases and its unfinished shards are
-requeued *unchanged*, leasable again after the
-:class:`~repro.reliability.RetryPolicy` backoff and bounded per shard by
-its budget, so a recovered release is bit-identical to a fault-free one.
-A task function that raises fails the release with a
-:class:`~repro.reliability.ShardTaskError` carrying the worker-side
+dispatcher, several releases in flight at once (oldest first).
+
+One liveness rule holds for every cluster: a worker is lost when its
+connection ends (EOF) or its shard overruns ``task_timeout``.  The cluster
+then kills the process it spawned for it and forks a replacement, and the
+lost worker's unfinished shards are requeued *unchanged*, leasable again
+after the :class:`~repro.reliability.RetryPolicy` backoff and bounded per
+shard by its budget, so a recovered release is bit-identical to a
+fault-free one.  A worker connects once.  A worker that stalls without
+dying (``SIGSTOP``) is noticed only through ``task_timeout``; with none set,
+its shard waits for it.  A task function that raises fails the release
+with a :class:`~repro.reliability.ShardTaskError` carrying the worker-side
 traceback.
 
 Entering the context installs the cluster as the process-wide *current
@@ -43,8 +48,8 @@ cluster* so ``synth.sample(..., backend="fleet")`` finds it::
 
 from __future__ import annotations
 
+import contextlib
 import itertools
-import math
 import multiprocessing
 import os
 import pickle
@@ -54,6 +59,7 @@ import tempfile
 import threading
 import traceback
 from collections import deque
+from dataclasses import dataclass
 from multiprocessing.connection import Listener, wait
 from multiprocessing.util import abstract_sockets_supported
 
@@ -62,14 +68,11 @@ from repro.fleet.messaging import (
     MSG_ASSIGN,
     MSG_COMPLETE,
     MSG_FAILED,
-    MSG_HEARTBEAT,
     MSG_REGISTER,
     MSG_SHUTDOWN,
-    MSG_WELCOME,
     SHARED_INHERITED,
 )
 from repro.fleet.queue import ShardQueue
-from repro.fleet.registry import WorkerRegistry
 from repro.fleet.worker import worker_main
 from repro.reliability import RetryPolicy, ShardTaskError
 
@@ -82,9 +85,12 @@ _POLL_S = 0.5
 
 #: How long the accept loop waits for a new connection's register frame.  A
 #: worker sends it as soon as its handshake completes; a peer that stays
-#: silent this long (the default liveness window, 4 missed 0.25 s
-#: heartbeats) is dropped, so it cannot hold up the next registration.
+#: silent this long is dropped, so it cannot hold up the next registration.
 _REGISTER_TIMEOUT_S = 1.0
+
+#: The longest the dispatcher sleeps between checks of lease ages
+#: (``task_timeout``) and of capacity; any message or hand-off wakes it.
+_TICK_S = 0.125
 
 
 def current_cluster() -> "LocalCluster | None":
@@ -108,6 +114,19 @@ def _recv(conn) -> tuple[str, dict]:
     return type_, payload
 
 
+@dataclass(frozen=True)
+class WorkerRecord:
+    """One registered worker as the coordinator sees it.
+
+    ``meta`` is the rest of its ``register`` payload: a serving replica is
+    the record whose ``meta`` has a ``url``.
+    """
+
+    worker_id: str
+    pid: int
+    meta: dict
+
+
 class _Release:
     """One ``imap_tasks`` call in flight: tasks, queue, results, outcome.
 
@@ -116,15 +135,16 @@ class _Release:
     and ``error``.
     """
 
-    def __init__(self, seq, fn, tasks, shared, window, task_timeout, retry) -> None:
+    def __init__(self, seq, fn, packed, shared, window, task_timeout, retry) -> None:
         self.seq = seq
         self.fn = fn
-        self.packed = [pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL) for task in tasks]
+        #: The task tuples, each pickled once in the caller's thread.
+        self.packed = packed
         self.shared = shared
         self.window = window
         self.task_timeout = task_timeout
         self.retry = retry
-        self.queue = ShardQueue(len(tasks))
+        self.queue = ShardQueue(len(packed))
         #: Imported results not yet handed to the consumer.
         self.results: dict[int, object] = {}
         #: Results the consumer has taken; leases stay below this + window.
@@ -154,8 +174,6 @@ class LocalCluster:
     def __init__(
         self,
         workers: int = 2,
-        heartbeat_interval: float = 0.25,
-        liveness_factor: float = 4.0,
         serving_root=None,
         task_timeout: float | None = None,
         retry: "RetryPolicy | int | None" = None,
@@ -166,11 +184,9 @@ class LocalCluster:
         self.task_timeout = task_timeout
         self._n_initial = int(workers)
         self._serving_root = serving_root
-        #: The payload workers start with, whether a lost worker is killed
-        #: and replaced, and how workers start (all but the last set by
-        #: :meth:`private`, which also picks the caller's start method).
+        #: The payload workers start with, and how they start (both set by
+        #: :meth:`private`, which picks the caller's start method).
         self._inherited = None
-        self._owned = False
         self._context = (
             multiprocessing.get_context("fork")
             if "fork" in multiprocessing.get_all_start_methods()
@@ -186,26 +202,29 @@ class LocalCluster:
             address = os.path.join(self._spool_dir(), "coordinator.sock")
         self._listener = Listener(address, family="AF_UNIX", authkey=self._authkey)
         self.address = self._listener.address
-        self.registry = WorkerRegistry(
-            heartbeat_interval=heartbeat_interval, liveness_factor=liveness_factor
-        )
-        self._registry_lock = threading.Lock()
+        #: worker id -> record of every registered worker.  The dispatcher
+        #: is its only writer; the lock is for readers on other threads.
+        self._workers: dict[str, WorkerRecord] = {}
+        self._workers_lock = threading.Lock()
         self._spool_lock = threading.Lock()
         self._wake_r, self._wake_w = multiprocessing.Pipe(duplex=False)
         self._inbox: deque = deque()  # ("join", conn, payload) | (kind, release)
-        self._conns: dict = {}  # conn -> worker_id
-        self._worker_conns: dict[str, object] = {}
+        self._conns: dict = {}  # conn -> worker_id, registration order
         #: seq -> release, oldest first: the releases the dispatcher serves.
         self._releases: dict[int, _Release] = {}
         self._running = True
         self._release_seq = itertools.count(1)
         self._next_worker = 0
-        self._procs: list = []
+        #: worker id -> the process this cluster started for it, until lost.
         self._worker_procs: dict[str, object] = {}
         #: Workers sent ``shutdown`` at teardown.
         self._told: set[str] = set()
-        #: id(shared) -> (strong ref, spool path): each payload ships once.
-        self._shared_paths: dict[int, tuple] = {}
+        #: (payload, path) of the newest payload pickled to the spool; an
+        #: older file is unlinked once no open release uses it.
+        self._spooled: tuple | None = None
+        #: spool path -> open releases that use it.
+        self._spool_users: dict[str, int] = {}
+        self._spool_names = itertools.count()
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._dispatch_thread = threading.Thread(target=self._dispatch_loop, daemon=True)
 
@@ -217,15 +236,11 @@ class LocalCluster:
         (:func:`multiprocessing.get_context`) and carry ``shared``: under
         fork they inherit it, so that payload is never pickled; under spawn
         or forkserver it is pickled once per worker, as a pool initializer
-        would.  A worker that dies or overruns ``task_timeout`` is killed
-        and replaced, so the cluster keeps its size across faults.  Only EOF
-        and ``task_timeout`` detect loss — there is no heartbeat expiry.
-        The cluster is not installed as the current one; the caller must
-        :meth:`close` it.
+        would.  The cluster is not installed as the current one; the caller
+        must :meth:`close` it.
         """
-        cluster = cls(workers, liveness_factor=math.inf, task_timeout=task_timeout, retry=retry)
+        cluster = cls(workers, task_timeout=task_timeout, retry=retry)
         cluster._inherited = shared
-        cluster._owned = True
         cluster._context = multiprocessing.get_context()
         cluster._start()
         return cluster
@@ -267,7 +282,6 @@ class LocalCluster:
             daemon=True,
         )
         proc.start()
-        self._procs.append(proc)
         self._worker_procs[worker_id] = proc
         return worker_id
 
@@ -297,13 +311,17 @@ class LocalCluster:
         self._wake_r.close()
         self._wake_w.close()
         # A worker told to shut down exits by itself; one that never
-        # registered (or was dropped) would wait for a coordinator that is
-        # gone, so it is terminated at once.
+        # registered would wait for a coordinator that is gone, so it is
+        # terminated at once.  A stopped process leaves SIGTERM pending, so
+        # a worker that outlives it is killed.
         for worker_id, proc in self._worker_procs.items():
             if worker_id in self._told:
                 proc.join(timeout=2.0)
             if proc.is_alive():
                 proc.terminate()
+                proc.join(timeout=1.0)
+            if proc.is_alive():
+                proc.kill()
                 proc.join(timeout=1.0)
         sweep_orphan_segments()
         with self._spool_lock:
@@ -329,21 +347,47 @@ class LocalCluster:
             self.spool = tempfile.mkdtemp(prefix="repro-fleet-")
         return self.spool
 
-    def _shared_ref(self, shared) -> str | None:
-        """How ``assign`` names ``shared``: inherited, or spooled once per object."""
+    def _acquire_shared(self, shared) -> str | None:
+        """How one new release's ``assign`` names ``shared``.
+
+        ``None``, the inherited payload, or a spool file.  Only the newest
+        spooled payload is kept for later releases, so one payload shared by
+        consecutive releases is pickled once.  A release holds its file
+        until :meth:`_release_shared`: workers load it on their first
+        ``assign``, so it is never unlinked while a release that uses it is
+        open.
+        """
         if shared is None:
             return None
         if shared is self._inherited:
             return SHARED_INHERITED
         with self._spool_lock:
-            cached = self._shared_paths.get(id(shared))
-            if cached is not None and cached[0] is shared:
-                return cached[1]
-            path = os.path.join(self._spool_dir(), f"shared-{len(self._shared_paths)}.pkl")
-            with open(path, "wb") as fh:
-                pickle.dump(shared, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            self._shared_paths[id(shared)] = (shared, path)
+            if self._spooled is None or self._spooled[0] is not shared:
+                path = os.path.join(self._spool_dir(), f"shared-{next(self._spool_names)}.pkl")
+                with open(path, "wb") as fh:
+                    pickle.dump(shared, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                previous, self._spooled = self._spooled, (shared, path)
+                if previous is not None:
+                    self._unlink_unused(previous[1])
+            path = self._spooled[1]
+            self._spool_users[path] = self._spool_users.get(path, 0) + 1
             return path
+
+    def _release_shared(self, ref: str | None) -> None:
+        """A release that used ``ref`` retired: unlink the file if now unused."""
+        if ref is None or ref == SHARED_INHERITED:
+            return
+        with self._spool_lock:
+            self._spool_users[ref] -= 1
+            self._unlink_unused(ref)
+
+    def _unlink_unused(self, path: str) -> None:
+        """Unlink a spool file no open release uses and that is not the newest."""
+        if self._spool_users.get(path) or path == self._spooled[1]:
+            return
+        self._spool_users.pop(path, None)
+        with contextlib.suppress(FileNotFoundError):  # close() removed the spool
+            os.unlink(path)
 
     # ------------------------------------------------------------ accept loop
     def _accept_loop(self) -> None:
@@ -369,17 +413,15 @@ class LocalCluster:
 
     # --------------------------------------------------------- dispatcher loop
     def _dispatch_loop(self) -> None:
-        tick = self.registry.heartbeat_interval / 2.0
         try:
             while self._running:
                 self._drain_inbox()
-                self._expire_overdue()
                 self._check_task_timeouts()
                 self._check_capacity()
                 self._assign_pending()
                 # Wake when the next backed-off shard becomes leasable.
                 timeout = min(
-                    [tick, *(release.queue.held_for() for release in self._releases.values())]
+                    [_TICK_S, *(release.queue.held_for() for release in self._releases.values())]
                 )
                 for obj in wait([self._wake_r, *self._conns], timeout=timeout):
                     if obj is self._wake_r:
@@ -416,48 +458,32 @@ class LocalCluster:
                 self._reap(release)
 
     def _admit(self, conn, payload: dict) -> None:
-        worker_id = payload["worker_id"]
-        with self._registry_lock:
-            self.registry.register(
-                worker_id,
-                pid=payload["pid"],
-                meta={k: v for k, v in payload.items() if k not in ("worker_id", "pid")},
-            )
-        stale = self._worker_conns.pop(worker_id, None)
-        if stale is not None:
-            self._drop_conn(stale, evict=False)
-        self._conns[conn] = worker_id
-        self._worker_conns[worker_id] = conn
-        try:
-            interval = self.registry.heartbeat_interval
-            self._send(conn, MSG_WELCOME, {"heartbeat_interval": interval})
-        except (OSError, ValueError):
-            self._lose(worker_id)
-
-    def _drop_conn(self, conn, evict: bool = True) -> None:
-        worker_id = self._conns.pop(conn, None)
-        if worker_id is not None and self._worker_conns.get(worker_id) is conn:
-            del self._worker_conns[worker_id]
-        try:
+        """Register a worker; a second ``register`` under a live id is refused."""
+        worker_id = payload.pop("worker_id")
+        if worker_id in self._workers:
             conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        if evict and worker_id is not None:
-            with self._registry_lock:
-                self.registry.evict(worker_id)
+            return
+        record = WorkerRecord(worker_id, payload.pop("pid"), payload)
+        with self._workers_lock:
+            self._workers[worker_id] = record
+        self._conns[conn] = worker_id
 
     # ---------------------------------------------------------- fault handling
     def _lose(self, worker_id: str) -> None:
-        """A dead or overdue member: evict it, requeue its shards, seeds intact.
+        """A dead or overdue worker: drop it and requeue its shards, seeds intact.
 
-        An owned cluster kills the process and forks a replacement, so its
-        size survives the fault; any segment the dead worker exported but
-        never handed over is swept.
+        The process the cluster started for it is killed and replaced, so
+        the cluster keeps its size across faults; a peer that registered
+        without being started here is only dropped.  Any segment the dead
+        worker exported but never handed over is swept.
         """
-        conn = self._worker_conns.get(worker_id)
-        if conn is not None:
-            self._drop_conn(conn, evict=True)
-        proc = self._worker_procs.pop(worker_id, None) if self._owned else None
+        for conn, holder in list(self._conns.items()):
+            if holder == worker_id:
+                del self._conns[conn]
+                conn.close()
+        with self._workers_lock:
+            self._workers.pop(worker_id, None)
+        proc = self._worker_procs.pop(worker_id, None)
         if proc is not None:
             proc.kill()
             proc.join(timeout=1.0)
@@ -484,18 +510,6 @@ class LocalCluster:
             message = f"task {index} failed after {attempts} attempt(s) (transient fault: {cause})"
             self._finish(release, ShardTaskError(message, index, attempts, transient=True))
 
-    def _expire_overdue(self) -> None:
-        with self._registry_lock:
-            expired = self.registry.expire()
-        for worker_id in expired:
-            conn = self._worker_conns.get(worker_id)
-            if conn is not None:
-                # Closing the connection makes a merely-stalled worker's next
-                # send fail, which triggers its reconnect-and-re-register
-                # path — the clean resume the registry counts.
-                self._drop_conn(conn, evict=False)
-            self._requeue_lost(worker_id)
-
     def _check_task_timeouts(self) -> None:
         overdue = set()
         for release in self._releases.values():
@@ -507,9 +521,7 @@ class LocalCluster:
     def _check_capacity(self) -> None:
         if not any(release.open for release in self._releases.values()):
             return
-        with self._registry_lock:
-            alive = self.registry.alive()
-        if alive or any(proc.is_alive() for proc in self._procs):
+        if self._workers or any(proc.is_alive() for proc in self._worker_procs.values()):
             return
         for release in list(self._releases.values()):
             unfinished = release.queue.pending + release.queue.leased
@@ -529,17 +541,12 @@ class LocalCluster:
             for release in self._releases.values()
             for holder in release.queue.lease_holders().values()
         }
-        with self._registry_lock:
-            alive = self.registry.alive()
-        for record in alive:
-            conn = self._worker_conns.get(record.worker_id)
-            if record.worker_id in busy or conn is None:
+        for conn, worker_id in list(self._conns.items()):
+            if worker_id in busy:
                 continue
             for release in self._releases.values():
                 index = (
-                    release.queue.lease(
-                        record.worker_id, limit=release.consumed + release.window
-                    )
+                    release.queue.lease(worker_id, limit=release.consumed + release.window)
                     if release.open
                     else None
                 )
@@ -561,7 +568,7 @@ class LocalCluster:
                     },
                 )
             except (OSError, ValueError):
-                self._lose(record.worker_id)
+                self._lose(worker_id)
                 return
 
     def _receive(self, conn) -> None:
@@ -571,10 +578,7 @@ class LocalCluster:
         except Exception:  # EOF, or a frame that is not a fleet message
             self._lose(worker_id)
             return
-        if type_ == MSG_HEARTBEAT:
-            with self._registry_lock:
-                self.registry.heartbeat(worker_id)
-        elif type_ == MSG_COMPLETE:
+        if type_ == MSG_COMPLETE:
             self._on_complete(worker_id, payload)
         elif type_ == MSG_FAILED:
             self._on_failed(worker_id, payload)
@@ -676,8 +680,8 @@ class LocalCluster:
         consumer stops early, or a shard fails, nothing more is leased and
         the generator returns once every running shard has been reaped.
         """
-        tasks = list(tasks)
-        if not tasks:
+        packed = [pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL) for task in tasks]
+        if not packed:
             return
         if not self._running:
             raise FleetError("cluster is closed")
@@ -686,15 +690,15 @@ class LocalCluster:
         release = _Release(
             seq=next(self._release_seq),
             fn=fn,
-            tasks=tasks,
-            shared=self._shared_ref(shared),
-            window=len(tasks) if window is None else max(1, int(window)),
+            packed=packed,
+            shared=self._acquire_shared(shared),
+            window=len(packed) if window is None else max(1, int(window)),
             task_timeout=self.task_timeout if task_timeout is None else task_timeout,
             retry=self.retry if retry is None else retry,
         )
         self._post("release", release)
         try:
-            for index in range(len(tasks)):
+            for index in range(len(packed)):
                 yield self._take(release, index)
         finally:
             self._retire(release)
@@ -724,29 +728,28 @@ class LocalCluster:
                     break
         with release.cond:
             release.results.clear()
+        self._release_shared(release.shared)
 
     def run_tasks(self, fn, tasks: list[tuple], shared=None, **overrides) -> list:
         """:meth:`imap_tasks` with every task in the window, as a list."""
         return list(self.imap_tasks(fn, tasks, shared=shared, **overrides))
 
     # --------------------------------------------------------------- queries
+    def workers(self) -> list[WorkerRecord]:
+        """The registered workers, registration order."""
+        with self._workers_lock:
+            return list(self._workers.values())
+
     def serving_urls(self) -> list[str]:
         """Base URLs of the live serving replicas, registration order."""
-        with self._registry_lock:
-            return [
-                record.meta["url"]
-                for record in self.registry.alive()
-                if "url" in record.meta
-            ]
+        return [record.meta["url"] for record in self.workers() if "url" in record.meta]
 
     def stats(self) -> dict:
-        with self._registry_lock:
-            registry = self.registry.stats()
         active = next(
             (release for release in list(self._releases.values()) if release.open), None
         )
         return {
-            "registry": registry,
+            "workers": len(self.workers()),
             "active_release": None
             if active is None
             else {
@@ -755,5 +758,5 @@ class LocalCluster:
                 "leased": active.queue.leased,
                 "max_attempts": active.queue.max_attempts(),
             },
-            "processes": sum(1 for proc in self._procs if proc.is_alive()),
+            "processes": sum(1 for proc in list(self._worker_procs.values()) if proc.is_alive()),
         }

@@ -24,6 +24,11 @@ None of the values is bulky:
   ``"shared": "inherited"``; otherwise it is pickled once into the
   coordinator's spool directory and ``assign`` carries the path.
 
+A worker registers once, and the coordinator never answers ``register``:
+it refuses an id that is already live by closing the connection.  No
+message carries liveness; a worker is lost when its connection ends or its
+shard overruns the release's ``task_timeout``.
+
 Determinism contract: an ``assign`` message never *chooses* randomness —
 the task tuple carries the shard's own ``SeedSequence`` children, fixed when
 the release was sharded (see :mod:`repro.fleet.queue`).  Which worker runs a
@@ -38,8 +43,6 @@ type           direction  payload
 =============  =========  ====================================================
 ``register``   w -> c     ``worker_id``, ``pid``, ``url`` (serving replicas
                           only)
-``welcome``    c -> w     ``heartbeat_interval``
-``heartbeat``  w -> c     (empty)
 ``assign``     c -> w     ``release``, ``index``, ``fn_module``, ``fn_name``,
                           ``shared`` (``None``, ``"inherited"`` or a spool
                           path), ``task`` (pickled bytes)
@@ -51,8 +54,6 @@ type           direction  payload
 """
 
 MSG_REGISTER = "register"
-MSG_WELCOME = "welcome"
-MSG_HEARTBEAT = "heartbeat"
 MSG_ASSIGN = "assign"
 MSG_COMPLETE = "complete"
 MSG_FAILED = "failed"

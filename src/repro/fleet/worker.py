@@ -1,36 +1,29 @@
-"""Fleet worker: connect, register, heartbeat, execute shards, serve queries.
+"""Fleet worker: connect, register, execute shards, serve queries.
 
 :func:`worker_main` is the entry point :class:`~repro.fleet.cluster.LocalCluster`
-runs in each subprocess.  The runtime is two threads over one authenticated
+runs in each subprocess.  The runtime is one loop over one authenticated
 :mod:`multiprocessing.connection` channel, exchanging pickled
-``(type, payload)`` messages (:mod:`repro.fleet.messaging`):
+``(type, payload)`` messages (:mod:`repro.fleet.messaging`).  It registers
+once, then receives ``assign`` messages and executes ``fn(shared, *task)``
+— the task tuple carries the shard's own pre-spawned seed children, so
+*who* runs it cannot change the output.  It parks the result in shared
+memory (:func:`~repro.engine.shm.export_result`) and reports ``complete``
+with the descriptor pickled to bytes of its own (so the coordinator can
+tell a result that does not load from a lost worker), or ``failed`` with
+the traceback (and the exception itself, when it pickles) for
+deterministic errors: a task function raising, or returning a result that
+does not pickle, would do so again on any worker, so it is reported, not
+retried.
 
-- the **main loop** receives ``assign`` messages and executes
-  ``fn(shared, *task)`` — the task tuple carries the shard's own
-  pre-spawned seed children, so *who* runs it cannot change the output.  It
-  parks the result in shared memory (:func:`~repro.engine.shm.export_result`)
-  and reports ``complete`` with the descriptor pickled to bytes of its own
-  (so the coordinator can tell a result that does not load from a lost
-  worker), or ``failed`` with the
-  traceback (and the exception itself, when it pickles) for deterministic
-  errors: a task function raising, or returning a result that does not
-  pickle, would do so again on any worker, so it is reported, not retried;
-- the **heartbeat thread** sends one ``heartbeat`` message per interval
-  (the interval is dictated by the coordinator's ``welcome``).  It passes
-  the ``SITE_FLEET_HEARTBEAT`` fault site first, so the chaos suite can
-  kill a worker mid-heartbeat as easily as mid-shard.
-
-A lost connection is survivable: the main loop reconnects and re-registers
-(bounded attempts), which is also how a worker expired during a stall
-(e.g. ``SIGSTOP``) resumes after the coordinator dropped it — the registry
-counts the re-registration, the work-queue already reassigned its shards,
-and any stale result it still reports is discarded by the coordinator's
-lease check.
+The loop ends on ``shutdown``, or when the connection ends (EOF or
+``OSError``): the coordinator closed it because the worker was lost or its
+id was already registered.  A worker connects once; the coordinator
+kills a lost worker and forks a replacement.
 
 Because ``LocalCluster`` forks workers, the module-global
 :class:`~repro.reliability.FaultInjector` installed in the parent is
-inherited here — worker-side chaos (kill mid-shard via ``SITE_SHARD``,
-mid-heartbeat via ``SITE_FLEET_HEARTBEAT``) needs no extra plumbing.
+inherited here — worker-side chaos (kill mid-shard via ``SITE_SHARD``)
+needs no extra plumbing.
 """
 
 from __future__ import annotations
@@ -38,8 +31,6 @@ from __future__ import annotations
 import importlib
 import os
 import pickle
-import threading
-import time
 import traceback
 from multiprocessing.connection import Client
 
@@ -48,78 +39,29 @@ from repro.fleet.messaging import (
     MSG_ASSIGN,
     MSG_COMPLETE,
     MSG_FAILED,
-    MSG_HEARTBEAT,
     MSG_REGISTER,
     MSG_SHUTDOWN,
-    MSG_WELCOME,
     SHARED_INHERITED,
 )
-from repro.reliability.faults import (
-    KIND_DROP_SHM,
-    SITE_FLEET_HEARTBEAT,
-    SITE_SHM_EXPORT,
-    maybe_fire,
-)
-
-#: Reconnect attempts after a lost coordinator connection before giving up.
-RECONNECT_ATTEMPTS = 3
-RECONNECT_DELAY = 0.05
+from repro.reliability.faults import KIND_DROP_SHM, SITE_SHM_EXPORT, maybe_fire
 
 
 class _WorkerRuntime:
-    """State of one worker process: connection, caches, heartbeat."""
+    """State of one worker process: connection and payload cache."""
 
     def __init__(self, address, authkey: bytes, worker_id: str, inherited=None) -> None:
         self.address = address
         self.authkey = authkey
         self.inherited = inherited  # the payload it was forked with
         self.conn = None
-        self.heartbeat_interval = 0.5
-        self._send_lock = threading.Lock()
-        self._stop = threading.Event()
-        #: spool path -> unpickled shared payload; a release's plan ships
-        #: (and unpickles) once per worker, not once per shard.
-        self._shared_cache: dict[str, object] = {}
+        #: (spool path, unpickled payload) of the last spooled payload it
+        #: loaded: a release's plan unpickles once per worker, not once per
+        #: shard, and an older payload is not kept.
+        self._spooled: tuple | None = None
         self._register_payload: dict = {"worker_id": worker_id, "pid": os.getpid()}
 
-    # ------------------------------------------------------------- transport
     def send(self, type_: str, payload: dict | None = None) -> None:
-        with self._send_lock:
-            self.conn.send((type_, payload or {}))
-
-    def connect(self) -> None:
-        """Dial the coordinator, register, and adopt its heartbeat interval."""
-        self.conn = Client(self.address, authkey=self.authkey)
-        self.send(MSG_REGISTER, self._register_payload)
-        type_, payload = self.conn.recv()
-        if type_ != MSG_WELCOME:
-            raise RuntimeError(f"expected welcome, got {type_!r}")
-        self.heartbeat_interval = float(payload["heartbeat_interval"])
-
-    def reconnect(self) -> bool:
-        """Re-dial and re-register after a lost connection."""
-        for attempt in range(RECONNECT_ATTEMPTS):
-            try:
-                old = self.conn
-                self.conn = None
-                if old is not None:
-                    old.close()
-                self.connect()
-                return True
-            except OSError:
-                time.sleep(RECONNECT_DELAY * (attempt + 1))
-        return False
-
-    # ------------------------------------------------------------- heartbeat
-    def heartbeat_loop(self) -> None:
-        while not self._stop.wait(self.heartbeat_interval):
-            maybe_fire(SITE_FLEET_HEARTBEAT)
-            try:
-                self.send(MSG_HEARTBEAT)
-            except (OSError, ValueError, AttributeError):
-                # Connection mid-replacement or gone; the main loop owns
-                # reconnection — skip this beat rather than fight over it.
-                continue
+        self.conn.send((type_, payload or {}))
 
     # ------------------------------------------------------------- execution
     def _shared(self, ref: str | None):
@@ -127,10 +69,11 @@ class _WorkerRuntime:
             return None
         if ref == SHARED_INHERITED:
             return self.inherited
-        if ref not in self._shared_cache:
+        if self._spooled is None or self._spooled[0] != ref:
+            self._spooled = None  # drop the old payload before loading the new
             with open(ref, "rb") as fh:
-                self._shared_cache[ref] = pickle.load(fh)
-        return self._shared_cache[ref]
+                self._spooled = (ref, pickle.load(fh))
+        return self._spooled[1]
 
     def fail(self, reply: dict, exc: BaseException) -> None:
         """Report a deterministic failure of the shard ``reply`` names."""
@@ -177,37 +120,16 @@ class _WorkerRuntime:
     # ------------------------------------------------------------- main loop
     def run(self) -> None:
         try:
-            self.connect()
-        except (OSError, EOFError):
-            return  # the coordinator closed before this worker registered
-        beat = threading.Thread(target=self.heartbeat_loop, daemon=True)
-        beat.start()
-        try:
-            while True:
-                try:
+            with Client(self.address, authkey=self.authkey) as self.conn:
+                self.send(MSG_REGISTER, self._register_payload)
+                while True:
                     type_, payload = self.conn.recv()
-                except (EOFError, OSError):
-                    if not self.reconnect():
-                        break
-                    continue
-                if type_ == MSG_SHUTDOWN:
-                    break
-                if type_ == MSG_ASSIGN:
-                    try:
+                    if type_ == MSG_SHUTDOWN:
+                        return
+                    if type_ == MSG_ASSIGN:
                         self.handle_assign(payload)
-                    except (EOFError, OSError):
-                        # The coordinator dropped us mid-task (e.g. we were
-                        # expired during a stall and the result report hit a
-                        # closed pipe).  The shard was already reassigned;
-                        # reconnect and re-register rather than die.
-                        if not self.reconnect():
-                            break
-        finally:
-            self._stop.set()
-            try:
-                self.conn.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
+        except (EOFError, OSError):
+            return  # the coordinator is gone, or dropped or refused this worker
 
 
 def _start_serving(runtime: _WorkerRuntime, serving_root) -> None:

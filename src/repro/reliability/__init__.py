@@ -39,7 +39,6 @@ from repro.reliability.faults import (
     KIND_DROP_SHM,
     KIND_ERROR,
     KIND_KILL,
-    SITE_FLEET_HEARTBEAT,
     SITE_MODEL_LOAD,
     SITE_QUERY,
     SITE_SHARD,
@@ -66,7 +65,6 @@ __all__ = [
     "KIND_DROP_SHM",
     "KIND_ERROR",
     "KIND_KILL",
-    "SITE_FLEET_HEARTBEAT",
     "SITE_MODEL_LOAD",
     "SITE_QUERY",
     "SITE_SHARD",

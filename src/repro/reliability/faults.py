@@ -34,12 +34,10 @@ Fault kinds:
 
 Trigger sites live next to the code they test: ``SITE_SHARD`` in the engine
 shard tasks (worker side), ``SITE_SHM_EXPORT`` in the shared-memory result
-export, ``SITE_MODEL_LOAD`` in the registry's load path, ``SITE_QUERY`` in
-the HTTP service's engine execution, ``SITE_FLEET_HEARTBEAT`` in the fleet
-worker's heartbeat loop (so a worker can be killed mid-heartbeat as easily
-as mid-shard).  The module-global installation relies
-on fork inheritance for worker-side sites; platforms whose default start
-method is ``spawn`` skip the worker-side chaos tests.
+export, ``SITE_MODEL_LOAD`` in the registry's load path, and ``SITE_QUERY``
+in the HTTP service's engine execution.  The module-global installation
+relies on fork inheritance for worker-side sites; platforms whose default
+start method is ``spawn`` skip the worker-side chaos tests.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ SITE_SHARD = "shard"
 SITE_SHM_EXPORT = "shm_export"
 SITE_MODEL_LOAD = "model_load"
 SITE_QUERY = "service_query"
-SITE_FLEET_HEARTBEAT = "fleet_heartbeat"
 
 KIND_KILL = "kill_worker"
 KIND_DELAY = "delay"

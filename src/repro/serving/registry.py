@@ -113,18 +113,29 @@ class ModelRegistry:
         #: (not even by eviction or deletion), so ``(key, generation)`` is a
         #: correct invalidation key for any external cache built on answers.
         self._generations: dict = {}
+        #: name -> (key, path), memoized like ``_load_locks``: only for names
+        #: whose file was found, so unknown names cannot grow it.
+        self._resolved: dict = {}
 
     # -------------------------------------------------------------- inventory
+    def _resolve(self, name: str) -> tuple[str, Path]:
+        """``(key, path)`` of a model name: the cache key and its file."""
+        resolved = self._resolved.get(name)
+        if resolved is None:
+            file_name = str(name)
+            if not file_name.endswith(MODEL_SUFFIX):
+                file_name += MODEL_SUFFIX
+            path = self.root / file_name
+            resolved = (path.name[: -len(MODEL_SUFFIX)], path)
+        return resolved
+
     def path_of(self, name: str) -> Path:
         """The file a model name refers to (suffix appended when missing)."""
-        name = str(name)
-        if not name.endswith(MODEL_SUFFIX):
-            name += MODEL_SUFFIX
-        return self.root / name
+        return self._resolve(name)[1]
 
     def key_of(self, name: str) -> str:
         """The canonical cache key of a model name (suffix stripped)."""
-        return self.path_of(name).name[: -len(MODEL_SUFFIX)]
+        return self._resolve(name)[0]
 
     def list_models(self) -> list:
         """Model names available on disk (sorted, without the suffix)."""
@@ -152,9 +163,9 @@ class ModelRegistry:
         """
         from repro.core.synthesizer import NetDPSyn
 
-        path = self.path_of(name)
-        key = self.key_of(name)
+        key, path = self._resolve(name)
         fingerprint = self._fingerprint_or_drop(path, key)
+        self._resolved[name] = (key, path)
         with self._lock:
             model = self._cached(key, fingerprint)
             if model is not None:

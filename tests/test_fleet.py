@@ -1,16 +1,15 @@
-"""Fleet suite: registry, work-queue, multi-worker releases, chaos legs.
+"""Fleet suite: work-queue, multi-worker releases, chaos legs.
 
 The fleet contract under test:
 
 - **Digest-equality.**  A release fanned across a ``LocalCluster`` is
   bit-identical to the single-node serial run at the same shard count —
   regardless of worker count, scheduling order, or a worker killed
-  mid-release or mid-heartbeat (its shards re-run on their original
-  ``SeedSequence`` children on a surviving worker).
-- **Liveness is heartbeat-driven and monotonic.**  A worker that stops
-  heartbeating (``SIGSTOP``) is expired exactly once, its shards are
-  reassigned, and after ``SIGCONT`` it re-registers and resumes cleanly —
-  the registry counts the re-registration.
+  mid-release (its shards re-run on their original ``SeedSequence``
+  children).
+- **One liveness rule.**  A worker is lost when its connection ends or its
+  shard overruns ``task_timeout`` (a ``SIGSTOP``-ed worker); the cluster
+  kills and replaces it, and a live worker id never registers twice.
 - **Failures are attributed.**  A deterministically-raising task fails the
   release with a :class:`ShardTaskError` carrying the worker-side
   traceback; an empty fleet fails typed (:class:`FleetError`), not by
@@ -24,11 +23,13 @@ Worker-kill legs rely on ``fork`` inheritance of the installed
 platforms.
 """
 
+import gc
 import multiprocessing
 import os
 import signal
 import threading
 import time
+import weakref
 from multiprocessing.connection import Client
 
 import pytest
@@ -40,10 +41,8 @@ from repro.fleet import (
     LocalCluster,
     ReplicatedQueryClient,
     ShardQueue,
-    WorkerRegistry,
     current_cluster,
 )
-from repro.fleet.registry import STATE_ALIVE, STATE_EVICTED, STATE_EXPIRED
 from repro.reliability import (
     KIND_ERROR,
     KIND_KILL,
@@ -51,7 +50,7 @@ from repro.reliability import (
     ShardTaskError,
     inject,
 )
-from repro.reliability.faults import SITE_FLEET_HEARTBEAT, SITE_SHARD
+from repro.reliability.faults import SITE_SHARD
 
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -81,58 +80,13 @@ def _fleet_digest(fitted, **cluster_kwargs):
     return table.content_digest()
 
 
-# ------------------------------------------------------------------- registry
-class FakeClock:
-    def __init__(self):
-        self.now = 100.0
-
-    def __call__(self):
-        return self.now
-
-
-class TestRegistry:
-    def test_heartbeats_keep_a_worker_alive(self):
-        clock = FakeClock()
-        registry = WorkerRegistry(heartbeat_interval=1.0, liveness_factor=3.0, clock=clock)
-        registry.register("w0", pid=1)
-        for _ in range(5):
-            clock.now += 2.5  # late, but within the 3.0 liveness window
-            assert registry.heartbeat("w0")
-            assert registry.expire() == []
-        assert registry.get("w0").heartbeats == 5
-
-    def test_expiry_fires_once_and_late_heartbeat_does_not_resurrect(self):
-        clock = FakeClock()
-        registry = WorkerRegistry(heartbeat_interval=1.0, liveness_factor=3.0, clock=clock)
-        registry.register("w0", pid=1)
-        clock.now += 3.5
-        assert registry.expire() == ["w0"]
-        assert registry.expire() == []  # newly-expired only, exactly once
-        assert registry.get("w0").state == STATE_EXPIRED
-        # Its shards were reassigned the moment it expired; a late heartbeat
-        # must not quietly resurrect it — it has to re-register.
-        assert not registry.heartbeat("w0")
-        assert registry.get("w0").state == STATE_EXPIRED
-
-    def test_reregistration_resumes_and_is_counted(self):
-        clock = FakeClock()
-        registry = WorkerRegistry(heartbeat_interval=1.0, clock=clock)
-        registry.register("w0", pid=1)
-        clock.now += 10.0
-        registry.expire()
-        record = registry.register("w0", pid=2)
-        assert record.state == STATE_ALIVE
-        assert record.registrations == 2
-        assert record.pid == 2
-        assert registry.heartbeat("w0")
-
-    def test_evicted_workers_are_gone_for_good(self):
-        registry = WorkerRegistry()
-        registry.register("w0", pid=1)
-        registry.evict("w0")
-        assert registry.get("w0").state == STATE_EVICTED
-        assert not registry.heartbeat("w0")
-        assert registry.alive() == []
+def _await_workers(cluster, count, timeout=15.0):
+    """The cluster's registered workers, once there are ``count`` of them."""
+    deadline = time.monotonic() + timeout
+    while len(cluster.workers()) < count:
+        assert time.monotonic() < deadline, "workers never registered"
+        time.sleep(0.02)
+    return cluster.workers()
 
 
 # ----------------------------------------------------------------- work-queue
@@ -235,22 +189,32 @@ class TestFleetRelease:
     def test_close_with_idle_workers_is_prompt_and_clean(self, workers):
         cluster = LocalCluster(workers=workers)
         with cluster:
-            deadline = time.monotonic() + 15.0
-            while len(cluster.registry.alive()) < workers:
-                assert time.monotonic() < deadline, "workers never registered"
-                time.sleep(0.02)
+            _await_workers(cluster, workers)
             started = time.monotonic()
         elapsed = time.monotonic() - started
         assert elapsed < 0.5
         assert not cluster._accept_thread.is_alive()
         # Every worker left on the shutdown message: none was SIGTERMed.
-        assert [proc.exitcode for proc in cluster._procs] == [0] * workers
+        assert [proc.exitcode for proc in cluster._worker_procs.values()] == [0] * workers
+
+    def test_close_kills_a_stopped_worker(self):
+        # A stopped process leaves SIGTERM pending, so close() must kill it.
+        cluster = LocalCluster(workers=1)
+        with cluster:
+            (record,) = _await_workers(cluster, 1)
+            (proc,) = cluster._worker_procs.values()
+            os.kill(record.pid, signal.SIGSTOP)
+        try:
+            assert proc.exitcode == -signal.SIGKILL
+        finally:
+            proc.kill()  # a no-op once close() has reaped it
 
     def test_malformed_frames_drop_only_their_connection(self):
         with LocalCluster(workers=1) as cluster:
+            (real,) = _await_workers(cluster, 1)
             # A first frame that is not a register message, or is not a
             # pickled (type, payload) pair at all, is dropped at the door.
-            for frame in (("heartbeat", {}), ["register"], ("register", {"pid": 1})):
+            for frame in (("complete", {}), ["register"], ("register", {"pid": 1})):
                 with Client(cluster.address, authkey=cluster._authkey) as conn:
                     conn.send(frame)
                     with pytest.raises((EOFError, OSError)):
@@ -259,17 +223,41 @@ class TestFleetRelease:
                 conn.send_bytes(b"junk")
                 with pytest.raises((EOFError, OSError)):
                     conn.recv()
-            # A registered peer that then sends junk is a lost worker.
+            # A registered peer that then sends junk is a lost worker.  The
+            # cluster did not start it, so it is dropped, not killed: its
+            # pid is this test's own.
             with Client(cluster.address, authkey=cluster._authkey) as conn:
                 conn.send(("register", {"worker_id": "intruder", "pid": os.getpid()}))
-                assert conn.recv()[0] == "welcome"
+                _await_workers(cluster, 2)
                 conn.send_bytes(b"junk")
                 with pytest.raises((EOFError, OSError)):
                     conn.recv()
-            # The dispatcher survived both: the cluster still runs releases,
-            # and it evicted the intruder before it took this one.
+            assert cluster.workers() == [real]
+            # A peer registering under a live worker id is refused while
+            # that worker holds a lease; the worker keeps it.
+            results = []
+            runner = threading.Thread(
+                target=lambda: results.extend(
+                    cluster.run_tasks(_slow_echo_task, [(i,) for i in range(4)])
+                )
+            )
+            runner.start()
+            deadline = time.monotonic() + 10
+            while not (cluster.stats()["active_release"] or {}).get("leased"):
+                assert time.monotonic() < deadline, "release never started"
+                time.sleep(0.005)
+            with Client(cluster.address, authkey=cluster._authkey) as conn:
+                conn.send(("register", {"worker_id": real.worker_id, "pid": os.getpid()}))
+                assert conn.poll(10), "the duplicate register was not refused"
+                with pytest.raises((EOFError, OSError)):
+                    conn.recv()
+            runner.join(timeout=30)
+            assert results == [0, 1, 2, 3]
+            # The dispatcher survived every peer, and no worker was lost:
+            # nothing was killed or replaced.
+            assert cluster.workers() == [real]
+            assert list(cluster._worker_procs) == [real.worker_id]
             assert cluster.run_tasks(_echo_task, [(i,) for i in range(4)]) == [0, 1, 2, 3]
-            assert cluster.registry.get("intruder").state == STATE_EVICTED
 
     def test_silent_peer_does_not_block_registration(self):
         # An authenticated peer that never sends its register frame is
@@ -277,11 +265,8 @@ class TestFleetRelease:
         # still joins; the slack covers the worker's own start-up.
         with LocalCluster(workers=0) as cluster:
             with Client(cluster.address, authkey=cluster._authkey):
-                started = time.monotonic()
                 cluster.spawn_worker()
-                while not cluster.registry.alive():
-                    assert time.monotonic() - started < 5.0, "worker never registered"
-                    time.sleep(0.02)
+                _await_workers(cluster, 1, timeout=5.0)
             assert cluster.run_tasks(_echo_task, [(i,) for i in range(4)]) == [0, 1, 2, 3]
 
     def test_unpicklable_task_raises_in_the_caller(self):
@@ -315,6 +300,38 @@ class TestFleetRelease:
         finally:
             cluster.close()
 
+    def test_spool_keeps_only_the_newest_payload(self):
+        refs = []
+        with LocalCluster(workers=2) as cluster:
+            for k in range(10):
+                payload = _Factor(k)
+                refs.append(weakref.ref(payload))
+                out = cluster.run_tasks(_scale_task, [(i,) for i in range(4)], shared=payload)
+                assert out == [k * i for i in range(4)]
+                del payload
+            gc.collect()
+            spooled = os.listdir(cluster.spool)
+            assert len(spooled) == 1
+            assert [ref() is None for ref in refs] == [True] * 9 + [False]
+            # The newest payload stays spooled: a second release of it does
+            # not pickle it again.
+            assert cluster.run_tasks(_scale_task, [(2,)], shared=refs[-1]()) == [18]
+            assert os.listdir(cluster.spool) == spooled
+
+    def test_spooled_payload_outlives_its_open_release(self):
+        # Workers load a payload on their first assign of a release, so a
+        # newer payload must not unlink the file of a release still open.
+        with LocalCluster(workers=1) as cluster:
+            first, second = _Factor(2), _Factor(3)
+            tasks = [(i,) for i in range(4)]
+            stream = cluster.imap_tasks(_scale_task, tasks, shared=first, window=1)
+            assert next(stream) == 0
+            assert cluster.run_tasks(_scale_task, [(1,)], shared=second) == [3]
+            assert len(os.listdir(cluster.spool)) == 2
+            assert list(stream) == [2, 4, 6]
+            # Its release retired: only the newest payload's file is left.
+            assert len(os.listdir(cluster.spool)) == 1
+
     def test_private_cluster_honours_the_configured_start_method(self):
         if "spawn" not in multiprocessing.get_all_start_methods():
             pytest.skip("no spawn start method")
@@ -328,7 +345,8 @@ class TestFleetRelease:
             assert cluster.run_tasks(_mul_task, [(i,) for i in range(4)], shared=7) == [
                 0, 7, 14, 21
             ]
-            assert {type(proc).__name__ for proc in cluster._procs} == {"SpawnProcess"}
+            procs = cluster._worker_procs.values()
+            assert {type(proc).__name__ for proc in procs} == {"SpawnProcess"}
         finally:
             cluster.close()
 
@@ -338,6 +356,22 @@ def _raise_task(shared, index):
 
 
 def _echo_task(shared, value):
+    return value
+
+
+class _Factor:
+    """A payload a weak reference can watch."""
+
+    def __init__(self, k):
+        self.k = k
+
+
+def _scale_task(shared, value):
+    return shared.k * value
+
+
+def _slow_echo_task(shared, value):
+    time.sleep(0.2)
     return value
 
 
@@ -354,13 +388,6 @@ class TestFleetChaos:
             assert injector.fired(KIND_KILL) >= 1
         assert digest == serial_digest
 
-    def test_killed_worker_mid_heartbeat_digest_identical(self, fitted, serial_digest):
-        # 50 ms heartbeats so the first beat (and the kill) lands mid-release.
-        with inject(FaultSpec(kind=KIND_KILL, site=SITE_FLEET_HEARTBEAT)) as injector:
-            digest = _fleet_digest(fitted, workers=2, heartbeat_interval=0.05)
-            assert injector.fired(KIND_KILL) >= 1
-        assert digest == serial_digest
-
     def test_injected_error_is_remote_attributed(self, fitted):
         with inject(FaultSpec(kind=KIND_ERROR, site=SITE_SHARD, index=0)):
             with LocalCluster(workers=2):
@@ -368,14 +395,14 @@ class TestFleetChaos:
                     fitted.sample(N_SAMPLE, rng=123, shards=6, backend="fleet")
         assert "FaultError" in (excinfo.value.remote_traceback or "")
 
-    def test_stalled_worker_is_expired_shards_reassigned_then_resumes(
+    def test_stalled_worker_overruns_task_timeout_is_killed_and_replaced(
         self, fitted, serial_digest
     ):
-        """The full eviction-and-return cycle: ``SIGSTOP`` mid-release stops
-        the heartbeats, the coordinator expires the worker and reassigns its
-        shards (digest still identical), and after ``SIGCONT`` the worker
-        re-registers and serves the next release."""
-        with LocalCluster(workers=2, heartbeat_interval=0.05) as cluster:
+        """``SIGSTOP`` mid-release: the stalled worker's shard overruns
+        ``task_timeout``, so the cluster kills the worker, forks a
+        replacement and re-runs the shard on its seeds (digest still
+        identical); the next release runs on the replacement."""
+        with LocalCluster(workers=2, task_timeout=2.0) as cluster:
             victim = None
             digests = {}
 
@@ -388,30 +415,20 @@ class TestFleetChaos:
             runner.start()
             deadline = time.monotonic() + 10
             while victim is None and time.monotonic() < deadline:
-                holders = cluster.registry.alive()
+                holders = cluster.workers()
                 if len(holders) == 2 and cluster.stats()["active_release"]:
                     victim = holders[0]
                 time.sleep(0.005)
             assert victim is not None, "release never started"
+            proc = cluster._worker_procs[victim.worker_id]
             os.kill(victim.pid, signal.SIGSTOP)
-            try:
-                runner.join(timeout=60)
-                assert not runner.is_alive()
-                assert digests["value"] == serial_digest
-                # The stall was noticed: the victim left the alive set.
-                record = cluster.registry.get(victim.worker_id)
-                assert record.state in (STATE_EXPIRED, STATE_EVICTED)
-            finally:
-                os.kill(victim.pid, signal.SIGCONT)
-            # After SIGCONT the worker's dead connection makes it reconnect
-            # and re-register under its id: a clean resume, counted.
-            deadline = time.monotonic() + 10
-            while time.monotonic() < deadline:
-                record = cluster.registry.get(victim.worker_id)
-                if record.state == STATE_ALIVE and record.registrations >= 2:
-                    break
-                time.sleep(0.02)
-            assert record.registrations >= 2, "worker never re-registered"
+            runner.join(timeout=60)
+            assert not runner.is_alive()
+            assert digests["value"] == serial_digest
+            # The victim is gone for good: killed, its id never re-registers.
+            assert proc.exitcode == -signal.SIGKILL
+            assert victim.worker_id not in {record.worker_id for record in cluster.workers()}
+            assert len(_await_workers(cluster, 2)) == 2
             table = fitted.sample(N_SAMPLE, rng=123, shards=6, backend="fleet")
             assert table.content_digest() == serial_digest
 
@@ -453,7 +470,7 @@ class TestReplicatedServing:
             _await_replicas(cluster, 2)
             client = ReplicatedQueryClient(cluster)
             baseline = client.query("ton", self.QUERY)
-            os.kill(cluster.registry.alive()[0].pid, signal.SIGKILL)
+            os.kill(cluster.workers()[0].pid, signal.SIGKILL)
             # Every request still answers — the dead replica trips its
             # breaker and traffic fails over to the survivor.
             for _ in range(6):

@@ -279,6 +279,21 @@ def test_registry_missing_model(model_dir):
     assert "alpha" not in registry.cached_models
 
 
+def test_registry_resolves_only_found_names_once(model_dir):
+    registry = ModelRegistry(model_dir)
+    for i in range(1000):
+        with pytest.raises(FileNotFoundError):
+            registry.lease(f"missing-{i}")
+    assert registry._resolved == {}
+    registry.lease("alpha")
+    assert registry._resolved == {"alpha": ("alpha", model_dir / "alpha.ndpsyn")}
+    # A found name is resolved once: every later lookup returns that path.
+    path = registry.path_of("alpha")
+    assert registry.lease("alpha")[1] == 1
+    assert registry.path_of("alpha") is path
+    assert registry.path_of("beta") is not registry.path_of("beta")
+
+
 def test_registry_validation(model_dir):
     with pytest.raises(ValueError):
         ModelRegistry(model_dir, byte_budget=0)
