@@ -27,7 +27,9 @@ class CategoricalCodec(AttributeCodec):
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         try:
-            return np.array([self._lookup[v] for v in values], dtype=np.int32)
+            return np.fromiter(
+                map(self._lookup.__getitem__, values.tolist()), np.int32, count=len(values)
+            )
         except KeyError as exc:
             raise ValueError(f"unknown category {exc.args[0]!r} for {self.name!r}") from exc
 

@@ -27,11 +27,14 @@ from repro.binning.port import PortCodec
 from repro.binning.timestamp import TimestampCodec
 from repro.data.domain import Domain
 from repro.data.schema import FieldKind, FieldSpec, Schema
-from repro.data.table import TraceTable
+from repro.data.table import TraceTable, fold_key, key_codes
 from repro.dp.mechanisms import gaussian_mechanism, gaussian_sigma
 from repro.utils.rng import ensure_rng
 
 TSDIFF = "tsdiff"
+# Inter-arrival gaps are binned in milliseconds (paper App. E: "ts and td
+# are in milliseconds"); seconds would crush them into bin 0.
+TSDIFF_SPEC = FieldSpec(TSDIFF, FieldKind.NUMERIC, integral=False, unit_scale=1000.0)
 
 
 @dataclass
@@ -112,26 +115,43 @@ class DatasetEncoder:
 
         ``rho`` is the binning budget (0.1·total); ``rho=None`` runs without
         noise (exact counts, no privacy) — used by ablations and tests only.
-        The table is augmented once; each column is base-coded straight into
-        a column-major int32 matrix, histogrammed for its noisy 1-way (noise
+        Each column is fitted and base-coded once, straight into a
+        column-major int32 matrix, histogrammed for its noisy 1-way (noise
         drawn in attribute order), merged, then remapped in place onto the
         merged bins — the same matrix ``fit`` followed by ``encode`` builds.
+        tsdiff groups flows by the key columns' codes from this pass.
         """
         rng = ensure_rng(rng)
         cfg = self.config
-        work = self._augment(table)
-        self.schema = work.schema
-        attrs = tuple(work.schema.names)
-        data = np.empty((work.n_records, len(attrs)), dtype=np.int32, order="F")
-        rho_per_attr = None if rho is None else rho / len(attrs)
+        key = self._tsdiff_key(table)
+        schema = table.schema
+        if key and TSDIFF not in schema:
+            schema = schema.with_field(TSDIFF_SPEC)
+        self.schema = schema
+        data = np.empty((table.n_records, len(schema.names)), dtype=np.int32, order="F")
+        rho_per_attr = None if rho is None else rho / len(schema.names)
         self.rho_spent = 0.0 if rho is None else rho
         self.codecs = {}
         self.noisy_one_way = {}
-        for j, spec in enumerate(work.schema):
-            values = work.column(spec.name)
-            base = self._build_codec(spec, values)
-            data[:, j] = base.encode(values)
-            exact = np.bincount(data[:, j], minlength=base.domain_size).astype(np.float64)
+        key_parts = {}
+        for j, spec in enumerate(schema):
+            if key and spec.name == TSDIFF:
+                flows = fold_key(
+                    [key_parts.pop(name, None) or key_codes(table.column(name)) for name in key]
+                )
+                values = _tsdiff(np.asarray(table.column("ts"), dtype=np.float64), flows)
+            else:
+                values = table.column(spec.name)
+            if spec.kind is FieldKind.IP:  # one sort: the observed set and every code
+                observed, codes = np.unique(np.asarray(values, dtype=np.int64), return_inverse=True)
+                base = IpCodec(spec.name, observed, prefix_len=cfg.ip_prefix_len)
+            else:
+                base = self._build_codec(spec, values)
+                codes = base.encode(values)
+            if spec.name in key:
+                injective = spec.kind in (FieldKind.IP, FieldKind.CATEGORICAL)
+                key_parts[spec.name] = (codes, base.domain_size) if injective else key_codes(values)
+            exact = np.bincount(codes, minlength=base.domain_size).astype(np.float64)
             if rho_per_attr is None:
                 noisy = exact
                 threshold = 1.0
@@ -144,28 +164,24 @@ class DatasetEncoder:
                 # Small categorical domains are not binned (paper type 3).
                 min_bins = base.domain_size
             merged = merge_codec(base, noisy, threshold, min_bins=min_bins)
-            data[:, j] = merged.base_to_merged[data[:, j]]
+            data[:, j] = merged.base_to_merged[codes]
             self.codecs[spec.name] = merged
             self.noisy_one_way[spec.name] = aggregate_counts(merged, noisy)
         return self._encoded(data)
 
+    def _tsdiff_key(self, table: TraceTable) -> tuple:
+        """The flow key tsdiff groups by, or ``()`` when tsdiff is not added."""
+        if not self.config.add_tsdiff or "ts" not in table.schema:
+            return ()
+        return table.schema.effective_flow_key()
+
     def _augment(self, table: TraceTable) -> TraceTable:
         """Append the tsdiff auxiliary attribute when configured and possible."""
-        if not self.config.add_tsdiff or "ts" not in table.schema:
-            return table
-        key = table.schema.effective_flow_key()
-        if not key:
-            return table
-        tsdiff = compute_tsdiff(table, key)
-        # Inter-arrival gaps are binned in milliseconds (paper App. E: "ts
-        # and td are in milliseconds"); seconds would crush them into bin 0.
-        spec = FieldSpec(TSDIFF, FieldKind.NUMERIC, integral=False, unit_scale=1000.0)
-        return table.with_column(TSDIFF, tsdiff, spec)
+        key = self._tsdiff_key(table)
+        return table.with_column(TSDIFF, compute_tsdiff(table, key), TSDIFF_SPEC) if key else table
 
     def _build_codec(self, spec: FieldSpec, values: np.ndarray) -> AttributeCodec:
         cfg = self.config
-        if spec.kind is FieldKind.IP:
-            return IpCodec.fit(spec.name, values, prefix_len=cfg.ip_prefix_len)
         if spec.kind is FieldKind.PORT:
             return PortCodec(
                 spec.name,
@@ -250,16 +266,32 @@ def compute_tsdiff(table: TraceTable, key) -> np.ndarray:
     record of each group gets 0.
     """
     ts = np.asarray(table.column("ts"), dtype=np.float64)
-    groups = table.group_ids(key)
-    order = np.lexsort((ts, groups))
-    sorted_groups = groups[order]
+    return _tsdiff(ts, fold_key([key_codes(table.column(name)) for name in key]))
+
+
+def _tsdiff(ts: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """:func:`compute_tsdiff` of ``ts`` over a flow ``key`` (equal exactly within a flow).
+
+    Records alone in their flow get 0 unsorted.  The rest are sorted by
+    ``(key, ts)`` from row order, so ties in ``ts`` break exactly as in
+    ``np.lexsort((ts, key))``: the earlier row takes the gap, the later 0.
+    """
+    out = np.zeros(len(ts))
+    rows = np.argsort(key)
+    repeat = key[rows[1:]] == key[rows[:-1]]
+    shared = np.zeros(len(ts), dtype=bool)  # by sorted position
+    shared[1:] = repeat
+    shared[:-1] |= repeat
+    if 2 * np.count_nonzero(shared) > len(ts):
+        # Mostly multi-record flows (packet traces): one sort of every row.
+        order = np.lexsort((ts, key))
+    else:
+        rows = np.sort(rows[shared])  # back in row order, for the tie rule
+        order = rows[np.lexsort((ts[rows], key[rows]))]
     sorted_ts = ts[order]
-    diffs = np.empty(len(ts))
-    diffs[0] = 0.0
-    if len(ts) > 1:
-        diffs[1:] = sorted_ts[1:] - sorted_ts[:-1]
-        new_group = sorted_groups[1:] != sorted_groups[:-1]
-        diffs[1:][new_group] = 0.0
-    out = np.empty(len(ts))
+    sorted_key = key[order]
+    diffs = np.zeros(len(order))
+    diffs[1:] = sorted_ts[1:] - sorted_ts[:-1]
+    diffs[1:][sorted_key[1:] != sorted_key[:-1]] = 0.0
     out[order] = np.clip(diffs, 0.0, None)
     return out

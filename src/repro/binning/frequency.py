@@ -49,41 +49,41 @@ def merge_codec(
         keep = np.zeros(n, dtype=bool)
         keep[order[:min_bins]] = True
 
-    base_to_merged = np.full(n, -1, dtype=np.int64)
-    member_lists: list[np.ndarray] = []
-    member_weights: list[np.ndarray] = []
-    group_keys: list = []
-
     # 1. Kept bins stay singletons.
-    for b in np.nonzero(keep)[0]:
-        base_to_merged[b] = len(member_lists)
-        member_lists.append(np.array([b]))
-        member_weights.append(np.array([max(counts[b], 0.0)]))
-        group_keys.append(None)
+    kept = np.flatnonzero(keep)
+    base_to_merged = np.full(n, -1, dtype=np.int64)
+    base_to_merged[kept] = np.arange(len(kept))
+    member_lists = list(kept[:, None])
+    member_weights = list(np.maximum(counts[kept], 0.0)[:, None])
+    group_keys: list = [None] * len(kept)
 
     # 2. Low bins aggregate by structural group.  A group key is recorded
     # (enabling whole-range decode, e.g. any address of a /30 block) only
     # when *every* base bin of that group was merged — otherwise decoding
     # over the full range would leak mass into bins kept as singletons.
-    low = np.nonzero(~keep)[0]
-    leftovers: list[int] = []
-    if len(low):
-        low_keys = keys[low]
-        for key in np.unique(low_keys):
-            members = low[low_keys == key]
-            group_total = counts[members].sum()
-            if group_total >= threshold and len(members) > 1:
-                complete = int((keys == key).sum()) == len(members)
-                base_to_merged[members] = len(member_lists)
-                member_lists.append(members)
-                member_weights.append(np.clip(counts[members], 0.0, None))
-                group_keys.append(key if complete else None)
-            else:
-                leftovers.extend(members.tolist())
+    # One stable sort lines the low bins up by group, in bin order within it.
+    low = np.flatnonzero(~keep)
+    low = low[np.argsort(keys[low], kind="stable")]
+    low_keys = keys[low]
+    cuts = np.flatnonzero(low_keys[1:] != low_keys[:-1]) + 1
+    starts, ends = np.r_[0, cuts], np.r_[cuts, len(low)]
+    all_keys, key_sizes = np.unique(keys, return_counts=True)
+    leftover = np.ones(len(low), dtype=bool)
+    # A one-bin group never merges, so only wider groups are visited.
+    for g in np.flatnonzero(ends - starts > 1):
+        members = low[starts[g] : ends[g]]
+        if counts[members].sum() >= threshold:
+            key = low_keys[starts[g]]
+            complete = key_sizes[np.searchsorted(all_keys, key)] == len(members)
+            base_to_merged[members] = len(member_lists)
+            member_lists.append(members)
+            member_weights.append(np.clip(counts[members], 0.0, None))
+            group_keys.append(key if complete else None)
+            leftover[starts[g] : ends[g]] = False
 
     # 3. Whatever remains becomes one rare bin (incoherent: member sampling).
-    if leftovers:
-        members = np.array(sorted(leftovers))
+    if leftover.any():
+        members = np.sort(low[leftover])
         base_to_merged[members] = len(member_lists)
         member_lists.append(members)
         member_weights.append(np.clip(counts[members], 0.0, None))

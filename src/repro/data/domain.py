@@ -7,9 +7,8 @@ arithmetic that marginal computation and synthesis rely on.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping
-
-import numpy as np
 
 
 class Domain:
@@ -35,8 +34,8 @@ class Domain:
         return tuple(self._sizes[a] for a in attrs)
 
     def cells(self, attrs: Iterable[str]) -> int:
-        """Number of cells of the marginal over ``attrs``."""
-        return int(np.prod(self.shape(attrs), dtype=np.int64))
+        """Number of cells of the marginal over ``attrs`` (exact, never wraps)."""
+        return math.prod(map(int, self.shape(attrs)))
 
     def total_size(self) -> int:
         """Sum of all attribute domain sizes (the paper's Table 5 'Domain')."""

@@ -193,30 +193,16 @@ class TraceTable:
     def group_ids(self, names: Iterable[str]) -> np.ndarray:
         """Assign a dense integer group id to each row, keyed by ``names``.
 
-        Rows sharing the same value tuple over ``names`` get the same id.
-        Used to group records by flow identifier for tsdiff computation.
-        Ids number the distinct tuples in lexicographic order (first name
-        most significant) — timestamp reconstruction accumulates over groups
-        in id order, so this numbering is part of the release contract.
+        Rows sharing the same value tuple over ``names`` get the same id
+        (e.g. the records of one flow).  Ids number the distinct tuples in
+        lexicographic order (first name most significant) — timestamp
+        reconstruction accumulates over groups in id order, so this
+        numbering is part of the release contract.
         """
         names = list(names)
         if not names:
             raise ValueError("group_ids requires at least one column")
-        if self.n_records == 0:
-            return np.zeros(0, dtype=np.int64)
-        # Fold per-column dense ranks into one mixed-radix key and sort once;
-        # the key is densified early only if the next fold could overflow.
-        ids = _dense_rank(self._columns[names[0]])
-        bound = int(ids.max()) + 1
-        for name in names[1:]:
-            rank = _dense_rank(self._columns[name])
-            size = int(rank.max()) + 1
-            if bound * size >= 2**63:
-                ids = _dense_rank(ids)
-                bound = int(ids.max()) + 1
-            ids = ids * size + rank
-            bound *= size
-        return _dense_rank(ids)
+        return _dense_rank(fold_key([key_codes(self._columns[name]) for name in names]))
 
     def content_digest(self) -> str:
         """SHA-256 over column names, dtypes, lengths, and values, in schema order.
@@ -292,6 +278,41 @@ class TraceTable:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TraceTable(kind={self.schema.kind!r}, n={self.n_records}, fields={list(self.schema.names)})"
+
+
+def key_codes(column: np.ndarray) -> tuple:
+    """``(codes, size)``: injective, order-preserving int64 codes of ``column``.
+
+    An integer column whose value span is no wider than its length is
+    shifted by its minimum (in int64, with no sort); any other column is
+    dense-ranked.
+    """
+    if column.dtype.kind in "iu" and len(column):
+        low, high = int(column.min()), int(column.max())
+        if high - low <= len(column):
+            shifted = np.subtract(column, column.dtype.type(low), dtype=np.int64, casting="unsafe")
+            return shifted, high - low + 1
+    rank = _dense_rank(column)
+    return rank, int(rank.max(initial=-1)) + 1
+
+
+def fold_key(parts) -> np.ndarray:
+    """One int64 key per row from per-column ``(codes, size)`` parts.
+
+    Mixed radix, first part most significant: equal keys are equal codes,
+    and key order is their lexicographic order.  The key is densified early
+    only when the next fold could overflow.
+    """
+    parts = iter(parts)
+    codes, bound = next(parts)
+    key = np.asarray(codes, dtype=np.int64)
+    for codes, size in parts:
+        if bound * size >= 2**63:
+            key = _dense_rank(key)
+            bound = int(key.max()) + 1
+        key = key * size + codes
+        bound *= size
+    return key
 
 
 def _dense_rank(column: np.ndarray) -> np.ndarray:

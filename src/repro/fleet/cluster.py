@@ -74,7 +74,7 @@ from repro.fleet.messaging import (
 )
 from repro.fleet.queue import ShardQueue
 from repro.fleet.worker import worker_main
-from repro.reliability import RetryPolicy, ShardTaskError
+from repro.reliability import Deadline, RetryPolicy, ShardTaskError
 
 #: The active cluster ``get_backend("fleet")`` resolves against.
 _CURRENT: "LocalCluster | None" = None
@@ -112,6 +112,13 @@ def _recv(conn) -> tuple[str, dict]:
     if not isinstance(type_, str) or not isinstance(payload, dict):
         raise ValueError(f"not a fleet message: {type(type_).__name__}")
     return type_, payload
+
+
+def _join_all(procs, timeout: float) -> None:
+    """Join every process in ``procs`` against one shared ``timeout``."""
+    deadline = Deadline(timeout)
+    for proc in procs:
+        proc.join(timeout=deadline.remaining())
 
 
 @dataclass(frozen=True)
@@ -313,16 +320,14 @@ class LocalCluster:
         # A worker told to shut down exits by itself; one that never
         # registered would wait for a coordinator that is gone, so it is
         # terminated at once.  A stopped process leaves SIGTERM pending, so
-        # a worker that outlives it is killed.
-        for worker_id, proc in self._worker_procs.items():
-            if worker_id in self._told:
-                proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=1.0)
+        # a worker that outlives it is killed.  Each step joins every worker
+        # against one deadline, so N stuck workers cost what one does.
+        _join_all([p for w, p in self._worker_procs.items() if w in self._told], 2.0)
+        for step in ("terminate", "kill"):
+            survivors = [p for p in self._worker_procs.values() if p.is_alive()]
+            for proc in survivors:
+                getattr(proc, step)()
+            _join_all(survivors, 1.0)
         sweep_orphan_segments()
         with self._spool_lock:
             if self.spool is not None:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import Domain, FieldKind, FieldSpec, Schema, TraceTable, read_csv, write_csv
+from repro.marginals.combine import combine_attr_sets
 
 
 @pytest.fixture
@@ -240,6 +241,13 @@ class TestDomain:
     def test_rejects_empty_size(self):
         with pytest.raises(ValueError):
             Domain({"a": 0})
+
+    def test_cells_is_exact_past_int64(self):
+        # 2**63 cells wrapped to a negative count under int64 arithmetic, and
+        # combine then merged the two pairs into one 2**63-cell marginal.
+        d = Domain({"a": 2**21, "b": 2**21, "c": 2**21})
+        assert d.cells(("a", "b", "c")) == 2**63
+        assert combine_attr_sets([("a", "b"), ("b", "c")], d) == [("a", "b"), ("b", "c")]
 
 
 class TestCsvIo:

@@ -209,6 +209,28 @@ class TestFleetRelease:
         finally:
             proc.kill()  # a no-op once close() has reaped it
 
+    def test_close_of_stopped_workers_shares_one_deadline(self):
+        # Told workers are joined against one 2 s deadline, then the
+        # survivors are terminated and killed against one 1 s deadline
+        # each: three stopped workers cost what one does (~3 s, not ~9 s).
+        cluster = LocalCluster(workers=3)
+        with cluster:
+            records = _await_workers(cluster, 3)
+            procs = list(cluster._worker_procs.values())
+            for record in records:
+                os.kill(record.pid, signal.SIGSTOP)
+                _, status = os.waitpid(record.pid, os.WUNTRACED)
+                assert os.WIFSTOPPED(status)
+            started = time.monotonic()
+        elapsed = time.monotonic() - started
+        try:
+            assert elapsed < 4.0, f"close() took {elapsed:.2f} s for 3 stopped workers"
+            assert [proc.exitcode for proc in procs] == [-signal.SIGKILL] * 3
+            assert not any(proc.is_alive() for proc in procs)
+        finally:
+            for proc in procs:
+                proc.kill()  # a no-op once close() has reaped it
+
     def test_malformed_frames_drop_only_their_connection(self):
         with LocalCluster(workers=1) as cluster:
             (real,) = _await_workers(cluster, 1)

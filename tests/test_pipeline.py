@@ -7,6 +7,7 @@ import pytest
 
 from repro import NetDPSyn, SynthesisConfig, load_dataset
 from repro.core.synthesizer import smallest_marginal_index
+from repro.data.table import TraceTable
 from repro.dp.mechanisms import gaussian_mechanism
 from repro.engine import BACKENDS, EngineConfig, get_backend, scatter_map
 from repro.experiments.goldens import FIT_GOLDEN, published_digest
@@ -302,18 +303,25 @@ def _fit_context(table):
 # ------------------------------------------------------------ one-pass fit
 class TestOnePassFit:
     def test_tsdiff_computed_once_per_fit(self, ton, monkeypatch):
+        # One flow grouping per fit: the flow key is folded once, from the
+        # codes of the binning pass, tsdiff is computed from it once, and
+        # nothing regroups the table by flow.
         import repro.binning.encoder as encoder_module
 
         calls = []
-        original = encoder_module.compute_tsdiff
 
-        def counting(table, key):
-            calls.append(key)
-            return original(table, key)
+        def counting(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
 
-        monkeypatch.setattr(encoder_module, "compute_tsdiff", counting)
+            return wrapper
+
+        for name in ("fold_key", "_tsdiff"):
+            monkeypatch.setattr(encoder_module, name, counting(name, getattr(encoder_module, name)))
+        monkeypatch.setattr(TraceTable, "group_ids", counting("group_ids", TraceTable.group_ids))
         build(ton)
-        assert len(calls) == 1
+        assert calls == ["fold_key", "_tsdiff"]
 
     def test_encoded_matrix_is_column_major_and_shared(self, ton):
         ctx = _fit_context(ton)
