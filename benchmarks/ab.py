@@ -3,7 +3,7 @@
 Run from anywhere inside a checkout::
 
     python3 benchmarks/ab.py HEAD~1 HEAD --workloads fit-ton --pairs 10
-    python3 benchmarks/ab.py HEAD~1 HEAD --pairs 10 --pr 26 --claim "..."
+    python3 benchmarks/ab.py BASE HEAD --pairs 10 --pr N --claim "..."
 
 Each revision is checked out into its own temporary ``git worktree``;
 ``perfbench/run.py`` runs there as a subprocess (``--trace 0``, the timed
@@ -221,11 +221,11 @@ def main(argv=None) -> int:
         print(message, file=sys.stderr, flush=True)
 
     previous = signal.signal(signal.SIGTERM, _on_sigterm)
-    scratch = Path(tempfile.mkdtemp(prefix="ab-"))
+    workdir = Path(tempfile.mkdtemp(prefix="ab-"))
     trees: dict = {}
     try:
         for side, sha in revisions.items():
-            trees[side] = scratch / side
+            trees[side] = workdir / side
             _git("worktree", "add", "--detach", str(trees[side]), sha, cwd=repo)
         results = {w: ab_workload(trees, w, spec["end_to_end"], args, log) for w in workloads}
     finally:
@@ -233,7 +233,7 @@ def main(argv=None) -> int:
             subprocess.run(["git", "worktree", "remove", "--force", str(tree)],
                            cwd=repo, capture_output=True)
         subprocess.run(["git", "worktree", "prune"], cwd=repo, capture_output=True)
-        shutil.rmtree(scratch, ignore_errors=True)
+        shutil.rmtree(workdir, ignore_errors=True)
         signal.signal(signal.SIGTERM, previous)
 
     print(markdown(revisions, results))
