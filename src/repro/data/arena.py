@@ -3,11 +3,11 @@
 A :class:`TableArena` flattens a :class:`~repro.data.table.TraceTable` into a
 single contiguous byte buffer plus a tuple of :class:`ArenaSlot` descriptors
 (name, kind, dtype, offset, count).  The slot tuple is the *wire form* of the
-table's buffer layout: ship the descriptors plus the buffer (or a shared-
-memory segment name standing in for it) and the receiver reconstructs every
+table's buffer layout: ship the descriptors plus the buffer (or the path of
+a ``/dev/shm`` file holding it) and the receiver reconstructs every
 column as a **view** — no per-column pickling, no per-column copies.  The
 same layout backs :meth:`TraceTable.concat_all`'s single-allocation stitch,
-the process backend's one-segment-per-table transport
+the process backend's one-file-per-table transport
 (:mod:`repro.engine.shm`), and the Arrow sink's buffer wrapping.
 
 Slot kinds:
@@ -33,6 +33,7 @@ memory gates can distinguish copies from working set.
 
 from __future__ import annotations
 
+import os
 import pickle
 import threading
 import weakref
@@ -115,6 +116,16 @@ class CopyStats:
 #: The process-wide ledger (benchmarks reset/snapshot it around probes).
 copy_stats = CopyStats()
 
+# A cluster forks a replacement worker from its dispatcher thread while other
+# threads may be charging the ledger.  A fork that caught ``_lock`` held would
+# leave the child's copy locked for good, so every fork waits for the lock
+# and holds it across.
+os.register_at_fork(
+    before=copy_stats._lock.acquire,
+    after_in_parent=copy_stats._lock.release,
+    after_in_child=copy_stats._lock.release,
+)
+
 
 def track_arena(owner, nbytes: int) -> None:
     """Charge ``nbytes`` of arena to the ledger until ``owner`` is collected."""
@@ -167,7 +178,7 @@ def plan_layout(table) -> tuple:
     each arena slot (``None`` for pickle slots); ``extras`` the out-of-band
     payloads (dictionaries for ``dict`` slots, whole columns for ``pickle``
     slots).  Splitting planning from writing lets the shm exporter size a
-    segment first and then build the arena directly inside it — the column
+    file first and then build the arena directly inside it — the column
     bytes are copied exactly once, straight to their final home.
     """
     slots, arrays, extras = [], [], {}
@@ -211,10 +222,10 @@ class TableArena:
     """A table flattened into one contiguous buffer plus slot descriptors.
 
     ``buffer`` is anything exposing the buffer protocol over at least
-    ``nbytes`` bytes — a local ``uint8`` ndarray, or a shared-memory
-    segment's ``memoryview``.  ``owner`` (optional) is the capsule that keeps
-    an external buffer mapped; tables built by :meth:`to_table` hold it so
-    the backing segment outlives every column view.
+    ``nbytes`` bytes — a local ``uint8`` ndarray, or the ``mmap`` of a
+    result file.  ``owner`` (optional) is the object that keeps an external
+    buffer mapped; tables built by :meth:`to_table` hold it so the mapping
+    outlives every column view.
     """
 
     __slots__ = ("schema", "slots", "buffer", "extras", "nbytes", "owner", "__weakref__")

@@ -45,8 +45,8 @@ class TraceTable:
         the arena data plane: ``columns`` must already be ndarrays keyed
         exactly by ``schema.names`` with equal lengths — the invariants the
         public constructor just established for the inputs these methods
-        derive from.  ``capsule`` keeps an external buffer (e.g. a shared-
-        memory segment) mapped for as long as this table is alive.
+        derive from.  ``capsule`` keeps an external buffer (e.g. a mapped result
+        file) mapped for as long as this table is alive.
         """
         table = object.__new__(cls)
         table.schema = schema
@@ -234,7 +234,7 @@ class TraceTable:
 
         The arena's ``(slots, buffer, extras)`` triple is the table's
         explicit buffer layout — what the process backend ships as a
-        single shm segment and the Arrow sink wraps without copying.
+        single ``/dev/shm`` file and the Arrow sink wraps without copying.
         """
         from repro.data.arena import TableArena
 

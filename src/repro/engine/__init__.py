@@ -13,7 +13,7 @@ provides:
   pipeline's exact-count fan-out) and the streaming
   :meth:`~repro.engine.backends.Backend.imap_tasks` (every shard run); the
   multi-process ones run on a :class:`repro.fleet.LocalCluster` and return
-  large results through shared memory;
+  large results through ``/dev/shm`` files;
 - :func:`execute_plan_decoded` / :func:`execute_plan_stream` — the
   execution plane (:mod:`repro.engine.streaming`): one shard task that
   synthesizes and decodes where it runs, one generator over

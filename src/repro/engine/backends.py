@@ -15,8 +15,9 @@ run on one runtime, a :class:`repro.fleet.LocalCluster`: ``process`` owns
 private clusters whose workers fork carrying the payload (so it is never
 pickled), and :meth:`Backend.open` binds a persistent one to a payload for
 many calls; ``fleet`` runs on the active cluster.  Large ndarray results
-come back through :mod:`multiprocessing.shared_memory` segments (see
-:mod:`repro.engine.shm`) instead of being pickled.
+come back as ``/dev/shm`` files that the worker writes under a prefix its
+cluster names and the parent maps and unlinks on import (see
+:mod:`repro.engine.shm`), instead of being pickled.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class Backend(abc.ABC):
     ``task_timeout`` bounds how long the caller waits on any one task
     result; ``retry`` is the :class:`~repro.reliability.RetryPolicy`
     governing resubmission after *transient* faults (worker death, task
-    timeout, vanished shm segment).  Because every task is a pure function
+    timeout, vanished result file).  Because every task is a pure function
     of its arguments — engine shard tasks carry their own pre-spawned
     ``SeedSequence``-child generator in the task tuple — a resubmitted task
     reproduces its original result bit-for-bit, so retrying never changes

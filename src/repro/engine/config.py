@@ -61,7 +61,7 @@ class EngineConfig:
 
     #: ``"serial"`` (in-process loop) or ``"process"`` (worker processes of
     #: a private ``LocalCluster`` returning large arrays through
-    #: ``multiprocessing.shared_memory``); ``"shared"`` is read as
+    #: ``/dev/shm`` files); ``"shared"`` is read as
     #: ``"process"``.
     backend: str = "serial"
     #: Number of independent GUM shards the record budget is split into.
@@ -78,7 +78,7 @@ class EngineConfig:
     #: ``None`` (default) waits indefinitely.
     task_timeout: float | None = None
     #: How many times a shard may be resubmitted after a *transient* fault
-    #: (dead worker, task timeout, vanished shm segment).  Resubmission
+    #: (dead worker, task timeout, vanished result file).  Resubmission
     #: re-runs the shard on its original ``SeedSequence`` child, so retried
     #: runs stay bit-identical to fault-free ones.  ``0`` disables retry.
     max_task_retries: int = 2

@@ -59,9 +59,10 @@ class _ChunkBuffer:
     A row offset into the head shard marks what was handed out, so each row
     is copied at most once.  Popped chunks are fresh copies (``take``, then
     ``concat_all``), never views over the shard tables, so a shard table
-    pushed here dies — and its shm arena capsule unlinks the backing segment
-    — as soon as its last row is popped, keeping the stream's ``/dev/shm``
-    footprint bounded by the in-flight window exactly like its RSS.
+    pushed here dies — and with it the mapping of its ``/dev/shm`` file,
+    unlinked when it was imported — as soon as its last row is popped,
+    keeping the stream's ``/dev/shm`` footprint bounded by the in-flight
+    window exactly like its RSS.
     """
 
     def __init__(self) -> None:

@@ -24,8 +24,11 @@ protocol (:mod:`repro.fleet.messaging`):
 :meth:`imap_tasks` is the release primitive of every multi-process engine
 backend — ``process`` on a :meth:`private` cluster, ``fleet`` on the active
 one: results in task order, at most ``window`` shards leased ahead of the
-consumer, each result a shared-memory descriptor imported on the
-dispatcher, several releases in flight at once (oldest first).
+consumer, each result the descriptor of its ``/dev/shm`` files
+(:mod:`repro.engine.shm`) imported on the dispatcher, several releases in
+flight at once (oldest first).  The cluster names those files: worker
+``w3`` writes under ``nds{pid:x}-{token}-w3-``, so a lost worker's
+leftovers and the cluster's are each one prefix to unlink.
 
 One liveness rule holds for every cluster: a worker is lost when its
 connection ends (EOF) or its shard overruns ``task_timeout``.  The cluster
@@ -63,7 +66,7 @@ from dataclasses import dataclass
 from multiprocessing.connection import Listener, wait
 from multiprocessing.util import abstract_sockets_supported
 
-from repro.engine.shm import import_result, release_result, sweep_orphan_segments
+from repro.engine.shm import import_result, release_result, unlink_prefix
 from repro.fleet.messaging import (
     MSG_ASSIGN,
     MSG_COMPLETE,
@@ -209,6 +212,13 @@ class LocalCluster:
             address = os.path.join(self._spool_dir(), "coordinator.sock")
         self._listener = Listener(address, family="AF_UNIX", authkey=self._authkey)
         self.address = self._listener.address
+        #: Path prefix of every result file this cluster's workers write: the
+        #: pid and a random token keep clusters apart, and worker ids, never
+        #: reused, keep workers apart.
+        results = "/dev/shm" if os.path.isdir("/dev/shm") else self._spool_dir()
+        self._result_prefix = os.path.join(
+            results, f"nds{os.getpid():x}-{os.urandom(4).hex()}-"
+        )
         #: worker id -> record of every registered worker.  The dispatcher
         #: is its only writer; the lock is for readers on other threads.
         self._workers: dict[str, WorkerRecord] = {}
@@ -277,20 +287,37 @@ class LocalCluster:
         """Start one more fleet member; returns its worker id."""
         worker_id = f"w{self._next_worker}"
         self._next_worker += 1
+        forked = self._context.get_start_method() == "fork"
         proc = self._context.Process(
             target=worker_main,
             kwargs=dict(
                 address=self.address,
                 authkey=self._authkey,
                 worker_id=worker_id,
+                result_prefix=f"{self._result_prefix}{worker_id}-",
                 serving_root=self._serving_root,
                 inherited=self._inherited,
+                close_fds=self._coordinator_fds() if forked else (),
             ),
             daemon=True,
         )
         proc.start()
         self._worker_procs[worker_id] = proc
         return worker_id
+
+    def _coordinator_fds(self) -> list[int]:
+        """The descriptors a forked worker inherits but must close.
+
+        The listener, both wake-pipe ends and every accepted connection.
+        Read on the dispatcher thread (or before it starts), which owns the
+        connections.
+        """
+        fds = [self._wake_r.fileno(), self._wake_w.fileno()]
+        fds += [conn.fileno() for conn in self._conns]
+        listener = self._listener._listener  # the stdlib's SocketListener
+        if listener is not None:
+            fds.append(listener._socket.fileno())
+        return fds
 
     def close(self) -> None:
         """Shut the fleet down and reclaim every resource."""
@@ -328,7 +355,7 @@ class LocalCluster:
             for proc in survivors:
                 getattr(proc, step)()
             _join_all(survivors, 1.0)
-        sweep_orphan_segments()
+        unlink_prefix(self._result_prefix)
         with self._spool_lock:
             if self.spool is not None:
                 shutil.rmtree(self.spool, ignore_errors=True)
@@ -479,8 +506,8 @@ class LocalCluster:
 
         The process the cluster started for it is killed and replaced, so
         the cluster keeps its size across faults; a peer that registered
-        without being started here is only dropped.  Any segment the dead
-        worker exported but never handed over is swept.
+        without being started here is only dropped.  Any file the dead
+        worker exported but never handed over is unlinked once it is gone.
         """
         for conn, holder in list(self._conns.items()):
             if holder == worker_id:
@@ -492,10 +519,10 @@ class LocalCluster:
         if proc is not None:
             proc.kill()
             proc.join(timeout=1.0)
+            unlink_prefix(f"{self._result_prefix}{worker_id}-")
             if self._running:
                 self.spawn_worker()
         self._requeue_lost(worker_id)
-        sweep_orphan_segments()
 
     def _requeue_lost(self, worker_id: str) -> None:
         for release in list(self._releases.values()):
@@ -592,8 +619,8 @@ class LocalCluster:
         try:
             raw = pickle.loads(payload["result"])
         except Exception as exc:  # it would fail to load from any worker
-            # Segments the result names cannot be released without loading
-            # it; close() sweeps them once the worker is gone.
+            # Files the result names cannot be released without loading it;
+            # they go with the worker's prefix when it is lost, or on close().
             self._fail_shard(
                 worker_id,
                 payload,
@@ -616,10 +643,11 @@ class LocalCluster:
         try:
             result = import_result(raw)
         except FileNotFoundError as exc:
-            # The segment vanished between export and import: a transient
-            # loss of this shard alone.
+            # A file vanished between export and import: a transient loss of
+            # this shard alone.  Its other files are unlinked.
+            release_result(raw)
             release.queue.requeue(index)
-            self._check_retry(release, index, f"result segment vanished: {exc}")
+            self._check_retry(release, index, f"result file vanished: {exc}")
             return
         with release.cond:
             release.results[index] = result
@@ -727,7 +755,7 @@ class LocalCluster:
         self._post("retire", release)
         if release.consumed < len(release.packed):
             # Stopped early: reap the shards still running, so their
-            # segments are released before the caller moves on.
+            # result files are released before the caller moves on.
             while not release.reaped.wait(_POLL_S):
                 if not self._dispatch_thread.is_alive():
                     break

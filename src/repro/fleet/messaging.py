@@ -16,8 +16,10 @@ None of the values is bulky:
   pickled once in the caller's thread when the release is built;
 - **results** ride in ``complete`` as the worker's
   :func:`~repro.engine.shm.export_result` form: a shard's decoded table is a
-  shared-memory descriptor (segment name, slot offsets, dictionaries), and
-  only values under :data:`~repro.engine.shm.SHM_MIN_BYTES` travel whole;
+  descriptor (the path of a ``/dev/shm`` file under the worker's prefix,
+  slot offsets, dictionaries), which the coordinator maps and unlinks on
+  import, and only values under :data:`~repro.engine.shm.SHM_MIN_BYTES`
+  travel whole;
 - **the shared payload** (the :class:`~repro.engine.SynthesisPlan`, or a
   fit's encoded matrix) never rides a message.  A worker forked while
   it was bound (``LocalCluster.private``) inherits it, and ``assign`` says

@@ -100,7 +100,7 @@ class ShardQueue:
     def requeue(self, index: int) -> None:
         """Run a finished (or leased) shard again, seeds untouched.
 
-        For a result lost after completion, e.g. a shared-memory segment
+        For a result lost after completion, e.g. a result file
         that vanished before the coordinator imported it.
         """
         self._done.discard(index)

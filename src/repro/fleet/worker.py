@@ -6,8 +6,9 @@ runs in each subprocess.  The runtime is one loop over one authenticated
 ``(type, payload)`` messages (:mod:`repro.fleet.messaging`).  It registers
 once, then receives ``assign`` messages and executes ``fn(shared, *task)``
 — the task tuple carries the shard's own pre-spawned seed children, so
-*who* runs it cannot change the output.  It parks the result in shared
-memory (:func:`~repro.engine.shm.export_result`) and reports ``complete``
+*who* runs it cannot change the output.  It parks the result in
+``/dev/shm`` files under the prefix the cluster gave it
+(:func:`~repro.engine.shm.export_result`) and reports ``complete``
 with the descriptor pickled to bytes of its own (so the coordinator can
 tell a result that does not load from a lost worker), or ``failed`` with
 the traceback (and the exception itself, when it pickles) for
@@ -20,6 +21,10 @@ The loop ends on ``shutdown``, or when the connection ends (EOF or
 id was already registered.  A worker connects once; the coordinator
 kills a lost worker and forks a replacement.
 
+A forked worker starts with copies of the coordinator's descriptors (its
+listener, its wake pipe, the connections of the workers before it); it
+closes the ones the coordinator names before it connects.
+
 Because ``LocalCluster`` forks workers, the module-global
 :class:`~repro.reliability.FaultInjector` installed in the parent is
 inherited here — worker-side chaos (kill mid-shard via ``SITE_SHARD``)
@@ -28,6 +33,7 @@ needs no extra plumbing.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import os
 import pickle
@@ -49,9 +55,13 @@ from repro.reliability.faults import KIND_DROP_SHM, SITE_SHM_EXPORT, maybe_fire
 class _WorkerRuntime:
     """State of one worker process: connection and payload cache."""
 
-    def __init__(self, address, authkey: bytes, worker_id: str, inherited=None) -> None:
+    def __init__(
+        self, address, authkey: bytes, worker_id: str, result_prefix: str, inherited=None
+    ) -> None:
         self.address = address
         self.authkey = authkey
+        #: Path prefix of every result file this worker writes.
+        self.result_prefix = result_prefix
         self.inherited = inherited  # the payload it was forked with
         self.conn = None
         #: (spool path, unpickled payload) of the last spooled payload it
@@ -94,11 +104,11 @@ class _WorkerRuntime:
             module = importlib.import_module(payload["fn_module"])
             fn = getattr(module, payload["fn_name"])
             task = pickle.loads(payload["task"])
-            out = export_result(fn(self._shared(payload["shared"]), *task))
+            out = export_result(fn(self._shared(payload["shared"]), *task), self.result_prefix)
         except BaseException as exc:  # noqa: BLE001 - reported, not retried
             self.fail(reply, exc)
             return
-        # Chaos hook: a ``drop_shm`` fault simulates the segment vanishing
+        # Chaos hook: a ``drop_shm`` fault simulates the file vanishing
         # between this export and the coordinator's import — the descriptor
         # still travels, but the import raises FileNotFoundError (the real
         # symptom), which the coordinator treats as a transient loss.
@@ -152,11 +162,20 @@ def worker_main(
     address,
     authkey: bytes,
     worker_id: str,
+    result_prefix: str,
     serving_root=None,
     inherited=None,
+    close_fds=(),
 ) -> None:
-    """Entry point of one fleet worker process."""
-    runtime = _WorkerRuntime(address, authkey, worker_id, inherited)
+    """Entry point of one fleet worker process.
+
+    ``close_fds`` are the coordinator's descriptors a forked worker
+    inherited and must not hold.
+    """
+    for fd in close_fds:
+        with contextlib.suppress(OSError):
+            os.close(fd)
+    runtime = _WorkerRuntime(address, authkey, worker_id, result_prefix, inherited)
     if serving_root is not None:
         _start_serving(runtime, serving_root)
     runtime.run()

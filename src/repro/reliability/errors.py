@@ -54,7 +54,7 @@ class ShardTaskError(ReliabilityError):
     task's position in the submitted task list (the shard index for engine
     runs), ``attempts`` how many times the task was tried, ``transient``
     whether the failure class was retryable (worker death, timeout, vanished
-    shm segment) or deterministic (the task function raised).  The original
+    result file) or deterministic (the task function raised).  The original
     exception chains as ``__cause__``; ``remote_traceback`` preserves the
     worker-side traceback text when one crossed the pipe, so a failure in a
     forked shard is as debuggable as an inline one.

@@ -1,7 +1,7 @@
 """FaultInjector: typed, deterministic fault injection for chaos testing.
 
-The failure paths of this codebase — a worker killed mid-shard, a shm
-segment vanishing between export and import, a slow task, a model file
+The failure paths of this codebase — a worker killed mid-shard, a
+``/dev/shm`` result file vanishing between export and import, a slow task, a model file
 corrupted mid-rewrite — are first-class tested surfaces, which requires
 *triggering* them deterministically.  This module provides:
 
@@ -26,14 +26,14 @@ Fault kinds:
 ``kill_worker``    ``SIGKILL`` the current process (a dead pool worker).
 ``delay``          Sleep ``delay_seconds`` (a slow task / stalled request).
 ``error``          Raise :class:`~repro.reliability.errors.FaultError`.
-``drop_shm``       Returned to the caller, which unlinks the segments it
-                   just exported (a vanished ``/dev/shm`` segment).
+``drop_shm``       Returned to the caller, which unlinks the result files
+                   it just exported (a vanished ``/dev/shm`` file).
 ``corrupt_model``  Truncate the model file at the trigger's ``path`` to
                    half its size (a mid-rewrite / corrupt ``.ndpsyn``).
 =================  =========================================================
 
 Trigger sites live next to the code they test: ``SITE_SHARD`` in the engine
-shard tasks (worker side), ``SITE_SHM_EXPORT`` in the shared-memory result
+shard tasks (worker side), ``SITE_SHM_EXPORT`` in the worker's result-file
 export, ``SITE_MODEL_LOAD`` in the registry's load path, and ``SITE_QUERY``
 in the HTTP service's engine execution.  The module-global installation
 relies on fork inheritance for worker-side sites; platforms whose default
@@ -151,7 +151,7 @@ class FaultInjector:
 
         ``kill_worker`` / ``delay`` / ``error`` / ``corrupt_model`` execute
         here; ``drop_shm`` only claims its token and is returned for the
-        caller to act on (the caller owns the segment handles).  Returns
+        caller to act on (the caller owns the result files).  Returns
         ``None`` when nothing fired.
         """
         for spec_index, spec in enumerate(self.specs):

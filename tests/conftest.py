@@ -8,7 +8,8 @@ same ceiling it dumps every thread's stack to the real stderr and exits the
 process, so a hang still fails loudly with the diagnostic that matters.
 
 The leak census (:func:`leak_census`, autouse) fails any test that leaves
-behind a new ``/dev/shm`` segment of this process's engine pools, a live
+behind a new ``/dev/shm`` result file of this process's engine pools (named,
+or unlinked but still mapped by a table the test kept alive), a live
 ``multiprocessing`` child, a live thread it started (daemon threads count:
 a cluster's accept and dispatch threads are daemons) or a ``repro-fleet-*``
 spool directory.
@@ -66,12 +67,23 @@ if importlib.util.find_spec("pytest_timeout") is None:
 
 
 def _own_segments() -> set:
-    """This process's engine segments (``nds{pid:x}-*``, see repro.engine.shm)."""
+    """This process's result files (``nds{pid:x}-*``, see repro.engine.shm).
+
+    Both the names in ``/dev/shm`` and the unlinked files this process still
+    maps: an imported table unlinks its file at once, so only the mapping
+    (``(deleted)`` in ``/proc/self/maps``) shows a table that outlives its test.
+    """
     prefix = f"nds{os.getpid():x}-"
     try:
-        return {name for name in os.listdir("/dev/shm") if name.startswith(prefix)}
+        names = {name for name in os.listdir("/dev/shm") if name.startswith(prefix)}
     except FileNotFoundError:  # pragma: no cover - non-Linux
         return set()
+    with open("/proc/self/maps") as maps:
+        for line in maps:
+            path = line.split(None, 5)[-1].strip()
+            if path.startswith(f"/dev/shm/{prefix}") and path.endswith(" (deleted)"):
+                names.add("mapped:" + os.path.basename(path.removesuffix(" (deleted)")))
+    return names
 
 
 def _live_children() -> set:
@@ -94,11 +106,11 @@ def _threads_outliving(before: set) -> list:
 
 @pytest.fixture(autouse=True)
 def leak_census():
-    """Fail a test that leaks shm segments, children, threads or spool dirs.
+    """Fail a test that leaks result files, children, threads or spool dirs.
 
-    Imported shard tables unlink their segment when collected, so a leak
+    An imported shard table unmaps its file when collected, so a leak
     candidate triggers one ``gc.collect()`` before it counts; clean tests
-    pay two directory scans and no collection.
+    pay two directory scans, two ``/proc/self/maps`` reads and no collection.
     """
     segments, children = _own_segments(), _live_children()
     threads, spools = set(threading.enumerate()), _spool_dirs()
@@ -109,7 +121,7 @@ def leak_census():
         gc.collect()
         leaked = _own_segments() - segments
         spawned = _live_children() - children
-    assert not leaked, f"test leaked shm segments: {sorted(leaked)}"
+    assert not leaked, f"test leaked /dev/shm result files: {sorted(leaked)}"
     assert not spawned, f"test left multiprocessing children alive: {sorted(spawned)}"
     running = _threads_outliving(threads)
     assert not running, f"test left threads running: {running}"

@@ -23,6 +23,7 @@ Worker-kill legs rely on ``fork`` inheritance of the installed
 platforms.
 """
 
+import contextlib
 import gc
 import multiprocessing
 import os
@@ -87,6 +88,16 @@ def _await_workers(cluster, count, timeout=15.0):
         assert time.monotonic() < deadline, "workers never registered"
         time.sleep(0.02)
     return cluster.workers()
+
+
+def _fd_targets(pid) -> set:
+    """What process ``pid``'s open descriptors point at (``/proc/<pid>/fd``)."""
+    fd_dir = f"/proc/{pid}/fd"
+    targets = set()
+    for fd in os.listdir(fd_dir):
+        with contextlib.suppress(FileNotFoundError):  # closed since the listing
+            targets.add(os.readlink(f"{fd_dir}/{fd}"))
+    return targets
 
 
 # ----------------------------------------------------------------- work-queue
@@ -230,6 +241,30 @@ class TestFleetRelease:
         finally:
             for proc in procs:
                 proc.kill()  # a no-op once close() has reaped it
+
+    @fork_only
+    def test_forked_workers_hold_no_coordinator_socket(self):
+        # Each worker's one new socket is its own connection: neither the
+        # listener nor, for the replacement w2 forked while the survivor was
+        # connected, another worker's connection survives the fork.
+        before = {fd for fd in _fd_targets(os.getpid()) if fd.startswith("socket:")}
+        with LocalCluster(workers=2) as cluster:
+            victim, survivor = _await_workers(cluster, 2)
+            os.kill(victim.pid, signal.SIGKILL)
+            expected = {survivor.worker_id, "w2"}
+            deadline = time.monotonic() + 15
+            while {record.worker_id for record in cluster.workers()} != expected:
+                assert time.monotonic() < deadline, "no replacement registered"
+                time.sleep(0.02)
+            wake = {
+                os.readlink(f"/proc/self/fd/{conn.fileno()}")
+                for conn in (cluster._wake_r, cluster._wake_w)
+            }
+            for record in cluster.workers():
+                targets = _fd_targets(record.pid)
+                sockets = {fd for fd in targets if fd.startswith("socket:")} - before
+                assert len(sockets) == 1, (record.worker_id, sockets)
+                assert not wake & targets, record.worker_id
 
     def test_malformed_frames_drop_only_their_connection(self):
         with LocalCluster(workers=1) as cluster:

@@ -1,7 +1,9 @@
 """Streaming engine tests: sharded decode, chunked sampling, sinks, shm pool."""
 
 import contextlib
+import glob
 import itertools
+import os
 import sys
 import threading
 
@@ -51,18 +53,23 @@ def _session(fitted, backend):
 
 
 def _shm_segments() -> set:
-    import os
-
-    # "psm_" is the stdlib's random prefix; "nds" is the engine's
-    # deterministic parent-worker-seq naming (repro.engine.shm).
+    # "nds" starts every result file name (repro.engine.shm).
     try:
-        return {
-            name
-            for name in os.listdir("/dev/shm")
-            if name.startswith(("psm_", "nds"))
-        }
+        return {name for name in os.listdir("/dev/shm") if name.startswith("nds")}
     except FileNotFoundError:  # pragma: no cover - non-Linux
         return set()
+
+
+def _mapped_result_files() -> set:
+    """Unlinked result files this process still maps (``/proc/self/maps``)."""
+    prefix = f"/dev/shm/nds{os.getpid():x}-"
+    with open("/proc/self/maps") as maps:
+        paths = {line.split(None, 5)[-1].strip() for line in maps}
+    return {path for path in paths if path.startswith(prefix) and path.endswith(" (deleted)")}
+
+
+#: Where in-process export tests put their files (this process's census prefix).
+_TEST_PREFIX = f"/dev/shm/nds{os.getpid():x}-test-"
 
 
 def _big_array_task(shared, seed):
@@ -105,17 +112,11 @@ def _table_task(shared, seed):
     return _make_mixed_table(seed)
 
 
-def _export_then_die(shared, seed):
-    """Park a segment like a mid-export worker, then die without handing off."""
-    import os
+def _export_then_die(shared, prefix):
+    """Write a result file under ``prefix``, then die without handing it off."""
     import signal
 
-    from repro.engine import shm as shm_mod
-
-    seg = shm_mod._create_segment(1 << 16)
-    registered = getattr(seg, "_name", seg.name)
-    seg.close()
-    shm_mod._unregister(registered)
+    export_result(_big_array_task(shared, 0), prefix)
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -300,7 +301,7 @@ class TestSharedBackend:
         small = np.arange(5, dtype=np.int64)
         strings = np.array(["a", "bb"], dtype=object)
         payload = {"big": big, "nested": [small, (strings, 3.5)], "plain": "x"}
-        out = import_result(export_result(payload))
+        out = import_result(export_result(payload, _TEST_PREFIX))
         assert np.array_equal(out["big"], big)
         assert np.array_equal(out["nested"][0], small)
         assert list(out["nested"][1][0]) == ["a", "bb"]
@@ -309,9 +310,9 @@ class TestSharedBackend:
     def test_shard_result_round_trip(self):
         from repro.engine.shm import ShmTableArenaRef
 
-        table = _make_mixed_table(1)  # > 64 KiB: travels as an arena segment
+        table = _make_mixed_table(1)  # > 64 KiB: travels as an arena file
         shard = ShardResult(index=2, table=table, errors=[0.5, 0.4], n_records=6000)
-        exported = export_result(shard)
+        exported = export_result(shard, _TEST_PREFIX)
         assert isinstance(exported.table, ShmTableArenaRef)
         out = import_result(exported)
         assert out.index == 2 and out.errors == [0.5, 0.4]
@@ -460,7 +461,7 @@ class TestArenaDescriptorTransport:
 
         from repro.data.arena import copy_stats
 
-        before = _shm_segments()
+        before, mapped = _shm_segments(), _mapped_result_files()
         copy_stats.reset()
         runner = get_backend("process", max_workers=2)
         out = runner.run_tasks(_table_task, [(7,), (8,)])
@@ -468,17 +469,16 @@ class TestArenaDescriptorTransport:
         assert digests == [
             _make_mixed_table(seed).content_digest() for seed in (7, 8)
         ]
-        # The workers are gone after close(), but the tables still map their
-        # segments, so the orphan sweep must leave them alone.
         runner.close()
-        # Each table is a view over its own segment, alive while the table
-        # is: the columns never went through the pickled pipe, which the
-        # copy ledger would have seen.
-        assert len(_shm_segments() - before) == 2
+        # Each table is a view over its own file, unlinked on import and
+        # still mapped while the table lives: the columns never went
+        # through the pickled pipe, which the copy ledger would have seen.
+        assert _shm_segments() == before
+        assert len(_mapped_result_files() - mapped) == 2
         assert copy_stats.snapshot()["pickled_array_bytes"] == 0
         del out
         gc.collect()
-        assert _shm_segments() == before
+        assert _mapped_result_files() == mapped
 
     def test_export_import_round_trip_in_process(self):
         import gc
@@ -487,118 +487,53 @@ class TestArenaDescriptorTransport:
 
         before = _shm_segments()
         table = _make_mixed_table(11)
-        ref = export_table(table)
+        ref = export_table(table, _TEST_PREFIX)
         assert isinstance(ref, ShmTableArenaRef)
         assert ref.pickled_bytes == 0
-        # Handoff pending: the segment exists and survives the export side.
-        assert ref.name in _shm_segments() - before
+        # Handoff pending: the file exists and survives the export side.
+        assert os.path.basename(ref.path) in _shm_segments() - before
         out = import_table(ref)
+        # Unlinked on import; the mapping, private now, backs the columns
+        # until the table dies.
+        assert _shm_segments() == before
         assert out.content_digest() == table.content_digest()
-        # Deferred unlink: views alias the mapping, so the segment lives
-        # exactly as long as the imported table does.
-        assert ref.name in _shm_segments()
+        assert f"{ref.path} (deleted)" in _mapped_result_files()
         del out
         gc.collect()
-        assert ref.name not in _shm_segments()
+        assert f"{ref.path} (deleted)" not in _mapped_result_files()
 
     def test_small_table_pickles_through_whole(self):
         from repro.engine.shm import export_table
 
         small = _make_mixed_table(3, n=20)
-        assert export_table(small) is small
+        assert export_table(small, _TEST_PREFIX) is small
 
     def test_killed_worker_segments_are_swept(self):
+        from repro.reliability import ShardTaskError
+
         before = _shm_segments()
-        runner = get_backend("process", max_workers=1)
-        with pytest.raises(Exception):  # noqa: B017 - BrokenProcessPool
-            runner.run_tasks(_export_then_die, [(0,)])
-        runner.close()
+        with LocalCluster(workers=1, retry=0) as cluster:
+            prefix = f"{cluster._result_prefix}w0-"
+            with pytest.raises(ShardTaskError, match="lost"):
+                cluster.run_tasks(_export_then_die, [(prefix,)])
+            # The loss unlinked the dead worker's prefix, before close().
+            assert not glob.glob(prefix + "*")
         assert _shm_segments() == before
 
-    def test_sweep_spares_live_workers_segments(self):
-        import os
-        import subprocess
-        from multiprocessing import shared_memory
+    def test_no_mapping_outlives_the_tables_of_ten_releases(self, fitted):
+        import gc
 
-        from repro.engine.shm import (
-            _proc_start_token,
-            _unregister,
-            sweep_orphan_segments,
-        )
-
-        me = os.getpid()
-        proc = subprocess.Popen(["true"])
-        proc.wait()  # reaped: its pid no longer exists
-        names = {
-            "live": f"nds{me:x}-{me:x}-{_proc_start_token(me)}-1",
-            "dead": f"nds{me:x}-{proc.pid:x}-aaa1-1",
-        }
-        for name in names.values():
-            seg = shared_memory.SharedMemory(name=name, create=True, size=1024)
-            registered = getattr(seg, "_name", seg.name)
-            seg.close()
-            _unregister(registered)
-        try:
-            assert sweep_orphan_segments() >= 1
-            segments = _shm_segments()
-            assert names["live"] in segments
-            assert names["dead"] not in segments
-        finally:
-            try:
-                os.unlink(f"/dev/shm/{names['live']}")
-            except FileNotFoundError:
-                pass
-
-    def test_segment_names_carry_boot_unique_token(self):
-        import os
-
-        from repro.engine.shm import _boot_token, _proc_start_token, _segment_name
-
-        name = _segment_name(5)
-        parts = name[len(f"nds{os.getppid():x}-") :].split("-")
-        assert parts == [f"{os.getpid():x}", _boot_token(), "5"]
-        # The token is the kernel's start time for this pid: a recycled pid
-        # would get a different one, so names cannot collide across
-        # incarnations (and the sweep can tell owner from impostor).
-        assert _boot_token() == _proc_start_token(os.getpid())
-
-    def test_sweep_unpins_segment_held_by_recycled_pid(self):
-        """A live pid whose start-time token mismatches the segment name is a
-        *recycled* pid, not the owner: the segment must be swept, not pinned.
-
-        Before the token scheme, pid liveness alone spared these forever."""
-        import os
-        from multiprocessing import shared_memory
-
-        from repro.engine.shm import (
-            _proc_start_token,
-            _unregister,
-            sweep_orphan_segments,
-        )
-
-        me = os.getpid()
-        token = _proc_start_token(me)
-        names = {
-            # Owner incarnation alive: token matches -> spared.
-            "owner": f"nds{me:x}-{me:x}-{token}-1",
-            # Pid alive but token from a previous boot/incarnation -> swept.
-            "recycled": f"nds{me:x}-{me:x}-deadbeef-2",
-        }
-        for name in names.values():
-            seg = shared_memory.SharedMemory(name=name, create=True, size=1024)
-            registered = getattr(seg, "_name", seg.name)
-            seg.close()
-            _unregister(registered)
-        try:
-            assert sweep_orphan_segments() >= 1
-            segments = _shm_segments()
-            assert names["owner"] in segments
-            assert names["recycled"] not in segments
-        finally:
-            try:
-                os.unlink(f"/dev/shm/{names['owner']}")
-            except FileNotFoundError:
-                pass
+        before = _mapped_result_files()
+        tables = []
+        with fitted.pool(backend="process", max_workers=2):
+            for seed in range(10):
+                # A one-shard release returns its worker's table as is: a
+                # view of a mapped file.  Two shards merge into a new arena.
+                tables.append(fitted.sample(2400, rng=seed, shards=1 + seed % 2))
+        assert len(_mapped_result_files() - before) == 5
+        del tables
+        gc.collect()
+        assert _mapped_result_files() == before
 
     def test_sharded_shared_sampling_ships_zero_pickled_column_bytes(self, fitted):
         from repro.data.arena import copy_stats
