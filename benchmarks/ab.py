@@ -12,7 +12,8 @@ end-to-end metric in ``BENCHMARK.json`` it reports each side's median and
 quartiles (linear percentiles, as numpy computes them), the change's
 median over the parent's, how many pairs the change won (ties count for
 neither), and a verdict: a difference of medians is called real only when
-it exceeds the interquartile range of both sides, over at least 3 pairs.
+it exceeds the interquartile range of both sides, over at least
+:data:`MIN_PAIRS` pairs.
 
 It prints a markdown table to stdout.  ``--pr N`` also writes
 ``benchmarks/results/BENCH_<N>.json`` (``--out PATH`` writes elsewhere).
@@ -36,6 +37,10 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+
+#: Fewest pairs a verdict needs: on a 2-CPU machine the quartiles of 3 runs
+#: called unchanged code "worse" while 7 or more read "no real change".
+MIN_PAIRS = 7
 
 
 def _git(*args: str, cwd: Path) -> str:
@@ -62,8 +67,8 @@ def compare(parent: list, change: list, better: str) -> dict:
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     gap = sides["change"]["median"] - sides["parent"]["median"]
     spread = max(s["q3"] - s["q1"] for s in sides.values())
-    if len(parent) < 3:
-        verdict = "unresolved: fewer than 3 pairs"
+    if len(parent) < MIN_PAIRS:
+        verdict = f"unresolved: fewer than {MIN_PAIRS} pairs"
     elif abs(gap) <= spread:
         verdict = "no real change"
     else:

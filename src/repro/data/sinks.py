@@ -96,6 +96,35 @@ def _render(value) -> str:
     return str(value)
 
 
+def _csv_quote(text: str) -> str:
+    """``text`` as a field of a multi-field ``csv`` row (``QUOTE_MINIMAL``)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _render_column(col: np.ndarray, floats, other) -> list:
+    """Every cell of ``col`` as output text, rendered a column at a time.
+
+    Float and integer columns go through ``tolist()`` in bulk (``floats``
+    renders the list of floats); any other dtype renders each distinct
+    value once with ``other`` and looks the rest up.
+    """
+    if col.dtype.kind == "f":
+        return floats(col.tolist())
+    if col.dtype.kind in "iu":
+        return list(map(int.__repr__, col.tolist()))
+    rendered: dict = {}
+    out = []
+    for value in col:
+        key = (type(value), value)
+        text = rendered.get(key)
+        if text is None:
+            text = rendered[key] = other(value)
+        out.append(text)
+    return out
+
+
 class CsvSink(TraceSink):
     """Stream chunks into one CSV file (header written once, on open)."""
 
@@ -104,14 +133,22 @@ class CsvSink(TraceSink):
     def __init__(self, path, schema: Schema) -> None:
         super().__init__(path, schema)
         self._handle = self.path.open("w", newline="")
-        self._writer = csv.writer(self._handle)
-        self._writer.writerow(schema.names)
+        csv.writer(self._handle).writerow(schema.names)
 
     def _write(self, table: TraceTable) -> None:
-        names = self.schema.names
-        cols = [table.column(n) for n in names]
-        for i in range(table.n_records):
-            self._writer.writerow([_render(col[i]) for col in cols])
+        if table.n_records == 0:
+            return
+        cols = [
+            _render_column(
+                table.column(n),
+                lambda values: list(map(float.__repr__, values)),
+                lambda value: _csv_quote(_render(value)),
+            )
+            for n in self.schema.names
+        ]
+        if len(cols) == 1:  # csv quotes a row's lone empty field
+            cols[0] = ['""' if text == "" else text for text in cols[0]]
+        self._handle.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
 
     def _close(self) -> None:
         self._handle.close()
@@ -126,6 +163,11 @@ def _json_cell(value):
     return str(value)
 
 
+def _json_floats(values: list) -> list:
+    """``json`` spellings of floats, ``NaN``/``Infinity`` included."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
 class JsonlSink(TraceSink):
     """Stream chunks as one JSON object per record."""
 
@@ -136,12 +178,16 @@ class JsonlSink(TraceSink):
         self._handle = self.path.open("w")
 
     def _write(self, table: TraceTable) -> None:
-        names = self.schema.names
-        cols = [table.column(n) for n in names]
-        write = self._handle.write
-        for i in range(table.n_records):
-            record = {name: _json_cell(col[i]) for name, col in zip(names, cols)}
-            write(json.dumps(record) + "\n")
+        if table.n_records == 0:
+            return
+        cols = []
+        for j, name in enumerate(self.schema.names):
+            key = ("{" if j == 0 else ", ") + json.dumps(name) + ": "
+            values = _render_column(
+                table.column(name), _json_floats, lambda v: json.dumps(_json_cell(v))
+            )
+            cols.append(list(map(key.__add__, values)))
+        self._handle.write("}\n".join(map("".join, zip(*cols))) + "}\n")
 
     def _close(self) -> None:
         self._handle.close()

@@ -32,20 +32,14 @@ import numpy as np
 
 
 class _MarginalState:
-    """One target marginal plus the kernel's per-run cache of it.
+    """One target marginal: its attribute columns, cell grid and target."""
 
-    ``codes``/``counts`` are filled by :meth:`GumKernel.prepare` for kernels
-    that maintain them incrementally; the reference kernel leaves them unset.
-    """
-
-    __slots__ = ("axes", "shape", "target", "codes", "counts")
+    __slots__ = ("axes", "shape", "target")
 
     def __init__(self, axes: np.ndarray, shape: tuple, target: np.ndarray) -> None:
         self.axes = axes
         self.shape = shape
         self.target = target
-        self.codes: np.ndarray | None = None
-        self.counts: np.ndarray | None = None
 
 
 class GumKernel(abc.ABC):

@@ -1,23 +1,23 @@
-"""The fused GUM kernel: whole-step numpy passes over fused per-run state.
+"""The fused GUM kernel: whole-step numpy passes over one marginal.
 
 Restructures the reference per-cell loops into whole-step array operations
 while consuming the random stream *exactly* like
 :mod:`~repro.synthesis.kernels.reference` (see the RNG order contract in
 :mod:`~repro.synthesis.kernels.base`), so its output is bit-identical:
 
-- **cached codes and counts** — every marginal's cell codes live in one
-  row-major ``(n, M)`` arena (``n`` records by ``M`` marginals; marginal
-  ``k`` reads the column view ``codes[:, k]``) and its counts in one flat
-  arena with per-marginal offsets, built once per run and patched only for
-  the rows a step rewrites;
-- **grouping** — cell codes are cast to ``uint16`` whenever the marginal has
-  at most :data:`RADIX_MAX_CELLS` cells (every NetDPSyn marginal does: the
-  largest ToN marginal has ~2.7k cells), which flips numpy's stable
-  ``argsort`` onto its O(n) radix path — bit-identical, since casting
-  in-range codes preserves order exactly;
-- **cell bounds** — the cached counts *are* the cell lengths of the grouped
-  rows, so one ``cumsum`` over the marginal's cells gives every cell's
-  segment start (no ``searchsorted`` over the ``n`` sorted codes);
+- **per-step codes and counts** — a step reads only its own marginal, so it
+  rebuilds that marginal's cell codes from ``data`` when it starts (a
+  Horner fold over the marginal's 1-3 axes, no bounds checks) and its
+  counts with one ``bincount``: O(n * axes) per step, with nothing kept
+  between steps and no other marginal touched;
+- **grouping** — cell codes are folded straight into ``uint16`` whenever
+  the marginal has at most :data:`RADIX_MAX_CELLS` cells (every NetDPSyn
+  marginal does: the largest ToN marginal has ~2.7k cells), which puts
+  numpy's stable ``argsort`` on its O(n) radix path — bit-identical, since
+  in-range codes keep their order in any integer dtype;
+- **cell bounds** — the counts *are* the cell lengths of the grouped rows,
+  so one ``cumsum`` over the marginal's cells gives every cell's segment
+  start (no ``searchsorted`` over the ``n`` sorted codes);
 - **free/refill** — one ``repeat``/``arange`` segment gather per pass
   instead of per-cell slicing, and one fancy-indexed write per pass instead
   of per-cell writes;
@@ -26,15 +26,7 @@ while consuming the random stream *exactly* like
   ``rng.integers(0, bounds)`` call with the per-cell bounds repeated
   per-slot consumes the *identical* stream (PCG64 draws one bounded word per
   element either way — pinned by the parity suite against future numpy
-  changes) at ~1/100th of the Python dispatch cost;
-- **touched-key patch** — the new codes of the freed rows for *every*
-  marginal come from one BLAS matmul against an ``(attrs, M)`` stride matrix
-  (float64 products of in-domain codes are < 2^53, so the round-trip through
-  float is exact); the old codes are one row gather ``codes[freed]``, the
-  write-back one row scatter, and the counts are patched by ``subtract.at``
-  / ``add.at`` over only the touched keys, two per freed row and marginal
-  (integer deltas on float64 counts are exact, so the cached counts equal a
-  fresh ``bincount``).  A step thus costs what it moves, not the arena size.
+  changes) at ~1/100th of the Python dispatch cost.
 
 The free/refill writes commute with the reference's sequential per-cell
 writes: freed rows come from over-full cells and duplication sources from
@@ -50,19 +42,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.marginals.compute import cell_codes
 from repro.synthesis.kernels.base import GumKernel
 
-#: Largest marginal size (cells) that still groups via uint16 radix sort.
+#: Largest marginal size (cells) whose codes are ``uint16`` (radix grouping).
 RADIX_MAX_CELLS = int(np.iinfo(np.uint16).max)
 
 
-def _strides_for(shape: tuple) -> np.ndarray:
-    """C-order ravel strides of a marginal's cell grid."""
-    strides = np.ones(len(shape), dtype=np.int64)
-    for j in range(len(shape) - 2, -1, -1):
-        strides[j] = strides[j + 1] * shape[j + 1]
-    return strides
+def _cell_codes(data: np.ndarray, axes: np.ndarray, shape: tuple) -> np.ndarray:
+    """C-order cell code of every row over ``axes``, as a Horner fold.
+
+    Equal to ``ravel_multi_index`` of the in-domain columns; ``uint16`` when
+    the marginal has at most :data:`RADIX_MAX_CELLS` cells, else ``int64``.
+    """
+    dtype = np.uint16 if int(np.prod(shape)) <= RADIX_MAX_CELLS else np.int64
+    codes = data[:, axes[0]].astype(dtype)
+    for axis, size in zip(axes[1:], shape[1:]):
+        codes *= int(size)
+        np.add(codes, data[:, axis], out=codes, casting="unsafe")
+    return codes
 
 
 def _segment_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -82,43 +79,16 @@ def _segment_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 class FusedKernel(GumKernel):
-    """Single-pass grouping + draws + count patch over fused per-run state."""
+    """Single-pass grouping + draws over the stepped marginal's codes."""
 
     name = "fused"
-    uses_cache = True
-
-    def prepare(self, data, states):
-        """Build the fused per-run state: ``(n, M)`` code arena, counts, strides.
-
-        Each marginal's ``codes``/``counts`` are bound to views into the
-        fused storage (``codes[:, k]`` and a slice of the counts arena), so
-        :meth:`step` reads the per-marginal caches while :meth:`_apply_updates`
-        patches them all at once.
-        """
-        n, n_attrs = data.shape
-        m = len(states)
-        sizes = np.array([state.target.size for state in states], dtype=np.int64)
-        offsets = np.zeros(m, dtype=np.int64)
-        np.cumsum(sizes[:-1], out=offsets[1:])
-        codes = np.empty((n, m), dtype=np.int64)
-        counts = np.zeros(int(sizes.sum()), dtype=np.float64)
-        strides = np.zeros((n_attrs, m), dtype=np.float64)
-        for k, state in enumerate(states):
-            state.codes = codes[:, k]
-            state.codes[...] = cell_codes(data[:, state.axes], state.shape)
-            view = counts[offsets[k] : offsets[k] + sizes[k]]
-            view[...] = np.bincount(state.codes, minlength=int(sizes[k]))
-            state.counts = view
-            strides[state.axes, k] = _strides_for(state.shape)
-        self._codes = codes
-        self._counts = counts
-        self._offsets = offsets
-        self._strides = strides
 
     def step(self, data, states, k, alpha, config, rng):
         state = states[k]
         n = data.shape[0]
-        diff = state.target - state.counts
+        codes = _cell_codes(data, state.axes, state.shape)
+        cell_len = np.bincount(codes, minlength=state.target.size)
+        diff = state.target - cell_len
         pre_error = float(np.abs(diff).sum()) / (2.0 * n)
 
         excess = np.clip(-diff, 0.0, None)
@@ -130,9 +100,8 @@ class FusedKernel(GumKernel):
             return pre_error
 
         perm = rng.permutation(n)
-        rows_by_cell = self._group_rows(state.codes, perm, state.target.size)
-        # The cached counts are the cell lengths of the grouped rows.
-        cell_len = state.counts.astype(np.int64)
+        rows_by_cell = self._group_rows(codes, perm)
+        # The counts are the cell lengths of the grouped rows.
         cell_lo = np.cumsum(cell_len) - cell_len
 
         # --- free rows from over-represented cells (one pass) --------------
@@ -183,25 +152,16 @@ class FusedKernel(GumKernel):
             rows_repl = freed[repl_slots]
             for axis, values in zip(state.axes, coords):
                 data[rows_repl, axis] = values
-
-        # --- incremental count/code maintenance for every marginal ----------
-        self._apply_updates(data, states, freed)
         return pre_error
 
-    def _group_rows(self, codes, perm, size):
+    def _group_rows(self, codes, perm):
         """Rows grouped by cell, stable in ``perm`` order.
 
         Any stable grouping is bit-equivalent to the reference's
-        ``argsort(codes[perm], kind="stable")``.
+        ``argsort(codes[perm], kind="stable")``; ``uint16`` codes take
+        numpy's O(n) radix path.
         """
-        cp = codes[perm]
-        if size <= RADIX_MAX_CELLS:
-            # uint16 keys take numpy's O(n) radix path; in-range casting is
-            # order-preserving, so the stable grouping is bit-identical.
-            order = np.argsort(cp.astype(np.uint16), kind="stable")
-        else:  # pragma: no cover - no shipped marginal exceeds 65535 cells
-            order = np.argsort(cp, kind="stable")
-        return perm[order]
+        return perm[np.argsort(codes[perm], kind="stable")]
 
     def _dup_offsets(self, rng, match, n_dup, dup_idx):
         """All per-cell duplication draws as one bounds-broadcast call.
@@ -212,12 +172,3 @@ class FusedKernel(GumKernel):
         in the identical state (pinned by ``tests/test_kernels.py``).
         """
         return rng.integers(0, np.repeat(match[dup_idx], n_dup[dup_idx]))
-
-    def _apply_updates(self, data, states, freed):
-        """Patch every marginal's cached codes/counts for the rewritten rows."""
-        # One matmul re-codes the freed rows for every marginal: exact,
-        # because every product and partial sum is an integer < 2^53.
-        new_codes = (data[freed].astype(np.float64) @ self._strides).astype(np.int64)
-        np.subtract.at(self._counts, self._codes[freed] + self._offsets, 1.0)
-        np.add.at(self._counts, new_codes + self._offsets, 1.0)
-        self._codes[freed] = new_codes

@@ -13,6 +13,7 @@ Three contracts are enforced here:
 """
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,13 +34,62 @@ from repro.synthesis.kernels import (
     _MarginalState,
     get_kernel,
 )
-from repro.synthesis.kernels.fused import _strides_for
+from repro.synthesis.kernels import fused
 
 
 def fresh_cache(data, axes, shape):
     """A marginal's codes and counts recomputed from scratch."""
     codes = cell_codes(data[:, axes], shape)
     return codes, np.bincount(codes, minlength=int(np.prod(shape))).astype(np.float64)
+
+
+class StepCheckingKernel(FusedKernel):
+    """The fused kernel, checking what each step reads against ``data``.
+
+    Before every step it recomputes the stepped marginal's codes and counts
+    from scratch; it captures the codes the step folds and asserts they are
+    equal, and that the returned pre-step error is the one those counts give.
+    """
+
+    def __init__(self):
+        self.steps = 0
+
+    def step(self, data, states, k, alpha, config, rng):
+        state = states[k]
+        codes, counts = fresh_cache(data, state.axes, state.shape)
+        seen = []
+        fold = fused._cell_codes
+
+        def spy(*args):
+            seen.append(fold(*args))
+            return seen[-1]
+
+        fused._cell_codes = spy
+        try:
+            error = super().step(data, states, k, alpha, config, rng)
+        finally:
+            fused._cell_codes = fold
+        assert len(seen) == 1 and np.array_equal(seen[0], codes)
+        assert np.array_equal(np.bincount(seen[0], minlength=counts.size), counts)
+        assert error == float(np.abs(state.target - counts).sum()) / (2.0 * len(data))
+        self.steps += 1
+        return error
+
+
+def gum_workload(n=600, seed=2):
+    """A small three-attribute GUM input with two random 2-way targets."""
+    from repro.data.domain import Domain
+    from repro.marginals.marginal import Marginal
+
+    rng = np.random.default_rng(seed)
+    domain = Domain({"a": 5, "b": 4, "c": 3})
+    data = np.stack(
+        [rng.integers(0, 5, n), rng.integers(0, 4, n), rng.integers(0, 3, n)],
+        axis=1,
+    ).astype(np.int32)
+    target_ab = Marginal(("a", "b"), rng.random((5, 4)) * n)
+    target_bc = Marginal(("b", "c"), rng.random((4, 3)) * n)
+    return data, [target_ab, target_bc], ("a", "b", "c"), domain
 
 
 @pytest.fixture(scope="module")
@@ -122,22 +172,8 @@ class TestRegistry:
 
 
 class TestRunGumKernelSelection:
-    def _workload(self, n=600, seed=2):
-        from repro.data.domain import Domain
-        from repro.marginals.marginal import Marginal
-
-        rng = np.random.default_rng(seed)
-        domain = Domain({"a": 5, "b": 4, "c": 3})
-        data = np.stack(
-            [rng.integers(0, 5, n), rng.integers(0, 4, n), rng.integers(0, 3, n)],
-            axis=1,
-        ).astype(np.int32)
-        target_ab = Marginal(("a", "b"), rng.random((5, 4)) * n)
-        target_bc = Marginal(("b", "c"), rng.random((4, 3)) * n)
-        return data, [target_ab, target_bc], ("a", "b", "c"), domain
-
     def test_explicit_kernel_equals_reference(self):
-        data, targets, attrs, domain = self._workload()
+        data, targets, attrs, domain = gum_workload()
         config = GumConfig(iterations=10)
         out = {}
         for kernel in ("reference", "fused"):
@@ -150,7 +186,7 @@ class TestRunGumKernelSelection:
         assert out["fused"].kernel == "fused"
 
     def test_kernel_instance_accepted(self):
-        data, targets, attrs, domain = self._workload()
+        data, targets, attrs, domain = gum_workload()
         config = GumConfig(iterations=5)
         a = run_gum(
             data.copy(), targets, attrs, domain, config, rng=3, kernel=FusedKernel()
@@ -159,7 +195,7 @@ class TestRunGumKernelSelection:
         assert np.array_equal(a.data, b.data)
 
     def test_invalid_kernel_name_raises(self):
-        data, targets, attrs, domain = self._workload(n=50)
+        data, targets, attrs, domain = gum_workload(n=50)
         with pytest.raises(ValueError, match="kernel"):
             run_gum(data, targets, attrs, domain, GumConfig(), rng=1, kernel="magic")
 
@@ -202,12 +238,13 @@ class TestFusedKernel:
         perm = rng.permutation(n)
         kernel = FusedKernel()
         order = np.argsort(codes[perm], kind="stable")
-        assert np.array_equal(kernel._group_rows(codes, perm, size), perm[order])
+        grouped = kernel._group_rows(codes.astype(np.uint16), perm)
+        assert np.array_equal(grouped, perm[order])
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     def test_count_bounds_match_searchsorted(self, seed):
-        """``(cell_lo, cell_len)`` from the cached counts == the reference's
+        """``(cell_lo, cell_len)`` from the counts == the reference's
         ``searchsorted`` bounds over ``codes[perm]`` sorted stably, so the
         step slices the grouped rows at the same places."""
         rng = np.random.default_rng(seed)
@@ -216,9 +253,8 @@ class TestFusedKernel:
         # Skewed codes so that empty, single-row and large cells all occur.
         codes = np.minimum(rng.geometric(0.15, size=n) - 1, size - 1)
         perm = rng.permutation(n)
-        counts = np.bincount(codes, minlength=size).astype(np.float64)
 
-        cell_len = counts.astype(np.int64)
+        cell_len = np.bincount(codes, minlength=size)
         cell_lo = np.cumsum(cell_len) - cell_len
 
         sorted_codes = codes[perm][np.argsort(codes[perm], kind="stable")]
@@ -229,70 +265,71 @@ class TestFusedKernel:
         assert np.array_equal(cell_len, hi - lo)
 
     def test_grouping_beyond_radix_range_still_stable(self):
-        size = 70_000  # > uint16 range: must take the int64 branch, same result
+        shape = (350, 200)  # 70k cells > uint16 range: int64 codes, same grouping
         rng = np.random.default_rng(3)
-        codes = rng.integers(0, size, size=400)
-        perm = rng.permutation(400)
-        kernel = FusedKernel()
-        order = np.argsort(codes[perm], kind="stable")
-        assert np.array_equal(kernel._group_rows(codes, perm, size), perm[order])
-
-    def test_strides_match_ravel(self):
-        shape = (7, 3, 5)
-        strides = _strides_for(shape)
-        idx = np.array([[6, 2, 4], [0, 0, 0], [3, 1, 2]])
-        expected = np.ravel_multi_index(tuple(idx.T), shape)
-        assert np.array_equal(idx @ strides, expected)
-
-    def _states(self, data):
-        specs = [
-            (np.array([0, 2], dtype=np.int64), (5, 3)),
-            (np.array([1], dtype=np.int64), (4,)),
-            (np.array([0, 1, 3], dtype=np.int64), (5, 4, 3)),
-        ]
-        states = []
-        for axes, shape in specs:
-            size = int(np.prod(shape))
-            state = _MarginalState(axes, shape, np.zeros(size))
-            state.target = np.zeros(size)
-            states.append(state)
-        return states
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-    def test_fused_apply_updates_matches_marginal_state(self, seed):
-        """One matmul + a touched-key ``subtract.at``/``add.at`` patch of
-        the ``(n, M)`` arena == codes and counts from scratch."""
-        rng = np.random.default_rng(seed)
-        n = 300
         data = np.column_stack(
-            [
-                rng.integers(0, 5, n),
-                rng.integers(0, 4, n),
-                rng.integers(0, 3, n),
-                rng.integers(0, 3, n),
-            ]
+            [rng.integers(0, 350, 400), rng.integers(0, 200, 400)]
         ).astype(np.int32)
-        states = self._states(data)
+        codes = fused._cell_codes(data, np.array([0, 1]), shape)
+        assert codes.dtype == np.int64
+        perm = rng.permutation(400)
+        order = np.argsort(codes[perm], kind="stable")
+        assert np.array_equal(FusedKernel()._group_rows(codes, perm), perm[order])
 
+    @pytest.mark.parametrize(
+        "shape, dtype",
+        [((7,), np.uint16), ((7, 3, 5), np.uint16), ((255, 257), np.uint16),
+         ((256, 257), np.int64), ((300, 2, 200), np.int64)],
+    )
+    def test_cell_codes_match_ravel(self, shape, dtype):
+        """The Horner fold == ``ravel_multi_index``, in ``uint16`` exactly
+        while the marginal fits the radix range."""
+        rng = np.random.default_rng(len(shape))
+        data = np.column_stack(
+            [rng.integers(0, s, 500) for s in shape]
+            + [np.full(500, s - 1) for s in shape]
+        ).astype(np.int32)
+        axes = np.arange(len(shape))
+        codes = fused._cell_codes(data, axes, shape)
+        assert codes.dtype == dtype
+        assert np.array_equal(codes, cell_codes(data[:, axes], shape))
+        # The last cell (every axis at its maximum) must not wrap.
+        top = fused._cell_codes(data, axes + len(shape), shape)
+        assert (top == int(np.prod(shape)) - 1).all()
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+    def test_each_step_reads_codes_and_counts_of_current_data(self, seed):
+        """Every step groups by ``cell_codes`` of ``data`` as it is when
+        the step starts and measures its error against that ``bincount``,
+        across a whole GUM run that rewrites rows between steps."""
+        checked = StepCheckingKernel()
+        data, targets, attrs, domain = gum_workload(n=300, seed=seed)
+        result = run_gum(data, targets, attrs, domain, GumConfig(iterations=6),
+                         rng=seed, kernel=checked)
+        assert checked.steps == result.iterations_run * len(targets) > 0
+
+    def test_step_allocates_far_less_than_a_code_arena(self):
+        """No ``(n, M)`` state: ``prepare`` plus a step on 200k rows x 20
+        marginals allocates a small fraction of ``n * M * 8`` bytes."""
+        n, n_marginals = 200_000, 20
+        rng = np.random.default_rng(0)
+        data = rng.integers(0, 12, size=(n, 8)).astype(np.int32)
+        states = []
+        for j in range(n_marginals):
+            axes = np.array([j % 8, (j + 1 + j // 8) % 8])
+            shape = (12, 12)
+            target = rng.random(144)
+            states.append(_MarginalState(axes, shape, target * (n / target.sum())))
         kernel = FusedKernel()
-        kernel.prepare(data, states)
-        for state in states:
-            codes, counts = fresh_cache(data, state.axes, state.shape)
-            assert np.array_equal(state.codes, codes)
-            assert np.array_equal(state.counts, counts)
-
-        rows = rng.choice(n, size=40, replace=False).astype(np.int64)
-        data[rows, 0] = rng.integers(0, 5, 40)
-        data[rows, 1] = rng.integers(0, 4, 40)
-        data[rows, 2] = rng.integers(0, 3, 40)
-        data[rows, 3] = rng.integers(0, 3, 40)
-
-        kernel._apply_updates(data, states, rows)
-        for state in states:
-            codes, counts = fresh_cache(data, state.axes, state.shape)
-            assert np.array_equal(state.codes, codes)
-            assert np.array_equal(state.counts, counts)
+        tracemalloc.start()
+        try:
+            kernel.prepare(data, states)
+            kernel.step(data, states, 0, 1.0, GumConfig(), rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n_marginals * 8 / 4
 
     def test_fused_digest_equality(self, fitted, reference_digests):
         for shards in (1, 2, 3):

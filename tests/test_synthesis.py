@@ -171,30 +171,38 @@ class TestGumUpdateModes:
         result = run_gum(data, targets, attrs, domain, GumConfig(iterations=2), rng=4)
         assert result.kernel == "fused"
 
-    def test_incremental_counts_stay_exact(self):
-        """The fused kernel's cached counts must equal a fresh bincount."""
+    def test_steps_read_counts_of_current_data(self, monkeypatch):
+        """Each fused step folds its marginal's codes from ``data`` as it is
+        when the step starts and measures its error against their bincount:
+        nothing is cached from one step to the next."""
         from repro.marginals.compute import cell_codes, marginal_counts
-        from repro.synthesis.kernels import FusedKernel, _MarginalState
+        from repro.synthesis.kernels import FusedKernel, fused
 
+        fold = fused._cell_codes
+
+        def checked_fold(data, axes, shape):
+            codes = fold(data, axes, shape)
+            assert np.array_equal(codes, cell_codes(data[:, axes], shape))
+            return codes
+
+        class CheckedKernel(FusedKernel):
+            steps = 0
+
+            def step(self, data, states, k, alpha, config, rng):
+                state = states[k]
+                fresh = marginal_counts(data[:, state.axes], state.shape).reshape(-1)
+                error = super().step(data, states, k, alpha, config, rng)
+                assert error == float(np.abs(state.target - fresh).sum()) / (2.0 * len(data))
+                CheckedKernel.steps += 1
+                return error
+
+        monkeypatch.setattr(fused, "_cell_codes", checked_fold)
         data, targets, attrs, domain = self._setup(n=2000)
-        rng = np.random.default_rng(8)
-        config = GumConfig(iterations=8)
-        n = data.shape[0]
-        states = []
-        for m in targets:
-            axes = np.array([attrs.index(a) for a in m.attrs])
-            shape = domain.shape(m.attrs)
-            target = np.clip(m.flat(), 0.0, None)
-            states.append(_MarginalState(axes, shape, target * (n / target.sum())))
-        kernel = FusedKernel()
-        kernel.prepare(data, states)
-        for t in range(8):
-            for k in rng.permutation(len(states)):
-                kernel.step(data, states, k, 0.98**t, config, rng)
-        for state in states:
-            fresh = marginal_counts(data[:, state.axes], state.shape).reshape(-1)
-            assert np.array_equal(state.counts, fresh)
-            assert np.array_equal(state.codes, cell_codes(data[:, state.axes], state.shape))
+        result = run_gum(
+            data, targets, attrs, domain, GumConfig(iterations=8), rng=8,
+            kernel=CheckedKernel(),
+        )
+        assert CheckedKernel.steps == result.iterations_run * len(targets) > 0
 
 
 class TestTimestampReconstruction:
