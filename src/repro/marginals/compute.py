@@ -11,8 +11,8 @@ from repro.marginals.marginal import Marginal
 def cell_codes(data: np.ndarray, shape: tuple) -> np.ndarray:
     """Flat cell index of every row: ``data`` is (n, k) ints over ``shape``.
 
-    The shared primitive under marginal computation and the GUM engine's
-    incremental count maintenance (``ravel_multi_index`` over the row block).
+    The primitive under marginal computation (``ravel_multi_index`` over the
+    row block, bounds-checked); the GUM kernels are tested against it.
     """
     data = np.asarray(data)
     if data.ndim != 2 or data.shape[1] != len(shape):

@@ -17,9 +17,9 @@ and later ones fine-tune.
 The per-marginal update step is executed by a
 :class:`~repro.synthesis.kernels.GumKernel` (see
 :mod:`repro.synthesis.kernels`): ``reference`` (the original per-cell loop,
-the golden oracle) or ``fused`` (whole-step numpy passes over precomputed
-per-marginal cell codes and counts — radix grouping, broadcast refill
-draws, one matmul plus a touched-key count patch).  Both consume the random
+the golden oracle) or ``fused`` (whole-step numpy passes over the stepped
+marginal alone — its codes and counts rebuilt from the data when the step
+starts, radix grouping, broadcast refill draws).  Both consume the random
 stream identically and produce bit-identical output, so kernel choice is
 purely a speed decision; ``"auto"`` means ``fused``.
 """

@@ -4,10 +4,10 @@ The GUM record-update hot path is expressed as a :class:`GumKernel`:
 
 - ``reference`` — the original per-cell Python loop, kept verbatim as the
   golden oracle (:mod:`~repro.synthesis.kernels.reference`);
-- ``fused`` — whole-step numpy passes over a fused (records x marginals)
-  code arena: radix-sorted grouping, cell bounds from the cached counts, a
-  single bounds-broadcast duplication draw, and a touched-key count patch
-  for every marginal at once (:mod:`~repro.synthesis.kernels.fused`).
+- ``fused`` — whole-step numpy passes over the stepped marginal alone: its
+  ``uint16`` codes and counts rebuilt from the data when the step starts,
+  radix-sorted grouping, cell bounds from the counts and a single
+  bounds-broadcast duplication draw (:mod:`~repro.synthesis.kernels.fused`).
 
 Both kernels consume the random stream identically and produce bit-identical
 output (the parity suite proves it against the pinned golden digests), so

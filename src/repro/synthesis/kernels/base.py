@@ -54,8 +54,9 @@ class GumKernel(abc.ABC):
 
     #: Table key; also the value accepted by ``EngineConfig(kernel=...)``.
     name: str = "abstract"
-    #: Whether :meth:`prepare` builds per-run caches.  Informational only:
-    #: ``run_gum`` calls :meth:`prepare` unconditionally.
+    #: Whether :meth:`prepare` builds per-run caches (no shipped kernel
+    #: does).  Informational only: ``run_gum`` calls :meth:`prepare`
+    #: unconditionally.
     uses_cache: bool = False
 
     def prepare(self, data: np.ndarray, states: list) -> None:

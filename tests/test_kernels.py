@@ -276,26 +276,28 @@ class TestFusedKernel:
         order = np.argsort(codes[perm], kind="stable")
         assert np.array_equal(FusedKernel()._group_rows(codes, perm), perm[order])
 
-    @pytest.mark.parametrize(
-        "shape, dtype",
-        [((7,), np.uint16), ((7, 3, 5), np.uint16), ((255, 257), np.uint16),
-         ((256, 257), np.int64), ((300, 2, 200), np.int64)],
-    )
-    def test_cell_codes_match_ravel(self, shape, dtype):
+    def test_cell_codes_match_ravel(self):
         """The Horner fold == ``ravel_multi_index``, in ``uint16`` exactly
         while the marginal fits the radix range."""
-        rng = np.random.default_rng(len(shape))
-        data = np.column_stack(
-            [rng.integers(0, s, 500) for s in shape]
-            + [np.full(500, s - 1) for s in shape]
-        ).astype(np.int32)
-        axes = np.arange(len(shape))
-        codes = fused._cell_codes(data, axes, shape)
-        assert codes.dtype == dtype
-        assert np.array_equal(codes, cell_codes(data[:, axes], shape))
-        # The last cell (every axis at its maximum) must not wrap.
-        top = fused._cell_codes(data, axes + len(shape), shape)
-        assert (top == int(np.prod(shape)) - 1).all()
+        for shape, dtype in (
+            ((7,), np.uint16),
+            ((7, 3, 5), np.uint16),
+            ((255, 257), np.uint16),
+            ((256, 257), np.int64),
+            ((300, 2, 200), np.int64),
+        ):
+            rng = np.random.default_rng(len(shape))
+            data = np.column_stack(
+                [rng.integers(0, s, 500) for s in shape]
+                + [np.full(500, s - 1) for s in shape]
+            ).astype(np.int32)
+            axes = np.arange(len(shape))
+            codes = fused._cell_codes(data, axes, shape)
+            assert codes.dtype == dtype, shape
+            assert np.array_equal(codes, cell_codes(data[:, axes], shape)), shape
+            # The last cell (every axis at its maximum) must not wrap.
+            top = fused._cell_codes(data, axes + len(shape), shape)
+            assert (top == int(np.prod(shape)) - 1).all(), shape
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
