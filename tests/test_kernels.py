@@ -32,9 +32,9 @@ from repro.synthesis.kernels import (
     GumKernel,
     ReferenceKernel,
     _MarginalState,
+    fused,
     get_kernel,
 )
-from repro.synthesis.kernels import fused
 
 
 def fresh_cache(data, axes, shape):
@@ -201,7 +201,7 @@ class TestRunGumKernelSelection:
 
 
 class TestFusedKernel:
-    """The fused kernel's three single-pass tricks, each pinned to its twin.
+    """The fused kernel's single-pass tricks and per-step reads, each pinned to its twin.
 
     Bit-identity of the full kernel is already covered by the parity sweep;
     these tests pin the *individual* stream/ordering contracts the fusion
