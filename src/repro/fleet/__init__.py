@@ -1,4 +1,4 @@
-"""Multi-node fleet: fit once, sample and serve anywhere.
+"""Multi-node fleet: fit once, sample anywhere.
 
 Synthesis in this codebase is *fit once, sample forever*: the fitted model
 is a frozen set of noisy marginals, and sampling is pure post-processing —
@@ -9,10 +9,10 @@ every message a pickled ``(type, payload)`` tuple
 (:mod:`repro.fleet.messaging`), one :class:`WorkerRecord` per live worker —
 fans one release's shard tasks across them (:class:`ShardQueue` — deterministic
 ``SeedSequence`` shard assignment, so a multi-node release is digest-equal
-to single-node), and fronts replicated HTTP query workers with round-robin
-dispatch and per-replica circuit breakers
-(:class:`ReplicatedQueryClient`).  The cluster is also the engine's one
-multi-process runtime: ``backend="fleet"`` runs on the active cluster, and
+to single-node).  Running shards is the fleet's one job: a release is
+post-processing of the published noisy marginals, and serving DP queries
+is one engine's job (:mod:`repro.serving`).  The cluster is also the
+engine's one multi-process runtime: ``backend="fleet"`` runs on the active cluster, and
 ``backend="process"`` on a private one (:meth:`LocalCluster.private`)::
 
     with LocalCluster(workers=4):
@@ -28,14 +28,11 @@ contract, and failure matrix.
 
 from repro.fleet.cluster import FleetError, LocalCluster, WorkerRecord, current_cluster
 from repro.fleet.queue import ShardQueue
-from repro.fleet.serving import NoReplicaAvailableError, ReplicatedQueryClient
 from repro.fleet.worker import worker_main
 
 __all__ = [
     "FleetError",
     "LocalCluster",
-    "NoReplicaAvailableError",
-    "ReplicatedQueryClient",
     "ShardQueue",
     "WorkerRecord",
     "current_cluster",

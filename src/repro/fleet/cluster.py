@@ -126,15 +126,10 @@ def _join_all(procs, timeout: float) -> None:
 
 @dataclass(frozen=True)
 class WorkerRecord:
-    """One registered worker as the coordinator sees it.
-
-    ``meta`` is the rest of its ``register`` payload: a serving replica is
-    the record whose ``meta`` has a ``url``.
-    """
+    """One registered worker as the coordinator sees it: its id and pid."""
 
     worker_id: str
     pid: int
-    meta: dict
 
 
 class _Release:
@@ -173,18 +168,11 @@ class _Release:
 
 
 class LocalCluster:
-    """Coordinator plus ``workers`` local subprocess fleet members.
-
-    ``serving_root`` (a directory of ``.ndpsyn`` model files) additionally
-    makes every worker stand up an HTTP query replica and advertise its URL
-    at registration; :meth:`serving_urls` lists the live replicas for the
-    round-robin client (:mod:`repro.fleet.serving`).
-    """
+    """Coordinator plus ``workers`` local subprocess fleet members that run shards."""
 
     def __init__(
         self,
         workers: int = 2,
-        serving_root=None,
         task_timeout: float | None = None,
         retry: "RetryPolicy | int | None" = None,
     ) -> None:
@@ -193,7 +181,6 @@ class LocalCluster:
         self.retry = RetryPolicy.coerce(retry)
         self.task_timeout = task_timeout
         self._n_initial = int(workers)
-        self._serving_root = serving_root
         #: The payload workers start with, and how they start (both set by
         #: :meth:`private`, which picks the caller's start method).
         self._inherited = None
@@ -295,7 +282,6 @@ class LocalCluster:
                 authkey=self._authkey,
                 worker_id=worker_id,
                 result_prefix=f"{self._result_prefix}{worker_id}-",
-                serving_root=self._serving_root,
                 inherited=self._inherited,
                 close_fds=self._coordinator_fds() if forked else (),
             ),
@@ -491,11 +477,11 @@ class LocalCluster:
 
     def _admit(self, conn, payload: dict) -> None:
         """Register a worker; a second ``register`` under a live id is refused."""
-        worker_id = payload.pop("worker_id")
+        worker_id = payload["worker_id"]
         if worker_id in self._workers:
             conn.close()
             return
-        record = WorkerRecord(worker_id, payload.pop("pid"), payload)
+        record = WorkerRecord(worker_id, payload["pid"])
         with self._workers_lock:
             self._workers[worker_id] = record
         self._conns[conn] = worker_id
@@ -772,10 +758,6 @@ class LocalCluster:
         """The registered workers, registration order."""
         with self._workers_lock:
             return list(self._workers.values())
-
-    def serving_urls(self) -> list[str]:
-        """Base URLs of the live serving replicas, registration order."""
-        return [record.meta["url"] for record in self.workers() if "url" in record.meta]
 
     def stats(self) -> dict:
         active = next(

@@ -43,8 +43,7 @@ Message types
 =============  =========  ====================================================
 type           direction  payload
 =============  =========  ====================================================
-``register``   w -> c     ``worker_id``, ``pid``, ``url`` (serving replicas
-                          only)
+``register``   w -> c     ``worker_id``, ``pid``
 ``assign``     c -> w     ``release``, ``index``, ``fn_module``, ``fn_name``,
                           ``shared`` (``None``, ``"inherited"`` or a spool
                           path), ``task`` (pickled bytes)

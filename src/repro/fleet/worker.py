@@ -1,4 +1,4 @@
-"""Fleet worker: connect, register, execute shards, serve queries.
+"""Fleet worker: connect, register, execute shards.
 
 :func:`worker_main` is the entry point :class:`~repro.fleet.cluster.LocalCluster`
 runs in each subprocess.  The runtime is one loop over one authenticated
@@ -60,6 +60,7 @@ class _WorkerRuntime:
     ) -> None:
         self.address = address
         self.authkey = authkey
+        self.worker_id = worker_id
         #: Path prefix of every result file this worker writes.
         self.result_prefix = result_prefix
         self.inherited = inherited  # the payload it was forked with
@@ -68,7 +69,6 @@ class _WorkerRuntime:
         #: loaded: a release's plan unpickles once per worker, not once per
         #: shard, and an older payload is not kept.
         self._spooled: tuple | None = None
-        self._register_payload: dict = {"worker_id": worker_id, "pid": os.getpid()}
 
     def send(self, type_: str, payload: dict | None = None) -> None:
         self.conn.send((type_, payload or {}))
@@ -131,7 +131,7 @@ class _WorkerRuntime:
     def run(self) -> None:
         try:
             with Client(self.address, authkey=self.authkey) as self.conn:
-                self.send(MSG_REGISTER, self._register_payload)
+                self.send(MSG_REGISTER, {"worker_id": self.worker_id, "pid": os.getpid()})
                 while True:
                     type_, payload = self.conn.recv()
                     if type_ == MSG_SHUTDOWN:
@@ -142,28 +142,11 @@ class _WorkerRuntime:
             return  # the coordinator is gone, or dropped or refused this worker
 
 
-def _start_serving(runtime: _WorkerRuntime, serving_root) -> None:
-    """Stand up an HTTP query replica and advertise its URL at register time.
-
-    Every replica serves from its own :class:`~repro.serving.ModelRegistry`
-    over the same model files, so answers are bit-identical across replicas
-    — the property the round-robin client's failover relies on.
-    """
-    from repro.serving import ModelRegistry, QueryService
-    from repro.serving.http import serve_in_thread
-
-    service = QueryService(ModelRegistry(serving_root))
-    server, _thread = serve_in_thread(service)
-    host, port = server.server_address[:2]
-    runtime._register_payload["url"] = f"http://{host}:{port}"
-
-
 def worker_main(
     address,
     authkey: bytes,
     worker_id: str,
     result_prefix: str,
-    serving_root=None,
     inherited=None,
     close_fds=(),
 ) -> None:
@@ -175,7 +158,4 @@ def worker_main(
     for fd in close_fds:
         with contextlib.suppress(OSError):
             os.close(fd)
-    runtime = _WorkerRuntime(address, authkey, worker_id, result_prefix, inherited)
-    if serving_root is not None:
-        _start_serving(runtime, serving_root)
-    runtime.run()
+    _WorkerRuntime(address, authkey, worker_id, result_prefix, inherited).run()

@@ -14,9 +14,6 @@ The fleet contract under test:
   release with a :class:`ShardTaskError` carrying the worker-side
   traceback; an empty fleet fails typed (:class:`FleetError`), not by
   hanging.
-- **Serving replicas are interchangeable.**  Round-robin answers are
-  bit-identical across replicas, and a killed replica fails over behind its
-  circuit breaker without surfacing an error.
 
 Worker-kill legs rely on ``fork`` inheritance of the installed
 :class:`FaultInjector` (same as the engine chaos suite) and skip on spawn
@@ -40,7 +37,6 @@ from repro.engine import ALL_BACKENDS, BACKENDS, ClusterBackend, get_backend
 from repro.fleet import (
     FleetError,
     LocalCluster,
-    ReplicatedQueryClient,
     ShardQueue,
     current_cluster,
 )
@@ -488,57 +484,3 @@ class TestFleetChaos:
             assert len(_await_workers(cluster, 2)) == 2
             table = fitted.sample(N_SAMPLE, rng=123, shards=6, backend="fleet")
             assert table.content_digest() == serial_digest
-
-
-# ------------------------------------------------------------- fleet serving
-@pytest.fixture(scope="module")
-def model_root(tmp_path_factory, fitted):
-    root = tmp_path_factory.mktemp("fleet-models")
-    fitted.save(root / "ton.ndpsyn")
-    return root
-
-
-def _await_replicas(cluster, count, timeout=15.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        urls = cluster.serving_urls()
-        if len(urls) >= count:
-            return urls
-        time.sleep(0.02)
-    raise AssertionError(f"only {cluster.serving_urls()} replicas came up")
-
-
-class TestReplicatedServing:
-    QUERY = {"kind": "marginal", "attrs": ["proto"]}
-
-    def test_round_robin_answers_bit_identical(self, model_root):
-        with LocalCluster(workers=2, serving_root=model_root) as cluster:
-            _await_replicas(cluster, 2)
-            client = ReplicatedQueryClient(cluster)
-            answers = [client.query("ton", self.QUERY) for _ in range(4)]
-            assert all(answer == answers[0] for answer in answers)
-            stats = client.stats()
-            assert stats["dispatched"] == 4
-            assert stats["failovers"] == 0
-            assert len(stats["replicas"]) == 2
-
-    def test_failover_after_replica_death(self, model_root):
-        with LocalCluster(workers=2, serving_root=model_root) as cluster:
-            _await_replicas(cluster, 2)
-            client = ReplicatedQueryClient(cluster)
-            baseline = client.query("ton", self.QUERY)
-            os.kill(cluster.workers()[0].pid, signal.SIGKILL)
-            # Every request still answers — the dead replica trips its
-            # breaker and traffic fails over to the survivor.
-            for _ in range(6):
-                assert client.query("ton", self.QUERY) == baseline
-            stats = client.stats()
-            assert stats["failovers"] >= 1
-            states = {r["breaker"]["state"] for r in stats["replicas"]}
-            assert "open" in states
-
-    def test_client_requires_replicas(self):
-        with pytest.raises(ValueError, match="at least one"):
-            ReplicatedQueryClient([])
-        with pytest.raises(ValueError, match="http"):
-            ReplicatedQueryClient(["ftp://nope"])
