@@ -21,7 +21,8 @@ Smoke mode (REPRO_BENCH_SMOKE=1, used by CI) shrinks the workload and skips
 the speedup gates — parallel overhead dominates at toy sizes (the digest
 gates still run).
 
-Runnable standalone: ``python benchmarks/bench_engine_scaling.py [out.json]``.
+Runnable standalone: ``python benchmarks/bench_engine_scaling.py [out.json]``;
+the JSON is written before the gates run, and a failed gate exits non-zero.
 """
 
 import os
@@ -79,7 +80,9 @@ def measure(scale: ExperimentScale, repetitions: int) -> dict:
     A row's time is the engine's own sampling-phase instrumentation
     (:attr:`GumResult.seconds`: initialization + GUM across all shards, best
     of ``repetitions``); decoding is identical in every configuration and
-    excluded.  ``n_synthesized`` equals the fit size.
+    excluded.  ``n_synthesized`` equals the fit size.  One untimed
+    ``serial-1`` sample runs first, so the baseline every
+    ``speedup_vs_serial`` divides by carries no warm-up.
     """
     n = scale.n_records
     synthesizer = fit_ton(scale)
@@ -101,6 +104,7 @@ def measure(scale: ExperimentScale, repetitions: int) -> dict:
             "digest": digests[-1],
         }
 
+    time_config(1, "serial", None)  # warm-up, discarded
     rows = {
         f"{backend}-{shards}": time_config(shards, backend, None) for backend, shards in GRID
     }
@@ -131,7 +135,8 @@ def engine_scale() -> ExperimentScale:
     )
 
 
-def run_and_check(scale: ExperimentScale) -> dict:
+def run(scale: ExperimentScale) -> dict:
+    """Measure the grid and print it; the gates are :func:`check`'s."""
     repetitions = 1 if SMOKE else _env_int("REPRO_BENCH_ENGINE_REPS", 1)
     result = measure(scale, repetitions)
     rows = result["rows"]
@@ -150,6 +155,13 @@ def run_and_check(scale: ExperimentScale) -> dict:
             f"vs reference={fmt(row['speedup_vs_reference'])}"
         )
     print(f"[engine] bit-identity vs pre-refactor: {result['bit_identity']['matches']}")
+    return result
+
+
+def check(result: dict) -> None:
+    """Assert the acceptance gates on a :func:`run` result."""
+    rows = result["rows"]
+    kernel_rows = result["kernel_rows"]
 
     # Single-shard serial output is bit-identical to the pre-refactor sample().
     assert result["bit_identity"]["matches"], result["bit_identity"]
@@ -180,16 +192,16 @@ def run_and_check(scale: ExperimentScale) -> dict:
             f"fused kernel speedup {fused_speedup:.2f}x < 3.0x over the "
             "reference kernel on the single-shard workload"
         )
-    return result
 
 
 def test_engine_scaling(benchmark):
     scale = engine_scale()
-    result = benchmark.pedantic(
-        lambda: run_and_check(scale), rounds=1, iterations=1, warmup_rounds=0
-    )
+    result = benchmark.pedantic(lambda: run(scale), rounds=1, iterations=1, warmup_rounds=0)
     attach(benchmark, result)
+    check(result)
 
 
 if __name__ == "__main__":
-    dump(run_and_check(engine_scale()))
+    result = run(engine_scale())
+    dump(result)  # written before the gates, so a failed gate still leaves it
+    check(result)
