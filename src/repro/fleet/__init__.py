@@ -11,8 +11,8 @@ fans one release's shard tasks across them (:class:`ShardQueue` — deterministi
 ``SeedSequence`` shard assignment, so a multi-node release is digest-equal
 to single-node).  Running shards is the fleet's one job: a release is
 post-processing of the published noisy marginals, and serving DP queries
-is one engine's job (:mod:`repro.serving`).  The cluster is also the
-engine's one multi-process runtime: ``backend="fleet"`` runs on the active cluster, and
+is one query service's job, not a tier of fleet-hosted replicas.  The
+cluster is also the engine's one multi-process runtime: ``backend="fleet"`` runs on the active cluster, and
 ``backend="process"`` on a private one (:meth:`LocalCluster.private`)::
 
     with LocalCluster(workers=4):
