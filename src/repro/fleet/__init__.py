@@ -1,19 +1,19 @@
-"""Multi-node fleet: fit once, sample anywhere.
+"""Worker fleet: fit once, sample anywhere.
 
 Synthesis in this codebase is *fit once, sample forever*: the fitted model
 is a frozen set of noisy marginals, and sampling is pure post-processing —
 free under DP and embarrassingly parallel.  This package turns that into a
-fleet: a coordinator (:class:`LocalCluster`) registers the workers it
-forks over an authenticated :mod:`multiprocessing.connection` channel —
-every message a pickled ``(type, payload)`` tuple
-(:mod:`repro.fleet.messaging`), one :class:`WorkerRecord` per live worker —
-fans one release's shard tasks across them (:class:`ShardQueue` — deterministic
-``SeedSequence`` shard assignment, so a multi-node release is digest-equal
-to single-node).  Running shards is the fleet's one job: a release is
-post-processing of the published noisy marginals, and serving DP queries
-is one query service's job, not a tier of fleet-hosted replicas.  The
-cluster is also the engine's one multi-process runtime: ``backend="fleet"`` runs on the active cluster, and
-``backend="process"`` on a private one (:meth:`LocalCluster.private`)::
+fleet: a coordinator (:class:`LocalCluster`) starts its workers as
+children, each on its own :func:`multiprocessing.Pipe` — every message a
+pickled ``(type, payload)`` tuple (:mod:`repro.fleet.messaging`), one
+:class:`WorkerRecord` per live worker — and fans one release's shard tasks
+across them (:class:`ShardQueue` — deterministic ``SeedSequence`` shard
+assignment, so a fleet release is digest-equal to a serial one).  Running
+shards is the fleet's one job: a release is post-processing of the
+published noisy marginals, and serving DP queries is one query service's
+job, not a tier of fleet-hosted replicas.  The cluster is also the
+engine's one multi-process runtime: ``backend="fleet"`` runs on the active
+cluster, and ``backend="process"`` on a private one (:meth:`LocalCluster.private`)::
 
     with LocalCluster(workers=4):
         table = synth.sample(200_000, rng=7, shards=8, backend="fleet")

@@ -1,14 +1,14 @@
-"""LocalCluster: the coordinator and its forked workers — the one multi-process runtime.
+"""LocalCluster: the coordinator and its child workers — the one multi-process runtime.
 
 One :class:`LocalCluster` owns the whole coordinator side of the fleet
 protocol (:mod:`repro.fleet.messaging`):
 
-- a :class:`multiprocessing.connection.Listener` on an ``AF_UNIX`` socket
-  with an HMAC ``authkey`` — every worker is forked on this host, and a
-  local socket has none of the small-write stalls of loopback TCP;
-- the registered workers, one :class:`WorkerRecord` per live id
-  (:meth:`LocalCluster.workers`); a second ``register`` under a live id is
-  refused;
+- one :func:`multiprocessing.Pipe` (a socketpair) per worker it starts: the
+  child end goes to the worker as a process argument, the parent end is how
+  the coordinator knows the worker from the moment it is spawned — no
+  listener, no handshake, no registration;
+- the started, not-lost workers, one :class:`WorkerRecord` each
+  (:meth:`LocalCluster.workers`);
 - a single **dispatcher thread** that owns all connection I/O and all
   mutable release state (multiplexed via ``connection.wait``), so the
   scheduler needs no locking discipline beyond the hand-off queues at its
@@ -18,8 +18,8 @@ protocol (:mod:`repro.fleet.messaging`):
   installed :class:`~repro.reliability.FaultInjector` is inherited; a
   :meth:`~LocalCluster.private` cluster starts them with the caller's
   configured start method, as a process pool would.  The initial workers
-  start before the coordinator's threads do; a replacement for a lost
-  worker starts from the dispatcher thread.
+  start before the dispatcher thread does; a replacement for a lost worker
+  starts from the dispatcher thread.
 
 :meth:`imap_tasks` is the release primitive of every multi-process engine
 backend — ``process`` on a :meth:`private` cluster, ``fleet`` on the active
@@ -32,13 +32,13 @@ leftovers and the cluster's are each one prefix to unlink.
 
 One liveness rule holds for every cluster: a worker is lost when its
 connection ends (EOF) or its shard overruns ``task_timeout``.  The cluster
-then kills the process it spawned for it and forks a replacement, and the
+then kills the process it spawned for it and starts a replacement, and the
 lost worker's unfinished shards are requeued *unchanged*, leasable again
 after the :class:`~repro.reliability.RetryPolicy` backoff and bounded per
 shard by its budget, so a recovered release is bit-identical to a
-fault-free one.  A worker connects once.  A worker that stalls without
-dying (``SIGSTOP``) is noticed only through ``task_timeout``; with none set,
-its shard waits for it.  A task function that raises fails the release
+fault-free one.  A worker that stalls without dying (``SIGSTOP``) is
+noticed only through ``task_timeout``; with none set, its shard waits for
+it.  A task function that raises fails the release
 with a :class:`~repro.reliability.ShardTaskError` carrying the worker-side
 traceback.
 
@@ -57,21 +57,18 @@ import multiprocessing
 import os
 import pickle
 import shutil
-import socket
 import tempfile
 import threading
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing.connection import Listener, wait
-from multiprocessing.util import abstract_sockets_supported
+from multiprocessing.connection import wait
 
 from repro.engine.shm import import_result, release_result, unlink_prefix
 from repro.fleet.messaging import (
     MSG_ASSIGN,
     MSG_COMPLETE,
     MSG_FAILED,
-    MSG_REGISTER,
     MSG_SHUTDOWN,
     SHARED_INHERITED,
 )
@@ -85,11 +82,6 @@ _CURRENT: "LocalCluster | None" = None
 #: How long a waiting consumer sleeps between checks that the dispatcher is
 #: still running (it is woken at once whenever its release changes).
 _POLL_S = 0.5
-
-#: How long the accept loop waits for a new connection's register frame.  A
-#: worker sends it as soon as its handshake completes; a peer that stays
-#: silent this long is dropped, so it cannot hold up the next registration.
-_REGISTER_TIMEOUT_S = 1.0
 
 #: The longest the dispatcher sleeps between checks of lease ages
 #: (``task_timeout``) and of capacity; any message or hand-off wakes it.
@@ -105,18 +97,6 @@ class FleetError(RuntimeError):
     """A fleet-level protocol or capacity failure."""
 
 
-def _recv(conn) -> tuple[str, dict]:
-    """Read one ``(type, payload)`` message; raise if the frame is anything else.
-
-    Unpickling a malformed frame can raise any exception, so callers treat
-    every ``Exception`` as a bad or lost peer.
-    """
-    type_, payload = conn.recv()
-    if not isinstance(type_, str) or not isinstance(payload, dict):
-        raise ValueError(f"not a fleet message: {type(type_).__name__}")
-    return type_, payload
-
-
 def _join_all(procs, timeout: float) -> None:
     """Join every process in ``procs`` against one shared ``timeout``."""
     deadline = Deadline(timeout)
@@ -126,7 +106,7 @@ def _join_all(procs, timeout: float) -> None:
 
 @dataclass(frozen=True)
 class WorkerRecord:
-    """One registered worker as the coordinator sees it: its id and pid."""
+    """One started worker as the coordinator sees it: its id and pid."""
 
     worker_id: str
     pid: int
@@ -189,16 +169,8 @@ class LocalCluster:
             if "fork" in multiprocessing.get_all_start_methods()
             else multiprocessing.get_context()
         )
-        self._authkey = os.urandom(16)
         #: Directory for pickled shared payloads, made on first need.
         self.spool: str | None = None
-        # An abstract socket needs no path, so no TMPDIR is too deep for it.
-        if abstract_sockets_supported:
-            address = f"\0repro-fleet-{os.urandom(8).hex()}"
-        else:  # pragma: no cover - non-Linux host
-            address = os.path.join(self._spool_dir(), "coordinator.sock")
-        self._listener = Listener(address, family="AF_UNIX", authkey=self._authkey)
-        self.address = self._listener.address
         #: Path prefix of every result file this cluster's workers write: the
         #: pid and a random token keep clusters apart, and worker ids, never
         #: reused, keep workers apart.
@@ -206,20 +178,20 @@ class LocalCluster:
         self._result_prefix = os.path.join(
             results, f"nds{os.getpid():x}-{os.urandom(4).hex()}-"
         )
-        #: worker id -> record of every registered worker.  The dispatcher
-        #: is its only writer; the lock is for readers on other threads.
-        self._workers: dict[str, WorkerRecord] = {}
-        self._workers_lock = threading.Lock()
         self._spool_lock = threading.Lock()
         self._wake_r, self._wake_w = multiprocessing.Pipe(duplex=False)
-        self._inbox: deque = deque()  # ("join", conn, payload) | (kind, release)
-        self._conns: dict = {}  # conn -> worker_id, registration order
+        self._inbox: deque = deque()  # (kind, release)
+        #: parent end -> worker id, start order.  Written by
+        #: :meth:`_spawn_worker` and :meth:`_lose` only, so only before the
+        #: dispatcher starts or on it.
+        self._conns: dict = {}
         #: seq -> release, oldest first: the releases the dispatcher serves.
         self._releases: dict[int, _Release] = {}
         self._running = True
         self._release_seq = itertools.count(1)
         self._next_worker = 0
-        #: worker id -> the process this cluster started for it, until lost.
+        #: worker id -> the process this cluster started for it, until lost;
+        #: same writers as ``_conns``.
         self._worker_procs: dict[str, object] = {}
         #: Workers sent ``shutdown`` at teardown.
         self._told: set[str] = set()
@@ -229,7 +201,6 @@ class LocalCluster:
         #: spool path -> open releases that use it.
         self._spool_users: dict[str, int] = {}
         self._spool_names = itertools.count()
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._dispatch_thread = threading.Thread(target=self._dispatch_loop, daemon=True)
 
     @classmethod
@@ -263,47 +234,47 @@ class LocalCluster:
         self.close()
 
     def _start(self) -> None:
-        # Workers start before the threads, so no thread of ours is running
-        # when they fork; they queue on the listener until accepted.
+        # Workers start before the dispatcher, so no thread of ours is
+        # running when they fork.
         for _ in range(self._n_initial):
-            self.spawn_worker()
-        self._accept_thread.start()
+            self._spawn_worker()
         self._dispatch_thread.start()
 
-    def spawn_worker(self) -> str:
-        """Start one more fleet member; returns its worker id."""
+    def _spawn_worker(self) -> str:
+        """Start one more worker on its own socketpair; returns its worker id.
+
+        The child end travels as a process argument (under spawn or
+        forkserver it is passed over to the new process) and the
+        coordinator closes its copy, so the parent end reads EOF as soon as
+        the worker dies.  A forked worker closes every coordinator end it
+        inherited, its own included: a worker holding a parent end would
+        keep that connection open after the coordinator dies.  Runs before
+        the dispatcher starts or on it, which owns ``_conns``.
+        """
         worker_id = f"w{self._next_worker}"
         self._next_worker += 1
+        conn, child_conn = multiprocessing.Pipe()
         forked = self._context.get_start_method() == "fork"
+        close_fds = [self._wake_r.fileno(), self._wake_w.fileno(), conn.fileno()]
+        close_fds += [other.fileno() for other in self._conns]
+        # ``inherited`` unpickles before ``conn`` under spawn or forkserver,
+        # so a child whose payload does not load exits before it holds a
+        # connection object: its status is set by the time its end closes.
         proc = self._context.Process(
             target=worker_main,
             kwargs=dict(
-                address=self.address,
-                authkey=self._authkey,
-                worker_id=worker_id,
-                result_prefix=f"{self._result_prefix}{worker_id}-",
                 inherited=self._inherited,
-                close_fds=self._coordinator_fds() if forked else (),
+                conn=child_conn,
+                result_prefix=f"{self._result_prefix}{worker_id}-",
+                close_fds=close_fds if forked else (),
             ),
             daemon=True,
         )
         proc.start()
+        child_conn.close()
         self._worker_procs[worker_id] = proc
+        self._conns[conn] = worker_id
         return worker_id
-
-    def _coordinator_fds(self) -> list[int]:
-        """The descriptors a forked worker inherits but must close.
-
-        The listener, both wake-pipe ends and every accepted connection.
-        Read on the dispatcher thread (or before it starts), which owns the
-        connections.
-        """
-        fds = [self._wake_r.fileno(), self._wake_w.fileno()]
-        fds += [conn.fileno() for conn in self._conns]
-        listener = self._listener._listener  # the stdlib's SocketListener
-        if listener is not None:
-            fds.append(listener._socket.fileno())
-        return fds
 
     def close(self) -> None:
         """Shut the fleet down and reclaim every resource."""
@@ -311,27 +282,13 @@ class LocalCluster:
             return
         self._running = False
         self._wake()
-        # Closing the listener does not wake a thread blocked in accept();
-        # a throw-away connection does, and it then sees ``_running`` unset.
-        try:
-            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as probe:
-                probe.settimeout(1.0)
-                probe.connect(self.address)
-        except OSError:  # pragma: no cover - listener already gone
-            pass
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        for thread in (self._dispatch_thread, self._accept_thread):
-            if thread.ident is not None:  # started
-                thread.join(timeout=5.0)
+        if self._dispatch_thread.ident is not None:  # started
+            self._dispatch_thread.join(timeout=5.0)
         for conn in self._conns:
             conn.close()
         self._wake_r.close()
         self._wake_w.close()
-        # A worker told to shut down exits by itself; one that never
-        # registered would wait for a coordinator that is gone, so it is
+        # A worker told to shut down exits by itself; one that was not is
         # terminated at once.  A stopped process leaves SIGTERM pending, so
         # a worker that outlives it is killed.  Each step joins every worker
         # against one deadline, so N stuck workers cost what one does.
@@ -407,28 +364,6 @@ class LocalCluster:
         with contextlib.suppress(FileNotFoundError):  # close() removed the spool
             os.unlink(path)
 
-    # ------------------------------------------------------------ accept loop
-    def _accept_loop(self) -> None:
-        """Admit connections; registration itself happens on the dispatcher."""
-        while self._running:
-            try:
-                conn = self._listener.accept()
-            except (OSError, EOFError, multiprocessing.AuthenticationError):
-                if not self._running:
-                    return
-                continue
-            try:
-                if not conn.poll(_REGISTER_TIMEOUT_S):
-                    raise TimeoutError("no register frame")
-                type_, payload = _recv(conn)
-                if type_ != MSG_REGISTER or not isinstance(payload["worker_id"], str):
-                    raise ValueError(f"first frame must register, got {type_!r}")
-                payload["pid"] = int(payload["pid"])
-            except Exception:  # silence, EOF, or a frame that is not a register message
-                conn.close()
-                continue
-            self._post("join", conn, payload)
-
     # --------------------------------------------------------- dispatcher loop
     def _dispatch_loop(self) -> None:
         try:
@@ -463,11 +398,7 @@ class LocalCluster:
 
     def _drain_inbox(self) -> None:
         while self._inbox:
-            kind, *rest = self._inbox.popleft()
-            if kind == "join":
-                self._admit(*rest)
-                continue
-            (release,) = rest
+            kind, release = self._inbox.popleft()
             if kind == "release":
                 self._releases[release.seq] = release
             else:  # "retire": the consumer is gone
@@ -475,39 +406,27 @@ class LocalCluster:
                 release.queue.cancel()
                 self._reap(release)
 
-    def _admit(self, conn, payload: dict) -> None:
-        """Register a worker; a second ``register`` under a live id is refused."""
-        worker_id = payload["worker_id"]
-        if worker_id in self._workers:
-            conn.close()
-            return
-        record = WorkerRecord(worker_id, payload["pid"])
-        with self._workers_lock:
-            self._workers[worker_id] = record
-        self._conns[conn] = worker_id
-
     # ---------------------------------------------------------- fault handling
     def _lose(self, worker_id: str) -> None:
-        """A dead or overdue worker: drop it and requeue its shards, seeds intact.
+        """A dead or overdue worker: kill it and requeue its shards, seeds intact.
 
-        The process the cluster started for it is killed and replaced, so
-        the cluster keeps its size across faults; a peer that registered
-        without being started here is only dropped.  Any file the dead
-        worker exported but never handed over is unlinked once it is gone.
+        Its process is replaced, so the cluster keeps its size across faults
+        — unless it had already exited with a failure status: a worker that
+        cannot start (say, its payload does not unpickle under spawn) would
+        fail the same way again, and the capacity check fails the release
+        once none is left.  Any file the dead worker exported but never
+        handed over is unlinked once it is gone.
         """
         for conn, holder in list(self._conns.items()):
             if holder == worker_id:
                 del self._conns[conn]
                 conn.close()
-        with self._workers_lock:
-            self._workers.pop(worker_id, None)
-        proc = self._worker_procs.pop(worker_id, None)
-        if proc is not None:
-            proc.kill()
-            proc.join(timeout=1.0)
-            unlink_prefix(f"{self._result_prefix}{worker_id}-")
-            if self._running:
-                self.spawn_worker()
+        proc = self._worker_procs.pop(worker_id)
+        proc.kill()
+        proc.join(timeout=1.0)
+        unlink_prefix(f"{self._result_prefix}{worker_id}-")
+        if self._running and (proc.exitcode is None or proc.exitcode <= 0):
+            self._spawn_worker()
         self._requeue_lost(worker_id)
 
     def _requeue_lost(self, worker_id: str) -> None:
@@ -539,14 +458,14 @@ class LocalCluster:
     def _check_capacity(self) -> None:
         if not any(release.open for release in self._releases.values()):
             return
-        if self._workers or any(proc.is_alive() for proc in self._worker_procs.values()):
+        if self._conns:
             return
         for release in list(self._releases.values()):
             unfinished = release.queue.pending + release.queue.leased
             self._finish(
                 release,
                 FleetError(
-                    "no live fleet workers remain and none are starting; "
+                    "no live fleet workers remain; "
                     f"{unfinished} shard(s) unfinished"
                 ),
             )
@@ -592,8 +511,8 @@ class LocalCluster:
     def _receive(self, conn) -> None:
         worker_id = self._conns[conn]
         try:
-            type_, payload = _recv(conn)
-        except Exception:  # EOF, or a frame that is not a fleet message
+            type_, payload = conn.recv()
+        except Exception:  # EOF, or a frame that does not load
             self._lose(worker_id)
             return
         if type_ == MSG_COMPLETE:
@@ -755,9 +674,9 @@ class LocalCluster:
 
     # --------------------------------------------------------------- queries
     def workers(self) -> list[WorkerRecord]:
-        """The registered workers, registration order."""
-        with self._workers_lock:
-            return list(self._workers.values())
+        """The started, not-lost workers, start order."""
+        procs = list(self._worker_procs.items())
+        return [WorkerRecord(worker_id, proc.pid) for worker_id, proc in procs]
 
     def stats(self) -> dict:
         active = next(

@@ -1,15 +1,13 @@
-"""Fleet wire protocol: pickled ``(type, payload)`` messages on authenticated pipes.
+"""Fleet wire protocol: pickled ``(type, payload)`` messages on one socketpair per worker.
 
 Every message the coordinator and its workers exchange is one
 ``(type, payload)`` tuple — ``type`` one of the names below, ``payload`` a
-dict — sent with ``Connection.send`` and read with ``Connection.recv`` over
-a :mod:`multiprocessing.connection` channel, which gives length-prefixed
-framing and an HMAC-authenticated handshake via the cluster's ``authkey``.
-``LocalCluster`` forks every worker on its own host, so the channel is an
-``AF_UNIX`` socket.  Only a peer holding the ``authkey`` gets to send a
-frame, and the coordinator unpickles what such a peer sends — the same
-trust it already extends to the tasks, results and exceptions inside.
-None of the values is bulky:
+dict — sent with ``Connection.send`` and read with ``Connection.recv``
+(length-prefixed frames) over the :func:`multiprocessing.Pipe` that
+``LocalCluster`` makes for each worker it starts.  Only the cluster's own
+children hold a connection, and the coordinator unpickles what they send —
+the same trust it already extends to the tasks, results and exceptions
+inside.  None of the values is bulky:
 
 - **task arguments** (a few hundred bytes: the shard size, its pre-spawned
   ``SeedSequence``-child generators, the kernel name) ride in ``assign``,
@@ -26,10 +24,9 @@ None of the values is bulky:
   ``"shared": "inherited"``; otherwise it is pickled once into the
   coordinator's spool directory and ``assign`` carries the path.
 
-A worker registers once, and the coordinator never answers ``register``:
-it refuses an id that is already live by closing the connection.  No
-message carries liveness; a worker is lost when its connection ends or its
-shard overruns the release's ``task_timeout``.
+A worker is known by its connection from the moment it is started, so
+nothing registers.  No message carries liveness; a worker is lost when its
+connection ends or its shard overruns the release's ``task_timeout``.
 
 Determinism contract: an ``assign`` message never *chooses* randomness —
 the task tuple carries the shard's own ``SeedSequence`` children, fixed when
@@ -43,7 +40,6 @@ Message types
 =============  =========  ====================================================
 type           direction  payload
 =============  =========  ====================================================
-``register``   w -> c     ``worker_id``, ``pid``
 ``assign``     c -> w     ``release``, ``index``, ``fn_module``, ``fn_name``,
                           ``shared`` (``None``, ``"inherited"`` or a spool
                           path), ``task`` (pickled bytes)
@@ -54,7 +50,6 @@ type           direction  payload
 =============  =========  ====================================================
 """
 
-MSG_REGISTER = "register"
 MSG_ASSIGN = "assign"
 MSG_COMPLETE = "complete"
 MSG_FAILED = "failed"

@@ -1,10 +1,10 @@
-"""Fleet worker: connect, register, execute shards.
+"""Fleet worker: execute shards on the connection the coordinator started it with.
 
 :func:`worker_main` is the entry point :class:`~repro.fleet.cluster.LocalCluster`
-runs in each subprocess.  The runtime is one loop over one authenticated
-:mod:`multiprocessing.connection` channel, exchanging pickled
-``(type, payload)`` messages (:mod:`repro.fleet.messaging`).  It registers
-once, then receives ``assign`` messages and executes ``fn(shared, *task)``
+runs in each subprocess.  The runtime is one loop over the child end of the
+socketpair the cluster made for this worker, exchanging pickled
+``(type, payload)`` messages (:mod:`repro.fleet.messaging`).  It receives
+``assign`` messages and executes ``fn(shared, *task)``
 — the task tuple carries the shard's own pre-spawned seed children, so
 *who* runs it cannot change the output.  It parks the result in
 ``/dev/shm`` files under the prefix the cluster gave it
@@ -17,13 +17,13 @@ does not pickle, would do so again on any worker, so it is reported, not
 retried.
 
 The loop ends on ``shutdown``, or when the connection ends (EOF or
-``OSError``): the coordinator closed it because the worker was lost or its
-id was already registered.  A worker connects once; the coordinator
-kills a lost worker and forks a replacement.
+``OSError``): the coordinator died, or closed it because the worker was
+lost.  The coordinator kills a lost worker and starts a replacement.
 
 A forked worker starts with copies of the coordinator's descriptors (its
-listener, its wake pipe, the connections of the workers before it); it
-closes the ones the coordinator names before it connects.
+wake pipe, its end of this worker's connection and of the connections of
+the workers before it); it closes the ones the coordinator names first, so
+that the coordinator's death ends every connection.
 
 Because ``LocalCluster`` forks workers, the module-global
 :class:`~repro.reliability.FaultInjector` installed in the parent is
@@ -38,14 +38,12 @@ import importlib
 import os
 import pickle
 import traceback
-from multiprocessing.connection import Client
 
 from repro.engine.shm import export_result, release_result
 from repro.fleet.messaging import (
     MSG_ASSIGN,
     MSG_COMPLETE,
     MSG_FAILED,
-    MSG_REGISTER,
     MSG_SHUTDOWN,
     SHARED_INHERITED,
 )
@@ -55,16 +53,11 @@ from repro.reliability.faults import KIND_DROP_SHM, SITE_SHM_EXPORT, maybe_fire
 class _WorkerRuntime:
     """State of one worker process: connection and payload cache."""
 
-    def __init__(
-        self, address, authkey: bytes, worker_id: str, result_prefix: str, inherited=None
-    ) -> None:
-        self.address = address
-        self.authkey = authkey
-        self.worker_id = worker_id
+    def __init__(self, conn, result_prefix: str, inherited=None) -> None:
+        self.conn = conn
         #: Path prefix of every result file this worker writes.
         self.result_prefix = result_prefix
         self.inherited = inherited  # the payload it was forked with
-        self.conn = None
         #: (spool path, unpickled payload) of the last spooled payload it
         #: loaded: a release's plan unpickles once per worker, not once per
         #: shard, and an older payload is not kept.
@@ -130,8 +123,7 @@ class _WorkerRuntime:
     # ------------------------------------------------------------- main loop
     def run(self) -> None:
         try:
-            with Client(self.address, authkey=self.authkey) as self.conn:
-                self.send(MSG_REGISTER, {"worker_id": self.worker_id, "pid": os.getpid()})
+            with self.conn:
                 while True:
                     type_, payload = self.conn.recv()
                     if type_ == MSG_SHUTDOWN:
@@ -139,18 +131,11 @@ class _WorkerRuntime:
                     if type_ == MSG_ASSIGN:
                         self.handle_assign(payload)
         except (EOFError, OSError):
-            return  # the coordinator is gone, or dropped or refused this worker
+            return  # the coordinator is gone, or dropped this worker
 
 
-def worker_main(
-    address,
-    authkey: bytes,
-    worker_id: str,
-    result_prefix: str,
-    inherited=None,
-    close_fds=(),
-) -> None:
-    """Entry point of one fleet worker process.
+def worker_main(conn, result_prefix: str, inherited=None, close_fds=()) -> None:
+    """Entry point of one fleet worker process, on connection ``conn``.
 
     ``close_fds`` are the coordinator's descriptors a forked worker
     inherited and must not hold.
@@ -158,4 +143,4 @@ def worker_main(
     for fd in close_fds:
         with contextlib.suppress(OSError):
             os.close(fd)
-    _WorkerRuntime(address, authkey, worker_id, result_prefix, inherited).run()
+    _WorkerRuntime(conn, result_prefix, inherited).run()

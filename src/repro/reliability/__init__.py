@@ -26,7 +26,6 @@ from repro.reliability.breaker import (
     CircuitBreaker,
 )
 from repro.reliability.errors import (
-    CircuitOpenError,
     DeadlineExceeded,
     FaultError,
     ReliabilityError,
@@ -73,7 +72,6 @@ __all__ = [
     "STATE_HALF_OPEN",
     "STATE_OPEN",
     "CircuitBreaker",
-    "CircuitOpenError",
     "Deadline",
     "DeadlineExceeded",
     "FaultError",

@@ -35,17 +35,6 @@ class DeadlineExceeded(ReliabilityError):
         self.remaining = float(remaining)
 
 
-class CircuitOpenError(ReliabilityError):
-    """A :class:`~repro.reliability.breaker.CircuitBreaker` refused the call.
-
-    ``retry_after`` is the seconds until the breaker will admit a probe.
-    """
-
-    def __init__(self, message: str, retry_after: float = 1.0) -> None:
-        super().__init__(message)
-        self.retry_after = max(float(retry_after), 0.0)
-
-
 class ShardTaskError(ReliabilityError):
     """A backend task failed, with full shard attribution.
 

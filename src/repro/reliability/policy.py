@@ -145,12 +145,5 @@ class Deadline:
                 f"{what} exceeded its {self.budget:.3f}s deadline"
             )
 
-    def clamp(self, timeout: float | None = None) -> float:
-        """``timeout`` bounded by the remaining budget (for wait calls)."""
-        remaining = self.remaining()
-        if timeout is None:
-            return remaining
-        return min(float(timeout), remaining)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Deadline(budget={self.budget:.3f}s, remaining={self.remaining():.3f}s)"

@@ -166,8 +166,6 @@ def error_from_exception(exc: BaseException) -> ServingError:
         return exc
     if isinstance(exc, reliability.DeadlineExceeded):
         return RequestDeadlineExceeded(str(exc))
-    if isinstance(exc, reliability.CircuitOpenError):
-        return CircuitOpen(str(exc), retry_after=exc.retry_after)
     if isinstance(exc, reliability.ReliabilityError):
         return EngineFaultError(f"{type(exc).__name__}: {exc}")
     if isinstance(exc, FileNotFoundError):

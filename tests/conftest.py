@@ -11,7 +11,7 @@ The leak census (:func:`leak_census`, autouse) fails any test that leaves
 behind a new ``/dev/shm`` result file of this process's engine pools (named,
 or unlinked but still mapped by a table the test kept alive), a live
 ``multiprocessing`` child, a live thread it started (daemon threads count:
-a cluster's accept and dispatch threads are daemons) or a ``repro-fleet-*``
+a cluster's dispatcher thread is a daemon) or a ``repro-fleet-*``
 spool directory.
 """
 

@@ -9,7 +9,8 @@ The fleet contract under test:
   children).
 - **One liveness rule.**  A worker is lost when its connection ends or its
   shard overruns ``task_timeout`` (a ``SIGSTOP``-ed worker); the cluster
-  kills and replaces it, and a live worker id never registers twice.
+  kills and replaces it.  Each worker is a child on its own socketpair, so
+  a killed coordinator ends every worker.
 - **Failures are attributed.**  A deterministically-raising task fails the
   release with a :class:`ShardTaskError` carrying the worker-side
   traceback; an empty fleet fails typed (:class:`FleetError`), not by
@@ -24,11 +25,14 @@ import contextlib
 import gc
 import multiprocessing
 import os
+import select
 import signal
+import subprocess
+import sys
 import threading
 import time
 import weakref
-from multiprocessing.connection import Client
+from pathlib import Path
 
 import pytest
 
@@ -47,7 +51,7 @@ from repro.reliability import (
     ShardTaskError,
     inject,
 )
-from repro.reliability.faults import SITE_SHARD
+from repro.reliability.faults import SITE_SHARD, maybe_fire
 
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -75,15 +79,6 @@ def _fleet_digest(fitted, **cluster_kwargs):
     with LocalCluster(**cluster_kwargs):
         table = fitted.sample(N_SAMPLE, rng=123, shards=6, backend="fleet")
     return table.content_digest()
-
-
-def _await_workers(cluster, count, timeout=15.0):
-    """The cluster's registered workers, once there are ``count`` of them."""
-    deadline = time.monotonic() + timeout
-    while len(cluster.workers()) < count:
-        assert time.monotonic() < deadline, "workers never registered"
-        time.sleep(0.02)
-    return cluster.workers()
 
 
 def _fd_targets(pid) -> set:
@@ -196,11 +191,11 @@ class TestFleetRelease:
     def test_close_with_idle_workers_is_prompt_and_clean(self, workers):
         cluster = LocalCluster(workers=workers)
         with cluster:
-            _await_workers(cluster, workers)
+            assert len(cluster.workers()) == workers
             started = time.monotonic()
         elapsed = time.monotonic() - started
         assert elapsed < 0.5
-        assert not cluster._accept_thread.is_alive()
+        assert not cluster._dispatch_thread.is_alive()
         # Every worker left on the shutdown message: none was SIGTERMed.
         assert [proc.exitcode for proc in cluster._worker_procs.values()] == [0] * workers
 
@@ -208,7 +203,7 @@ class TestFleetRelease:
         # A stopped process leaves SIGTERM pending, so close() must kill it.
         cluster = LocalCluster(workers=1)
         with cluster:
-            (record,) = _await_workers(cluster, 1)
+            (record,) = cluster.workers()
             (proc,) = cluster._worker_procs.values()
             os.kill(record.pid, signal.SIGSTOP)
         try:
@@ -222,7 +217,7 @@ class TestFleetRelease:
         # each: three stopped workers cost what one does (~3 s, not ~9 s).
         cluster = LocalCluster(workers=3)
         with cluster:
-            records = _await_workers(cluster, 3)
+            records = cluster.workers()
             procs = list(cluster._worker_procs.values())
             for record in records:
                 os.kill(record.pid, signal.SIGSTOP)
@@ -240,87 +235,74 @@ class TestFleetRelease:
 
     @fork_only
     def test_forked_workers_hold_no_coordinator_socket(self):
-        # Each worker's one new socket is its own connection: neither the
-        # listener nor, for the replacement w2 forked while the survivor was
-        # connected, another worker's connection survives the fork.
+        # Each worker holds exactly one new socket, its own end: neither its
+        # coordinator's end nor, for the replacement w2 forked while the
+        # survivor was connected, another worker's end survives the fork.
         before = {fd for fd in _fd_targets(os.getpid()) if fd.startswith("socket:")}
-        with LocalCluster(workers=2) as cluster:
-            victim, survivor = _await_workers(cluster, 2)
-            os.kill(victim.pid, signal.SIGKILL)
-            expected = {survivor.worker_id, "w2"}
-            deadline = time.monotonic() + 15
-            while {record.worker_id for record in cluster.workers()} != expected:
-                assert time.monotonic() < deadline, "no replacement registered"
-                time.sleep(0.02)
-            wake = {
-                os.readlink(f"/proc/self/fd/{conn.fileno()}")
-                for conn in (cluster._wake_r, cluster._wake_w)
-            }
-            for record in cluster.workers():
-                targets = _fd_targets(record.pid)
-                sockets = {fd for fd in targets if fd.startswith("socket:")} - before
-                assert len(sockets) == 1, (record.worker_id, sockets)
-                assert not wake & targets, record.worker_id
+        with inject(FaultSpec(kind=KIND_KILL, site=SITE_SHARD, index=0)) as injector:
+            with LocalCluster(workers=2) as cluster:
+                assert cluster.run_tasks(_faulty_echo_task, [(i,) for i in range(4)]) == [
+                    0, 1, 2, 3
+                ]
+                assert injector.fired(KIND_KILL) == 1
+                # The victim's replacement started before its shard requeued.
+                records = cluster.workers()
+                assert len(records) == 2 and records[-1].worker_id == "w2"
+                coordinator = {
+                    os.readlink(f"/proc/self/fd/{conn.fileno()}")
+                    for conn in (cluster._wake_r, cluster._wake_w, *cluster._conns)
+                }
+                for record in records:
+                    targets = _fd_targets(record.pid)
+                    sockets = {fd for fd in targets if fd.startswith("socket:")} - before
+                    assert len(sockets) == 1, (record.worker_id, sockets)
+                    assert not coordinator & targets, record.worker_id
 
-    def test_malformed_frames_drop_only_their_connection(self):
-        with LocalCluster(workers=1) as cluster:
-            (real,) = _await_workers(cluster, 1)
-            # A first frame that is not a register message, or is not a
-            # pickled (type, payload) pair at all, is dropped at the door.
-            for frame in (("complete", {}), ["register"], ("register", {"pid": 1})):
-                with Client(cluster.address, authkey=cluster._authkey) as conn:
-                    conn.send(frame)
-                    with pytest.raises((EOFError, OSError)):
-                        conn.recv()
-            with Client(cluster.address, authkey=cluster._authkey) as conn:
-                conn.send_bytes(b"junk")
-                with pytest.raises((EOFError, OSError)):
-                    conn.recv()
-            # A registered peer that then sends junk is a lost worker.  The
-            # cluster did not start it, so it is dropped, not killed: its
-            # pid is this test's own.
-            with Client(cluster.address, authkey=cluster._authkey) as conn:
-                conn.send(("register", {"worker_id": "intruder", "pid": os.getpid()}))
-                _await_workers(cluster, 2)
-                conn.send_bytes(b"junk")
-                with pytest.raises((EOFError, OSError)):
-                    conn.recv()
-            assert cluster.workers() == [real]
-            # A peer registering under a live worker id is refused while
-            # that worker holds a lease; the worker keeps it.
-            results = []
-            runner = threading.Thread(
-                target=lambda: results.extend(
-                    cluster.run_tasks(_slow_echo_task, [(i,) for i in range(4)])
+    @pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="needs os.pidfd_open")
+    def test_killed_coordinator_ends_every_worker(self):
+        # A coordinator in its own process prints its workers' pids and
+        # waits; once it is SIGKILLed, each worker's connection ends, so
+        # every worker exits.  Each pidfd turns readable when its process
+        # exits: the wait is one select under one deadline, not a poll.
+        script = (
+            "import sys\n"
+            "from repro.fleet import LocalCluster\n"
+            "with LocalCluster(workers=3) as cluster:\n"
+            "    print(*(record.pid for record in cluster.workers()), flush=True)\n"
+            "    sys.stdin.read()\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        coordinator = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            env=env,
+        )
+        pidfds = []
+        with coordinator:
+            try:
+                pids = [int(pid) for pid in coordinator.stdout.readline().split()]
+                assert len(pids) == 3
+                pidfds = [os.pidfd_open(pid) for pid in pids]
+            finally:
+                coordinator.kill()
+                coordinator.wait()
+        try:
+            waiting = set(pidfds)
+            deadline = time.monotonic() + 10.0
+            while waiting:
+                ready, _, _ = select.select(
+                    waiting, [], [], max(0.0, deadline - time.monotonic())
                 )
-            )
-            runner.start()
-            deadline = time.monotonic() + 10
-            while not (cluster.stats()["active_release"] or {}).get("leased"):
-                assert time.monotonic() < deadline, "release never started"
-                time.sleep(0.005)
-            with Client(cluster.address, authkey=cluster._authkey) as conn:
-                conn.send(("register", {"worker_id": real.worker_id, "pid": os.getpid()}))
-                assert conn.poll(10), "the duplicate register was not refused"
-                with pytest.raises((EOFError, OSError)):
-                    conn.recv()
-            runner.join(timeout=30)
-            assert results == [0, 1, 2, 3]
-            # The dispatcher survived every peer, and no worker was lost:
-            # nothing was killed or replaced.
-            assert cluster.workers() == [real]
-            assert list(cluster._worker_procs) == [real.worker_id]
-            assert cluster.run_tasks(_echo_task, [(i,) for i in range(4)]) == [0, 1, 2, 3]
-
-    def test_silent_peer_does_not_block_registration(self):
-        # An authenticated peer that never sends its register frame is
-        # dropped after a bounded wait (1 s), so a worker queued behind it
-        # still joins; the slack covers the worker's own start-up.
-        with LocalCluster(workers=0) as cluster:
-            with Client(cluster.address, authkey=cluster._authkey):
-                cluster.spawn_worker()
-                _await_workers(cluster, 1, timeout=5.0)
-            assert cluster.run_tasks(_echo_task, [(i,) for i in range(4)]) == [0, 1, 2, 3]
+                assert ready, f"{len(waiting)} worker(s) outlived their coordinator"
+                waiting -= set(ready)
+        finally:
+            for pidfd in pidfds:
+                with contextlib.suppress(ProcessLookupError):
+                    signal.pidfd_send_signal(pidfd, signal.SIGKILL)
+                os.close(pidfd)
 
     def test_unpicklable_task_raises_in_the_caller(self):
         with LocalCluster(workers=1) as cluster:
@@ -385,11 +367,17 @@ class TestFleetRelease:
             # Its release retired: only the newest payload's file is left.
             assert len(os.listdir(cluster.spool)) == 1
 
-    def test_private_cluster_honours_the_configured_start_method(self):
-        if "spawn" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no spawn start method")
+    @pytest.mark.parametrize(
+        "method, process_type",
+        [("spawn", "SpawnProcess"), ("forkserver", "ForkServerProcess")],
+    )
+    def test_private_cluster_honours_the_configured_start_method(self, method, process_type):
+        # The child end of each worker's socketpair crosses as a process
+        # argument: pickled for spawn, sent by SCM_RIGHTS for forkserver.
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method")
         previous = multiprocessing.get_start_method(allow_none=True)
-        multiprocessing.set_start_method("spawn", force=True)
+        multiprocessing.set_start_method(method, force=True)
         try:
             cluster = LocalCluster.private(2, shared=7)
         finally:
@@ -399,7 +387,28 @@ class TestFleetRelease:
                 0, 7, 14, 21
             ]
             procs = cluster._worker_procs.values()
-            assert {type(proc).__name__ for proc in procs} == {"SpawnProcess"}
+            assert {type(proc).__name__ for proc in procs} == {process_type}
+        finally:
+            cluster.close()
+
+    def test_workers_that_cannot_start_fail_the_release_typed(self):
+        # Under spawn a worker unpickles its payload first.  One that cannot
+        # exits with status 1, as any replacement would, so it is not
+        # replaced: once none is left the release fails typed, never by
+        # starting workers forever.
+        if "spawn" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no spawn start method")
+        previous = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("spawn", force=True)
+        try:
+            cluster = LocalCluster.private(2, shared=_Unloadable())
+        finally:
+            multiprocessing.set_start_method(previous, force=True)
+        try:
+            with pytest.raises(FleetError, match="no live fleet workers"):
+                cluster.run_tasks(_echo_task, [(1,), (2,)])
+            assert cluster.workers() == []
+            assert cluster._next_worker == 2
         finally:
             cluster.close()
 
@@ -412,6 +421,22 @@ def _echo_task(shared, value):
     return value
 
 
+def _faulty_echo_task(shared, value):
+    maybe_fire(SITE_SHARD, index=value)
+    return value
+
+
+def _refuse_to_load():
+    raise ValueError("this payload refuses to unpickle")
+
+
+class _Unloadable:
+    """A payload that pickles but does not unpickle."""
+
+    def __reduce__(self):
+        return _refuse_to_load, ()
+
+
 class _Factor:
     """A payload a weak reference can watch."""
 
@@ -421,11 +446,6 @@ class _Factor:
 
 def _scale_task(shared, value):
     return shared.k * value
-
-
-def _slow_echo_task(shared, value):
-    time.sleep(0.2)
-    return value
 
 
 def _mul_task(shared, value):
@@ -480,7 +500,8 @@ class TestFleetChaos:
             assert digests["value"] == serial_digest
             # The victim is gone for good: killed, its id never re-registers.
             assert proc.exitcode == -signal.SIGKILL
+            # Its replacement started before its shard requeued.
             assert victim.worker_id not in {record.worker_id for record in cluster.workers()}
-            assert len(_await_workers(cluster, 2)) == 2
+            assert len(cluster.workers()) == 2
             table = fitted.sample(N_SAMPLE, rng=123, shards=6, backend="fleet")
             assert table.content_digest() == serial_digest

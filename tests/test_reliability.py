@@ -169,13 +169,6 @@ class TestDeadline:
         with pytest.raises(DeadlineExceeded, match="fetch"):
             deadline.check("fetch")
 
-    def test_clamp(self):
-        clock = FakeClock()
-        deadline = Deadline(2.0, clock=clock)
-        assert deadline.clamp(5.0) == pytest.approx(2.0)
-        assert deadline.clamp(0.5) == pytest.approx(0.5)
-        assert deadline.clamp(None) == pytest.approx(2.0)
-
     def test_after_none_is_unbounded(self):
         assert Deadline.after(None) is None
         assert Deadline.after(1.0).budget == 1.0
@@ -377,13 +370,13 @@ class TestShardAttribution:
         # so from any worker: the shard fails once, attributed, and no
         # worker is lost or replaced.
         forked = []
-        spawn = LocalCluster.spawn_worker
+        spawn = LocalCluster._spawn_worker
 
         def counting_spawn(cluster):
             forked.append(spawn(cluster))
             return forked[-1]
 
-        monkeypatch.setattr(LocalCluster, "spawn_worker", counting_spawn)
+        monkeypatch.setattr(LocalCluster, "_spawn_worker", counting_spawn)
         with _runtime(backend):
             runner = get_backend(backend, 2, retry=2)
             with pytest.raises(ShardTaskError) as excinfo:
