@@ -263,7 +263,7 @@ class TestFleetRelease:
         # A coordinator in its own process prints its workers' pids and
         # waits; once it is SIGKILLed, each worker's connection ends, so
         # every worker exits.  Each pidfd turns readable when its process
-        # exits: the wait is one select under one deadline, not a poll.
+        # exits, so the wait is ``select`` under one deadline, not a sleep loop.
         script = (
             "import sys\n"
             "from repro.fleet import LocalCluster\n"
