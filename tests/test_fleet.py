@@ -367,13 +367,17 @@ class TestFleetRelease:
             # Its release retired: only the newest payload's file is left.
             assert len(os.listdir(cluster.spool)) == 1
 
-    @pytest.mark.parametrize(
-        "method, process_type",
-        [("spawn", "SpawnProcess"), ("forkserver", "ForkServerProcess")],
-    )
-    def test_private_cluster_honours_the_configured_start_method(self, method, process_type):
-        # The child end of each worker's socketpair crosses as a process
-        # argument: pickled for spawn, sent by SCM_RIGHTS for forkserver.
+    def test_private_cluster_honours_the_configured_start_method(self):
+        # Under spawn the child end of each worker's socketpair is pickled
+        # as a process argument.
+        self._check_private_cluster_start_method("spawn", "SpawnProcess")
+
+    def test_private_cluster_honours_the_forkserver_start_method(self):
+        # Under forkserver the child end crosses by SCM_RIGHTS.
+        self._check_private_cluster_start_method("forkserver", "ForkServerProcess")
+
+    @staticmethod
+    def _check_private_cluster_start_method(method, process_type):
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method")
         previous = multiprocessing.get_start_method(allow_none=True)
