@@ -232,12 +232,11 @@ class NetDPSyn:
             gum=self.config.gum,
             initialization=self.config.initialization,
             n_init_marginals=self.config.n_init_marginals,
-            kernel=self.config.engine.kernel,
         )
         return self._plan
 
     # ----------------------------------------------------------------- sample
-    def _engine_call(self, rng, shards, backend, kernel=None):
+    def _engine_call(self, rng, shards, backend):
         """Resolve one sampling call: (engine config, rng stream, pool).
 
         Under an open :meth:`pool` context, calls that do not name a backend
@@ -248,9 +247,7 @@ class NetDPSyn:
         pool = self._session_backend
         if backend is None and pool is not None:
             backend = pool.name
-        engine = self.config.engine.override(
-            shards=shards, backend=backend, kernel=kernel
-        )
+        engine = self.config.engine.override(shards=shards, backend=backend)
         stream = self._seed_seq.spawn(1)[0] if rng is None else rng
         if pool is not None and pool.name != engine.backend:
             pool = None
@@ -262,23 +259,21 @@ class NetDPSyn:
         rng: np.random.Generator | int | None = None,
         shards: int | None = None,
         backend: str | None = None,
-        kernel: str | None = None,
     ) -> TraceTable:
         """Generate a synthetic trace (steps 9-11); pure post-processing.
 
-        ``shards``/``backend``/``kernel`` override
-        :attr:`SynthesisConfig.engine` for this call; with the defaults (one
-        serial shard) and an explicit ``rng`` the output is bit-identical to
-        the historic single-loop implementation.  Sharded runs decode inside
-        the shards (one decode stream per shard), so the output depends on
-        the shard count but never on the backend or kernel (every GUM
-        kernel is bit-exact — see :mod:`repro.synthesis.kernels`).  When
-        ``rng`` is ``None``, a fresh per-call stream is spawned from the
-        constructor seed, so repeated calls are individually reproducible
-        instead of silently advancing a shared generator.
+        ``shards``/``backend`` override :attr:`SynthesisConfig.engine` for
+        this call; with the defaults (one serial shard) and an explicit
+        ``rng`` the output is bit-identical to the historic single-loop
+        implementation.  Sharded runs decode inside the shards (one decode
+        stream per shard), so the output depends on the shard count but
+        never on the backend.  When ``rng`` is ``None``, a fresh per-call
+        stream is spawned from the constructor seed, so repeated calls are
+        individually reproducible instead of silently advancing a shared
+        generator.
         """
         plan = self.plan()
-        engine, stream, pool = self._engine_call(rng, shards, backend, kernel)
+        engine, stream, pool = self._engine_call(rng, shards, backend)
         outcome = execute_plan_decoded(plan, engine, n=n, rng=stream, backend=pool)
         self.gum_result = outcome.gum
         return outcome.table
@@ -290,7 +285,6 @@ class NetDPSyn:
         rng: np.random.Generator | int | None = None,
         shards: int | None = None,
         backend: str | None = None,
-        kernel: str | None = None,
     ):
         """Yield a synthetic trace as decoded chunks of ``chunk`` records.
 
@@ -306,7 +300,7 @@ class NetDPSyn:
         plan = self.plan()
         if n is None:
             n = plan.default_n
-        engine, stream, pool = self._engine_call(rng, shards, backend, kernel)
+        engine, stream, pool = self._engine_call(rng, shards, backend)
         if shards is None and chunk >= 1:
             engine = engine.override(shards=max(engine.shards, -(-int(n) // int(chunk))))
 
@@ -332,7 +326,6 @@ class NetDPSyn:
         rng: np.random.Generator | int | None = None,
         shards: int | None = None,
         backend: str | None = None,
-        kernel: str | None = None,
     ) -> StreamReport:
         """Stream a synthetic trace straight into a file at bounded RSS.
 
@@ -349,7 +342,7 @@ class NetDPSyn:
         schema = self.plan().original_schema
         with open_sink(path, schema, format=format) as sink:
             for part in self.sample_stream(
-                n, chunk=chunk, rng=rng, shards=shards, backend=backend, kernel=kernel
+                n, chunk=chunk, rng=rng, shards=shards, backend=backend
             ):
                 sink.write(part)
         return StreamReport(

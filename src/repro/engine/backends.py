@@ -51,11 +51,10 @@ def _run_shard_task(
     rng: np.random.Generator,
     decode_rng: np.random.Generator | None,
     index: int,
-    kernel: str,
 ) -> ShardResult:
     """One shard's synthesis *and decode* as a task; ``shared`` is the plan."""
     maybe_fire(SITE_SHARD, index=index)
-    return plan.run_shard(n, rng, decode_rng, index=index, kernel=kernel)
+    return plan.run_shard(n, rng, decode_rng, index=index)
 
 
 class Backend(abc.ABC):

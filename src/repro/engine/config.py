@@ -69,10 +69,6 @@ class EngineConfig:
     #: Worker cap for the process backend (default: one per shard, at most
     #: one per CPU).
     max_workers: int | None = None
-    #: GUM update kernel: ``"fused"``, ``"reference"`` or ``"auto"`` (means
-    #: ``"fused"``).  Both kernels are bit-identical, so this only changes
-    #: speed, never output.
-    kernel: str = "auto"
     #: Per-task result timeout (seconds) for the process backend; a
     #: shard that exceeds it is treated as a hung worker and resubmitted.
     #: ``None`` (default) waits indefinitely.
@@ -85,11 +81,6 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         self.backend = canonical_backend(self.backend)
-        # Imported lazily: the kernel table lives under repro.synthesis,
-        # whose package init reaches back into the engine backends.
-        from repro.synthesis.kernels import get_kernel
-
-        get_kernel(self.kernel)  # raises ValueError on an unknown name
         self.shards = _positive_int("shards", self.shards)
         if self.max_workers is not None:
             self.max_workers = _positive_int("max_workers", self.max_workers)
@@ -114,7 +105,6 @@ class EngineConfig:
         shards: int | None = None,
         backend: str | None = None,
         max_workers: int | None = None,
-        kernel: str | None = None,
         task_timeout: float | None = None,
         max_task_retries: int | None = None,
     ) -> "EngineConfig":
@@ -124,7 +114,6 @@ class EngineConfig:
             backend=self.backend if backend is None else backend,
             shards=self.shards if shards is None else shards,
             max_workers=self.max_workers if max_workers is None else max_workers,
-            kernel=self.kernel if kernel is None else kernel,
             task_timeout=self.task_timeout if task_timeout is None else task_timeout,
             max_task_retries=(
                 self.max_task_retries if max_task_retries is None else max_task_retries

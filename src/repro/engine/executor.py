@@ -7,8 +7,7 @@ contract):
 
 - ``shards=1``: the caller's generator drives initialization, GUM, and —
   continuing the same stream (``decode_rng=None``) — decoding.  With any
-  backend and kernel this reproduces the pre-engine ``sample()`` bit for
-  bit.
+  backend this reproduces the pre-engine ``sample()`` bit for bit.
 - ``shards>1``: per-shard streams are spawned from a
   :class:`numpy.random.SeedSequence`.  GUM shards use children
   ``0..shards-1``; decoding uses children ``shards..2*shards-1`` (one decode
@@ -23,7 +22,6 @@ import numpy as np
 from repro.engine.backends import Backend, get_backend
 from repro.engine.config import EngineConfig
 from repro.engine.plan import SynthesisPlan, shard_sizes
-from repro.synthesis.kernels import get_kernel
 from repro.utils.rng import ensure_rng
 
 
@@ -81,17 +79,8 @@ def _merge_errors(results: list, sizes: list[int]) -> list[float]:
 
 
 def resolve_run_kernel(plan: SynthesisPlan, config: EngineConfig) -> str:
-    """The concrete kernel name one engine run ships to every shard.
-
-    An explicit per-call/engine ``config.kernel`` beats the plan's frozen
-    preference; ``"auto"`` then names ``fused``.  Resolution happens once,
-    in the parent, so every shard of a run executes the same kernel —
-    though either kernel would produce the same bytes.
-    """
-    name = config.kernel
-    if name == "auto":
-        name = plan.kernel
-    return get_kernel(name).name
+    """Always ``"fused"``, the kernel every release runs (perfbench reads it)."""
+    return "fused"
 
 
 def backend_for(config: EngineConfig, max_workers: int | None = None) -> Backend:
@@ -118,25 +107,23 @@ def resolve_record_count(plan: SynthesisPlan, n: int | None) -> int:
 
 def shard_tasks(
     plan: SynthesisPlan, config: EngineConfig, n: int, rng
-) -> tuple[list[tuple], list[int], str]:
-    """The ``(tasks, sizes, kernel)`` of one release of ``n`` records.
+) -> tuple[list[tuple], list[int]]:
+    """The ``(tasks, sizes)`` of one release of ``n`` records.
 
-    Each task is the argument tuple ``(n, rng, decode_rng, index, kernel)``
-    of :func:`~repro.engine.backends._run_shard_task`.  One shard runs on
-    the caller's own stream (a seed or ``SeedSequence`` becomes a fresh
+    Each task is the argument tuple ``(n, rng, decode_rng, index)`` of
+    :func:`~repro.engine.backends._run_shard_task`.  One shard runs on the
+    caller's own stream (a seed or ``SeedSequence`` becomes a fresh
     generator, a ``Generator`` is used as is); sharded runs derive their
-    streams with :func:`_derive_streams`.  The kernel is resolved once, so
-    every shard runs the same one.
+    streams with :func:`_derive_streams`.
     """
     sizes = shard_sizes(n, config.shards)
-    kernel = resolve_run_kernel(plan, config)
     if config.shards == 1:
-        return [(n, ensure_rng(rng), None, 0, kernel)], sizes, kernel
+        return [(n, ensure_rng(rng), None, 0)], sizes
     shard_rngs, decode_rngs = _derive_streams(rng, config.shards)
     tasks = [
-        (size, shard_rng, decode_rng, index, kernel)
+        (size, shard_rng, decode_rng, index)
         for index, (size, shard_rng, decode_rng) in enumerate(
             zip(sizes, shard_rngs, decode_rngs)
         )
     ]
-    return tasks, sizes, kernel
+    return tasks, sizes

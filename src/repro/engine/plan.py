@@ -25,6 +25,7 @@ from repro.synthesis.initialization import (
     marginal_initialization,
     random_initialization,
 )
+from repro.synthesis.kernels import FusedKernel
 from repro.synthesis.timestamps import TSDIFF, reconstruct_timestamps
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Timer
@@ -77,10 +78,6 @@ class SynthesisPlan:
     gum: GumConfig = field(default_factory=GumConfig)
     initialization: str = "gummi"
     n_init_marginals: int = 8
-    #: GUM kernel preference frozen at fit time (``EngineConfig.kernel``):
-    #: ``"auto"``, ``"fused"`` or ``"reference"``.  Both kernels are
-    #: bit-exact, so this is a speed preference, never an output choice.
-    kernel: str = "auto"
 
     @property
     def default_n(self) -> int:
@@ -94,16 +91,13 @@ class SynthesisPlan:
         rng: np.random.Generator | int | None = None,
         decode_rng: np.random.Generator | int | None = None,
         index: int = 0,
-        kernel: str | None = None,
     ) -> ShardResult:
         """Initialize, GUM-synthesize and decode ``n`` records.
 
         ``decode_rng=None`` continues ``rng`` into decoding: the golden
         single stream, whose post-decode generator comes back as
         :attr:`ShardResult.rng`.  Sharded runs pass each shard its own decode
-        stream (``SeedSequence`` child ``shards + index``).  ``kernel``
-        overrides the plan's frozen :attr:`kernel` preference for this run;
-        kernel choice never changes the output.
+        stream (``SeedSequence`` child ``shards + index``).
         """
         rng = ensure_rng(rng)
         timer = Timer()
@@ -121,10 +115,11 @@ class SynthesisPlan:
             )
         else:
             data = random_initialization(self.one_way, self.attrs, n, rng)
-        if kernel is None:
-            kernel = self.kernel
+        # Passed explicitly, not left to run_gum's default: perfbench's
+        # timed_run_gum, rebound here, cannot resolve a ``None`` kernel.
         result = run_gum(
-            data, self.published, self.attrs, self.domain, self.gum, rng, kernel=kernel
+            data, self.published, self.attrs, self.domain, self.gum, rng,
+            kernel=FusedKernel(),
         )
         table = self.finalize(result.data, rng if decode_rng is None else decode_rng)
         return ShardResult(

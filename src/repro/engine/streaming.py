@@ -115,7 +115,7 @@ def _run_shards(
     own_backend = backend is None
     if own_backend:
         backend = backend_for(config)
-    tasks, sizes, kernel = shard_tasks(plan, config, n, rng)
+    tasks, sizes = shard_tasks(plan, config, n, rng)
     timer = Timer()
     timer.start()
     metas = []
@@ -140,7 +140,6 @@ def _run_shards(
             seconds=timer.stop(),
             backend=config.backend,
             shards=config.shards,
-            kernel=kernel,
             shard_results=metas,
             n_records=n,
         )

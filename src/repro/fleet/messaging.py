@@ -10,7 +10,7 @@ the same trust it already extends to the tasks, results and exceptions
 inside.  None of the values is bulky:
 
 - **task arguments** (a few hundred bytes: the shard size, its pre-spawned
-  ``SeedSequence``-child generators, the kernel name) ride in ``assign``,
+  ``SeedSequence``-child generators, the shard index) ride in ``assign``,
   pickled once in the caller's thread when the release is built;
 - **results** ride in ``complete`` as the worker's
   :func:`~repro.engine.shm.export_result` form: a shard's decoded table is a

@@ -34,10 +34,6 @@ MODEL_MAGIC = b"NETDPSYN-MODEL\n"
 MODEL_FORMAT = "netdpsyn-model"
 MODEL_VERSION = 1
 
-#: GUM kernel names earlier releases accepted.  Both ran the bit-identical
-#: update ``fused`` runs now, so a model carrying one loads as ``fused``.
-RETIRED_KERNELS = ("vectorized", "numba")
-
 #: Engine backend names earlier releases stored, mapped to the backend that
 #: now produces the same output: ``thread`` ran the serial loop on threads,
 #: ``shared`` is the process pool every ``process`` backend now is.
@@ -119,21 +115,18 @@ def load_model(path):
 
 
 def _upgrade_names(plan, config) -> None:
-    """Map engine names retired since the model was saved to current ones.
+    """Drop or map engine settings retired since the model was saved.
 
     Without this ``config.engine.override()`` — run by every ``sample()`` —
     would reject a stored ``thread``, and a stored ``shared`` would outlive
-    the backend it named.  Every mapping is output-neutral: the retired
-    kernels were bit-identical to ``fused``, each retired backend to its
-    :data:`RETIRED_BACKENDS` target.  A plan saved before it had a
-    ``kernel`` field gets ``"auto"``, and the retired
-    ``GumConfig.update_mode`` pin is dropped.
+    the backend it named.  Each retired backend was bit-identical to its
+    :data:`RETIRED_BACKENDS` target; the ``kernel`` and
+    ``GumConfig.update_mode`` pins only chose between bit-identical GUM
+    kernels, so they are dropped.
     """
-    kernel = getattr(plan, "kernel", "auto")
-    plan.kernel = "fused" if kernel in RETIRED_KERNELS else kernel
     engine = config.engine
-    if engine.kernel in RETIRED_KERNELS:
-        engine.kernel = "fused"
     engine.backend = RETIRED_BACKENDS.get(engine.backend, engine.backend)
+    for stale in (plan, engine):
+        vars(stale).pop("kernel", None)
     for gum in (plan.gum, config.gum):
         vars(gum).pop("update_mode", None)

@@ -1,7 +1,7 @@
 """Record synthesis: GUM / GUMMI, bin decoding, timestamp reconstruction."""
 
 from repro.synthesis.gum import GumConfig, GumResult, run_gum
-from repro.synthesis.kernels import GumKernel, get_kernel
+from repro.synthesis.kernels import GumKernel
 from repro.synthesis.initialization import (
     marginal_initialization,
     random_initialization,
@@ -15,7 +15,6 @@ __all__ = [
     "GumKernel",
     "GumResult",
     "decode_records",
-    "get_kernel",
     "marginal_initialization",
     "random_initialization",
     "reconstruct_timestamps",

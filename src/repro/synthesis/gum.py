@@ -15,13 +15,9 @@ The update rate decays geometrically so early iterations make large moves
 and later ones fine-tune.
 
 The per-marginal update step is executed by a
-:class:`~repro.synthesis.kernels.GumKernel` (see
-:mod:`repro.synthesis.kernels`): ``reference`` (the original per-cell loop,
-the golden oracle) or ``fused`` (whole-step numpy passes over the stepped
-marginal alone — its codes and counts rebuilt from the data when the step
-starts, radix grouping, broadcast refill draws).  Both consume the random
-stream identically and produce bit-identical output, so kernel choice is
-purely a speed decision; ``"auto"`` means ``fused``.
+:class:`~repro.synthesis.kernels.GumKernel`: releases run ``fused``, which
+is bit-identical to the ``reference`` oracle (see
+:mod:`repro.synthesis.kernels`).
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.domain import Domain
-from repro.synthesis.kernels import GumKernel, _MarginalState, get_kernel
+from repro.synthesis.kernels import FusedKernel, GumKernel, _MarginalState
 from repro.utils.rng import ensure_rng
 from repro.utils.timer import Timer
 
@@ -68,8 +64,6 @@ class GumResult:
     #: Execution provenance (filled in by :mod:`repro.engine`).
     backend: str = "serial"
     shards: int = 1
-    #: The concrete kernel that executed the update steps.
-    kernel: str = ""
     #: Per-shard metadata of an engine run (``ShardResult.meta()`` copies:
     #: timings, errors and iterations, no tables).
     shard_results: list = field(default_factory=list)
@@ -94,15 +88,13 @@ def run_gum(
     domain: Domain,
     config: GumConfig | None = None,
     rng: np.random.Generator | int | None = None,
-    kernel: str | GumKernel = "auto",
+    kernel: GumKernel | None = None,
 ) -> GumResult:
     """Run GUM starting from ``data`` (modified in place and returned).
 
     ``targets`` are post-processed noisy marginals; they are rescaled to the
-    row count of ``data`` internally.  ``kernel`` selects the update-step
-    implementation (a name :func:`~repro.synthesis.kernels.get_kernel`
-    accepts, or a :class:`~repro.synthesis.kernels.GumKernel` instance;
-    default ``"auto"``).  Kernel choice never changes the output.
+    row count of ``data`` internally.  ``kernel`` is the update-step
+    implementation; ``None`` means a fresh ``FusedKernel()``.
     """
     config = config or GumConfig()
     rng = ensure_rng(rng)
@@ -110,8 +102,10 @@ def run_gum(
     n = data.shape[0]
     if n == 0 or not targets:
         return GumResult(data=data, errors=[], iterations_run=0)
-    if not isinstance(kernel, GumKernel):
-        kernel = get_kernel(kernel)
+    if kernel is None:
+        kernel = FusedKernel()
+    elif not isinstance(kernel, GumKernel):
+        raise TypeError(f"kernel must be a GumKernel instance, got {kernel!r}")
 
     timer = Timer()
     timer.start()
@@ -150,6 +144,5 @@ def run_gum(
         errors=errors,
         iterations_run=iterations_run,
         seconds=timer.stop(),
-        kernel=kernel.name,
     )
 

@@ -10,20 +10,20 @@ The GUM record-update hot path is expressed as a :class:`GumKernel`:
   bounds-broadcast duplication draw (:mod:`~repro.synthesis.kernels.fused`).
 
 Both kernels consume the random stream identically and produce bit-identical
-output (the parity suite proves it against the pinned golden digests), so
-kernel choice — ``EngineConfig(kernel=...)``, where ``auto`` means
-``fused`` — is purely a speed decision.
+output.  Every release runs ``fused``; ``reference`` is reachable only by
+passing an instance to :func:`~repro.synthesis.gum.run_gum`, which is how
+the parity suite proves ``fused`` against it.
 """
 
 from repro.synthesis.kernels.base import GumKernel, _MarginalState
 from repro.synthesis.kernels.fused import FusedKernel
 from repro.synthesis.kernels.reference import ReferenceKernel
 
-#: Every name ``EngineConfig(kernel=...)`` and :func:`get_kernel` accept.
-KERNELS = {"auto": FusedKernel, "fused": FusedKernel, "reference": ReferenceKernel}
+#: Every name :func:`get_kernel` accepts.
+KERNELS = {"fused": FusedKernel, "reference": ReferenceKernel}
 
 
-def get_kernel(name: str = "auto") -> GumKernel:
+def get_kernel(name: str) -> GumKernel:
     """A fresh instance of the kernel ``name`` selects.
 
     Raises ``ValueError`` for a name outside :data:`KERNELS`.

@@ -47,12 +47,11 @@ class GumKernel(abc.ABC):
 
     :func:`~repro.synthesis.gum.run_gum` calls :meth:`prepare` once before
     the iteration loop, then :meth:`step` once per marginal per iteration.
-    :func:`~repro.synthesis.kernels.get_kernel` returns a fresh instance per
-    call, so per-run scratch a kernel keeps on ``self`` never leaks between
-    concurrent shards.
+    Every shard runs its own instance, so per-run scratch a kernel keeps on
+    ``self`` never leaks between concurrent shards.
     """
 
-    #: Table key; also the value accepted by ``EngineConfig(kernel=...)``.
+    #: Key in :data:`~repro.synthesis.kernels.KERNELS`.
     name: str = "abstract"
     #: Whether :meth:`prepare` builds per-run caches (no shipped kernel
     #: does).  Informational only: ``run_gum`` calls :meth:`prepare`

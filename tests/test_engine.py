@@ -20,6 +20,7 @@ from repro.experiments.goldens import PRE_REFACTOR_GOLDEN
 from repro.synthesis.decode import decode_records
 from repro.synthesis.gum import run_gum
 from repro.synthesis.initialization import marginal_initialization
+from repro.synthesis.kernels import ReferenceKernel
 from repro.synthesis.timestamps import reconstruct_timestamps
 
 
@@ -118,13 +119,13 @@ class TestSynthesisPlan:
     def test_pickle_round_trip(self, fitted):
         plan = fitted.plan()
         clone = pickle.loads(pickle.dumps(plan))
-        a = plan.run_shard(400, np.random.default_rng(9), kernel="fused")
-        b = clone.run_shard(400, np.random.default_rng(9), kernel="fused")
+        a = plan.run_shard(400, np.random.default_rng(9))
+        b = clone.run_shard(400, np.random.default_rng(9))
         assert table_digest(a.table) == table_digest(b.table)
         assert a.errors == b.errors
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
-        c = plan.run_shard(400, 9, np.random.default_rng(10), kernel="fused")
-        d = clone.run_shard(400, 9, np.random.default_rng(10), kernel="fused")
+        c = plan.run_shard(400, 9, np.random.default_rng(10))
+        d = clone.run_shard(400, 9, np.random.default_rng(10))
         assert table_digest(c.table) == table_digest(d.table)
         assert c.rng is None
 
@@ -178,7 +179,7 @@ class TestBitIdentity:
             plan.domain,
             fitted.config.gum,
             rng,
-            kernel="reference",
+            kernel=ReferenceKernel(),
         )
         encoded = fitted._template.replace_data(gum.data)
         table = decode_records(encoded, fitted.encoder, rng, rules=plan.rules)

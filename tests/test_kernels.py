@@ -1,17 +1,20 @@
 """Tests for the GUM kernels: the ``reference`` oracle and ``fused``.
 
-Three contracts are enforced here:
+Every release runs ``fused``; the oracle is reached only through
+``run_gum(kernel=...)``.  Three contracts are enforced here:
 
-1. **Parity** — every kernel name, on every backend, for every shard count,
-   produces a trace digest identical to the reference kernel's.
-2. **Selection** — ``auto`` means ``fused``, and any other name (including
-   the retired ``vectorized``/``numba``) is rejected everywhere
-   (``get_kernel``, ``EngineConfig``, ``run_gum``).
-3. **Persistence** — ``EngineConfig.override`` and model ``save``/``load``
-   round-trip the ``kernel`` field, and a model saved with a retired kernel
-   name (or none at all) still loads and samples byte-identically.
+1. **Parity** — releases on every backend, for every shard count, in memory
+   and streamed, match the digests the reference kernel produces when it is
+   rebound into ``repro.engine.plan`` (forked workers inherit the
+   rebinding), and the reference reproduces ``PRE_REFACTOR_GOLDEN``.
+2. **Selection** — ``run_gum`` defaults to ``fused`` and takes kernel
+   instances only; ``get_kernel`` knows ``fused`` and ``reference`` and
+   nothing else; no config field or ``sample`` argument picks a kernel.
+3. **Persistence** — a model saved with a kernel pin (current or retired
+   name) loads without it and samples byte-identically.
 """
 
+import multiprocessing
 import pickle
 import tracemalloc
 
@@ -20,12 +23,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.engine.plan as plan_module
 from repro import NetDPSyn, SynthesisConfig, load_dataset
+from repro.data.table import TraceTable
 from repro.engine import BACKENDS, EngineConfig
 from repro.engine.executor import resolve_run_kernel
+from repro.experiments.goldens import PRE_REFACTOR_GOLDEN
 from repro.io.model import MODEL_MAGIC
 from repro.marginals.compute import cell_codes
-from repro.synthesis.gum import GumConfig, run_gum
+from repro.synthesis.gum import GumConfig, GumResult, run_gum
 from repro.synthesis.kernels import (
     KERNELS,
     FusedKernel,
@@ -35,6 +41,39 @@ from repro.synthesis.kernels import (
     fused,
     get_kernel,
 )
+
+SHARDS = (1, 2, 3)
+RELEASE_PATHS = ("sample", "sample_stream")
+
+
+def rebind_run_gum(monkeypatch, kernel_class) -> list:
+    """Make every release's ``run_gum`` step with a fresh ``kernel_class``.
+
+    ``run_shard`` passes ``kernel=FusedKernel()`` explicitly, so the wrapper
+    *replaces* that argument (a ``partial`` binding ``kernel`` would lose to
+    it).  Returns the kernels ``run_shard`` passed, in this process.
+    """
+    passed = []
+
+    def rebound(*args, kernel=None, **kwargs):
+        passed.append(kernel)
+        return run_gum(*args, kernel=kernel_class(), **kwargs)
+
+    monkeypatch.setattr(plan_module, "run_gum", rebound)
+    return passed
+
+
+def forked_workers_inherit(backend: str) -> bool:
+    """Whether ``backend``'s workers see a rebinding made in this process."""
+    return backend == "serial" or multiprocessing.get_start_method() == "fork"
+
+
+def release_digest(synth, path, shards, backend, n=400, rng=9) -> str:
+    """The digest of one release, in memory or concatenated from a stream."""
+    if path == "sample":
+        return synth.sample(n, rng=rng, shards=shards, backend=backend).content_digest()
+    parts = synth.sample_stream(n, chunk=150, rng=rng, shards=shards, backend=backend)
+    return TraceTable.concat_all(list(parts)).content_digest()
 
 
 def fresh_cache(data, axes, shape):
@@ -103,38 +142,60 @@ def fitted():
 @pytest.fixture(scope="module")
 def reference_digests(fitted):
     """Golden digests per shard count, captured on the reference kernel."""
-    return {
-        shards: fitted.sample(400, rng=9, shards=shards, kernel="reference")
-        .content_digest()
-        for shards in (1, 2, 3)
-    }
+    with pytest.MonkeyPatch.context() as patch:
+        passed = rebind_run_gum(patch, ReferenceKernel)
+        digests = {
+            shards: fitted.sample(400, rng=9, shards=shards).content_digest()
+            for shards in SHARDS
+        }
+    assert len(passed) == sum(SHARDS)
+    return digests
 
 
 class TestKernelParity:
     def test_kernel_backend_shards_mode_digest_equality(
         self, fitted, reference_digests
     ):
-        """Kernel/backend/shard choice may never change a single byte."""
-        for kernel in ("auto", "fused", "reference"):
-            for backend in BACKENDS:
-                for shards in (1, 2, 3):
-                    digest = fitted.sample(
-                        400, rng=9, shards=shards, backend=backend, kernel=kernel
-                    ).content_digest()
-                    assert digest == reference_digests[shards], (kernel, backend, shards)
+        """Backend, shard count and streaming never move a byte off the oracle."""
+        for backend in BACKENDS:
+            for shards in SHARDS:
+                for path in RELEASE_PATHS:
+                    digest = release_digest(fitted, path, shards, backend)
+                    assert digest == reference_digests[shards], (backend, shards, path)
 
-    def test_gum_result_records_kernel(self, fitted):
-        fitted.sample(200, rng=3, kernel="reference")
-        assert fitted.gum_result.kernel == "reference"
-        fitted.sample(200, rng=3, kernel="fused")
-        assert fitted.gum_result.kernel == "fused"
-        fitted.sample(200, rng=3)  # auto resolves to a concrete name
-        assert fitted.gum_result.kernel == "fused"
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_reference_rebinding_reaches_every_backend(
+        self, fitted, reference_digests, backend, monkeypatch
+    ):
+        """The oracle itself, run in each backend's shards, is deterministic."""
+        if not forked_workers_inherit(backend):
+            pytest.skip("workers that are not forked do not inherit the rebinding")
+        rebind_run_gum(monkeypatch, ReferenceKernel)
+        for shards in SHARDS:
+            for path in RELEASE_PATHS:
+                digest = release_digest(fitted, path, shards, backend)
+                assert digest == reference_digests[shards], (backend, shards, path)
 
-    def test_streaming_paths_record_kernel(self, fitted):
-        parts = list(fitted.sample_stream(300, chunk=100, rng=4, shards=3))
-        assert sum(p.n_records for p in parts) == 300
-        assert fitted.gum_result.kernel == "fused"
+
+@pytest.fixture(scope="module")
+def golden_fitted():
+    """The workload ``PRE_REFACTOR_GOLDEN`` was captured on."""
+    config = SynthesisConfig(epsilon=2.0)
+    config.gum.iterations = 15
+    return NetDPSyn(config, rng=7).fit(load_dataset("ton", n_records=2500, seed=31))
+
+
+@pytest.mark.skipif(
+    np.lib.NumpyVersion(np.__version__) < "2.0.0",
+    reason="golden digest captured on the NumPy 2.x generator streams",
+)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_reference_kernel_matches_pre_refactor_golden(golden_fitted, backend, monkeypatch):
+    if not forked_workers_inherit(backend):
+        pytest.skip("workers that are not forked do not inherit the rebinding")
+    rebind_run_gum(monkeypatch, ReferenceKernel)
+    syn = golden_fitted.sample(2000, rng=123, backend=backend)
+    assert syn.content_digest() == PRE_REFACTOR_GOLDEN
 
 
 class TestRegistry:
@@ -142,32 +203,39 @@ class TestRegistry:
         for name in ("fused", "reference"):
             assert get_kernel(name).name == name
 
-    def test_auto_resolves_to_fused(self, fitted):
-        assert isinstance(get_kernel(), FusedKernel)
-        assert get_kernel("auto").name == "fused"
+    def test_auto_resolves_to_fused(self, fitted, monkeypatch):
+        """With no kernel named anywhere, releases and ``run_gum`` run fused."""
         assert resolve_run_kernel(fitted.plan(), EngineConfig()) == "fused"
-        pinned = EngineConfig(kernel="reference")
-        assert resolve_run_kernel(fitted.plan(), pinned) == "reference"
+        passed = rebind_run_gum(monkeypatch, FusedKernel)
+        fitted.sample(200, rng=3, shards=2)
+        assert len(passed) == 2
+        assert all(type(kernel) is FusedKernel for kernel in passed)
+        assert passed[0] is not passed[1]  # one instance per shard
 
-    def test_unknown_kernel_rejected_everywhere(self):
-        for name in ("vectorized", "numba", "magic"):
+    def test_unknown_kernel_rejected_everywhere(self, fitted, tmp_path):
+        for name in ("auto", "vectorized", "numba", "magic"):
             with pytest.raises(ValueError, match="kernel"):
                 get_kernel(name)
-            with pytest.raises(ValueError, match="kernel"):
-                EngineConfig(kernel=name)
-            with pytest.raises(ValueError, match="kernel"):
-                EngineConfig().override(kernel=name)
+        with pytest.raises(TypeError, match="kernel"):
+            EngineConfig(kernel="reference")
+        with pytest.raises(TypeError, match="kernel"):
+            EngineConfig().override(kernel="reference")
+        for release in (
+            fitted.sample,
+            fitted.sample_stream,
+            lambda **kw: fitted.sample_to(tmp_path / "trace.csv", **kw),
+        ):
+            with pytest.raises(TypeError, match="kernel"):
+                release(n=10, kernel="reference")
+        assert "kernel" not in vars(fitted.plan())
+        assert "kernel" not in vars(GumResult(data=None))
 
     def test_get_kernel_returns_fresh_instances(self):
         a, b = get_kernel("fused"), get_kernel("fused")
         assert isinstance(a, FusedKernel) and a is not b
 
     def test_registered_classes(self):
-        assert KERNELS == {
-            "auto": FusedKernel,
-            "fused": FusedKernel,
-            "reference": ReferenceKernel,
-        }
+        assert KERNELS == {"fused": FusedKernel, "reference": ReferenceKernel}
         assert isinstance(get_kernel("reference"), ReferenceKernel)
 
 
@@ -176,28 +244,30 @@ class TestRunGumKernelSelection:
         data, targets, attrs, domain = gum_workload()
         config = GumConfig(iterations=10)
         out = {}
-        for kernel in ("reference", "fused"):
-            out[kernel] = run_gum(
+        for kernel in (ReferenceKernel(), FusedKernel()):
+            out[kernel.name] = run_gum(
                 data.copy(), targets, attrs, domain, config, rng=7, kernel=kernel
             )
         assert np.array_equal(out["reference"].data, out["fused"].data)
         assert out["reference"].errors == out["fused"].errors
-        assert out["reference"].kernel == "reference"
-        assert out["fused"].kernel == "fused"
 
     def test_kernel_instance_accepted(self):
+        """An explicit ``FusedKernel()`` equals the default (``None``)."""
         data, targets, attrs, domain = gum_workload()
         config = GumConfig(iterations=5)
         a = run_gum(
             data.copy(), targets, attrs, domain, config, rng=3, kernel=FusedKernel()
         )
-        b = run_gum(data.copy(), targets, attrs, domain, config, rng=3, kernel="auto")
+        b = run_gum(data.copy(), targets, attrs, domain, config, rng=3)
         assert np.array_equal(a.data, b.data)
+        assert a.errors == b.errors
 
     def test_invalid_kernel_name_raises(self):
+        """Kernels are instances now; a name is a caller error, not a lookup."""
         data, targets, attrs, domain = gum_workload(n=50)
-        with pytest.raises(ValueError, match="kernel"):
-            run_gum(data, targets, attrs, domain, GumConfig(), rng=1, kernel="magic")
+        for name in ("fused", "reference", "magic"):
+            with pytest.raises(TypeError, match="kernel"):
+                run_gum(data, targets, attrs, domain, GumConfig(), rng=1, kernel=name)
 
 
 class TestFusedKernel:
@@ -334,8 +404,8 @@ class TestFusedKernel:
         assert peak < n * n_marginals * 8 / 4
 
     def test_fused_digest_equality(self, fitted, reference_digests):
-        for shards in (1, 2, 3):
-            digest = fitted.sample(400, rng=9, shards=shards, kernel="fused")
+        for shards in SHARDS:
+            digest = fitted.sample(400, rng=9, shards=shards)
             assert digest.content_digest() == reference_digests[shards]
 
 
@@ -348,75 +418,35 @@ def rewrite_model(path, edit) -> None:
 
 
 class TestKernelConfigPersistence:
-    def test_override_round_trips_kernel(self):
-        config = EngineConfig(kernel="reference", shards=2)
-        assert config.override().kernel == "reference"
-        assert config.override(kernel="fused").kernel == "fused"
-        assert config.override(shards=4).kernel == "reference"
-        assert config.kernel == "reference"  # original untouched
-
-    def test_save_load_round_trips_kernel(self, fitted, tmp_path):
-        original = fitted.config.engine
-        fitted.config.engine = original.override(kernel="reference")
-        fitted._plan = None  # rebuild the plan with the pinned kernel
-        try:
-            path = tmp_path / "model.ndpsyn"
-            fitted.save(path)
-            loaded = NetDPSyn.load(path)
-            assert loaded.plan().kernel == "reference"
-            assert loaded.config.engine.kernel == "reference"
-            assert (
-                loaded.sample(300, rng=11).content_digest()
-                == fitted.sample(300, rng=11).content_digest()
-            )
-        finally:
-            fitted.config.engine = original
-            fitted._plan = None
-
     def test_model_pinned_to_unavailable_kernel_still_samples(self, fitted, tmp_path):
-        """A model saved under a retired kernel name loads as ``fused``, and
-        one saved under a retired backend name as that backend's successor."""
+        """A model saved with a kernel pin — the oracle, or a name retired
+        earlier — loads without the pin, with retired backends mapped to
+        their successors, and samples byte-identically."""
         expected = fitted.sample(250, rng=13).content_digest()
         path = tmp_path / "model.ndpsyn"
-        fitted.save(path)
-        for retired, backend, successor in (
+        for pinned, backend, successor in (
+            ("reference", "serial", "serial"),
             ("vectorized", "thread", "serial"),
             ("numba", "shared", "process"),
         ):
+            fitted.save(path)
 
-            def pin(payload, retired=retired, backend=backend):
-                payload["plan"].kernel = retired
-                payload["config"].engine.kernel = retired
+            def pin(payload, pinned=pinned, backend=backend):
+                vars(payload["plan"])["kernel"] = pinned
+                vars(payload["config"].engine)["kernel"] = pinned
                 payload["config"].engine.backend = backend
-                payload["plan"].gum.update_mode = retired  # stale GumConfig field
+                for gum in (payload["plan"].gum, payload["config"].gum):
+                    gum.update_mode = pinned  # stale GumConfig field
 
             rewrite_model(path, pin)
             loaded = NetDPSyn.load(path)
-            assert loaded.plan().kernel == "fused"
-            assert loaded.config.engine.kernel == "fused"
-            assert loaded.config.engine.backend == successor
+            assert not hasattr(loaded.plan(), "kernel")
+            assert not hasattr(loaded.config.engine, "kernel")
             assert not hasattr(loaded.plan().gum, "update_mode")
-            assert loaded.config.engine.override().kernel == "fused"
+            assert not hasattr(loaded.config.gum, "update_mode")
+            assert loaded.config.engine.backend == successor
             assert loaded.sample(250, rng=13).content_digest() == expected
             assert loaded.gum_result.backend == successor
-
-    def test_plan_without_kernel_field_defaults_to_auto(self, fitted, tmp_path):
-        """Plans from model files saved before the field existed load as auto."""
-        expected = fitted.sample(250, rng=13).content_digest()
-        path = tmp_path / "model.ndpsyn"
-        fitted.save(path)
-
-        def strip(payload):
-            del vars(payload["plan"])["kernel"]
-            payload["config"].gum.update_mode = "reference"  # stale GumConfig field
-            payload["config"].engine.backend = "thread"  # retired backend
-
-        rewrite_model(path, strip)
-        loaded = NetDPSyn.load(path)
-        assert vars(loaded.plan())["kernel"] == "auto"
-        engine = loaded.config.engine.override()
-        assert (engine.kernel, engine.backend) == ("auto", "serial")
-        assert loaded.sample(250, rng=13).content_digest() == expected
 
 
 def test_kernel_protocol_is_abstract():

@@ -6,6 +6,7 @@ import pytest
 from repro.data.domain import Domain
 from repro.data.schema import FieldKind, FieldSpec, Schema
 from repro.data.table import TraceTable
+from repro.engine import EngineConfig
 from repro.marginals.marginal import Marginal
 from repro.synthesis import (
     GumConfig,
@@ -16,6 +17,7 @@ from repro.synthesis import (
     weighted_pearson,
 )
 from repro.synthesis.initialization import key_correlation_score
+from repro.synthesis.kernels import FusedKernel, ReferenceKernel
 
 
 class TestWeightedPearson:
@@ -147,36 +149,50 @@ class TestGumUpdateModes:
     def _setup(self, n=3000, seed=3):
         return TestGum._setup(TestGum(), n=n, seed=seed)
 
-    @pytest.mark.parametrize("kernel", ["fused", "reference"])
+    @pytest.mark.parametrize(
+        "kernel", [FusedKernel, ReferenceKernel], ids=["fused", "reference"]
+    )
     def test_both_modes_converge(self, kernel):
         data, targets, attrs, domain = self._setup()
         config = GumConfig(iterations=20)
-        result = run_gum(data, targets, attrs, domain, config, rng=4, kernel=kernel)
-        assert result.kernel == kernel
+        result = run_gum(data, targets, attrs, domain, config, rng=4, kernel=kernel())
         assert result.errors[-1] < result.errors[0]
         assert result.errors[-1] < 0.1
         assert result.data.min() >= 0
         assert result.data[:, 0].max() < 4 and result.data[:, 1].max() < 3
 
     def test_invalid_mode_rejected(self):
+        """No name selects a kernel: ``run_gum`` takes instances only, and
+        neither config has a kernel field."""
         data, targets, attrs, domain = self._setup(n=50)
-        for name in ("vectorized", "numba", "magic"):
-            with pytest.raises(ValueError, match="kernel"):
+        for name in ("fused", "vectorized", "numba", "magic"):
+            with pytest.raises(TypeError, match="kernel"):
                 run_gum(data, targets, attrs, domain, GumConfig(), rng=1, kernel=name)
         with pytest.raises(TypeError):
-            GumConfig(update_mode="reference")  # the kernel knob is the engine's
+            GumConfig(update_mode="reference")
+        with pytest.raises(TypeError):
+            EngineConfig(kernel="reference")
 
-    def test_auto_resolution(self):
+    def test_auto_resolution(self, monkeypatch):
+        """With no kernel given, ``run_gum`` steps a ``FusedKernel``."""
+        stepped = []
+        step = FusedKernel.step
+
+        def counted(self, *args):
+            stepped.append(type(self))
+            return step(self, *args)
+
+        monkeypatch.setattr(FusedKernel, "step", counted)
         data, targets, attrs, domain = self._setup(n=200)
         result = run_gum(data, targets, attrs, domain, GumConfig(iterations=2), rng=4)
-        assert result.kernel == "fused"
+        assert stepped == [FusedKernel] * (result.iterations_run * len(targets))
 
     def test_steps_read_counts_of_current_data(self, monkeypatch):
         """Each fused step folds its marginal's codes from ``data`` as it is
         when the step starts and measures its error against their bincount:
         nothing is cached from one step to the next."""
         from repro.marginals.compute import cell_codes, marginal_counts
-        from repro.synthesis.kernels import FusedKernel, fused
+        from repro.synthesis.kernels import fused
 
         fold = fused._cell_codes
 
